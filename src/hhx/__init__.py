@@ -35,9 +35,6 @@ from .exactlinalg import (
     Rationals,
     field_from_json,
     field_from_text,
-    kernel_dim,
-    matrix_product,
-    rank,
 )
 from .simplicial import (
     Generator,
@@ -81,14 +78,11 @@ __all__ = [
     "enumerate_slots",
     "field_from_json",
     "field_from_text",
-    "kernel_dim",
-    "matrix_product",
     "multiplication_module",
     "paranoid_closure",
     "parse_algebra",
     "parse_module",
     "parse_space",
-    "rank",
     "reduce_slot",
     "sweep_closure",
     "validate_algebra",

@@ -185,6 +185,8 @@ def cmd_actions(args) -> int:
 def cmd_cohomology(args) -> int:
     if args.max_degree < 1:
         raise FormatError("--max-degree must be at least 1")
+    if args.budget < 1:
+        raise FormatError(f"--budget must be at least 1, got {args.budget}")
     space = _load_space(args)
     partition = actions_mod.sweep_closure(space)
     field = field_from_text(args.field) if args.field else None

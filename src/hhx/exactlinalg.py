@@ -4,13 +4,19 @@ Scalars are plain Python numbers: over the rationals an element is an int
 whenever it is integral and a fractions.Fraction otherwise (the two mix
 exactly and compare/hash equal); over F_p an element is an int in [0, p).
 No floating point is used anywhere.
+
+Rank over either field comes from one sparse elimination driver,
+_eliminate, which keeps a column -> rows index so that each pivot touches
+only the rows holding its column. Only the row combination depends on the
+field: mod p over F_p, fraction-free integer combination with gcd
+reduction over Q.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import FormatError
 
@@ -216,10 +222,6 @@ class Matrix:
         self._row_index = None
 
     @classmethod
-    def zeros(cls, field, rows, cols):
-        return cls(field, rows, cols)
-
-    @classmethod
     def identity(cls, field, n):
         return cls(field, n, n, {(i, i): field.one for i in range(n)})
 
@@ -346,68 +348,17 @@ class Matrix:
         return Matrix(self.field, self.rows, other.cols, acc)
 
     def rank(self) -> int:
-        """Rank over the field, by exact elimination (Bareiss over Q)."""
+        """Rank over the field, by one exact sparse elimination (_eliminate).
+
+        Over F_p rows combine mod p; over Q they are scaled to integers and
+        combine fraction-free with gcd reductions. Cached after the first call.
+        """
         if self._rank is None:
-            m = self.transpose() if self.rows > self.cols else self
-            if isinstance(self.field, PrimeField):
-                self._rank = _rank_prime(m)
-            else:
-                self._rank = _rank_bareiss(m)
+            self._rank = _eliminate(self)
         return self._rank
 
     def kernel_dim(self) -> int:
         return self.cols - self.rank()
-
-
-def matrix_product(a: Matrix, b: Matrix) -> Matrix:
-    return a @ b
-
-
-def rank(m: Matrix) -> int:
-    return m.rank()
-
-
-def kernel_dim(m: Matrix) -> int:
-    return m.kernel_dim()
-
-
-def _sparse_rows(m: Matrix):
-    rows = [{} for _ in range(m.rows)]
-    for (r, c), v in m.entries.items():
-        rows[r][c] = v
-    return [row for row in rows if row]
-
-
-def _rank_prime(m: Matrix) -> int:
-    """Plain sparse Gaussian elimination over F_p."""
-    p = m.field.p
-    rows = _sparse_rows(m)
-    rk = 0
-    for col in range(m.cols):
-        pivot = None
-        for idx, row in enumerate(rows):
-            if col in row:
-                pivot = idx
-                break
-        if pivot is None:
-            continue
-        prow = rows.pop(pivot)
-        rk += 1
-        pinv = pow(prow[col], -1, p)
-        for row in rows:
-            a = row.pop(col, 0)
-            if a:
-                factor = a * pinv % p
-                for c, v in prow.items():
-                    if c == col:
-                        continue
-                    nv = (row.get(c, 0) - factor * v) % p
-                    if nv:
-                        row[c] = nv
-                    else:
-                        row.pop(c, None)
-        rows = [row for row in rows if row]
-    return rk
 
 
 def _clear_denominators(row: dict) -> dict:
@@ -420,48 +371,69 @@ def _clear_denominators(row: dict) -> dict:
     return {c: int(v * mult) for c, v in row.items()}
 
 
-def _rank_bareiss(m: Matrix) -> int:
-    """Fraction-free (Bareiss) elimination over the rationals.
+def _eliminate(m: Matrix) -> int:
+    """Rank by sparse elimination with a column -> rows index.
 
-    Rows are rescaled to integers first (rank-preserving); every intermediate
-    entry is then a minor of the integer matrix, so the division by the
-    previous pivot is exact and entry growth stays polynomial.
+    The shorter side of m becomes the rows (rank(M) = rank(M^T)). Rows are
+    popped in turn; each nonzero popped row is a pivot row, pivoting on its
+    column held by the fewest remaining rows, and only those rows are
+    eliminated. Over F_p a row r becomes r - (a/piv) prow mod p. Over Q the
+    rows are scaled to integers first and r becomes (piv/g) r - (a/g) prow
+    with g = gcd(piv, a), then r is divided by the gcd of its entries; both
+    divisions are exact, so no Fraction arises.
     """
-    rows = [_clear_denominators(row) for row in _sparse_rows(m)]
+    p = m.field.p if isinstance(m.field, PrimeField) else 0
+    rows = {}
+    if m.rows > m.cols:
+        for (c, r), v in m.entries.items():
+            rows.setdefault(r, {})[c] = v
+    else:
+        for (r, c), v in m.entries.items():
+            rows.setdefault(r, {})[c] = v
+    where = {}
+    for r, row in rows.items():
+        if not p:
+            rows[r] = row = _clear_denominators(row)
+        for c in row:
+            where.setdefault(c, set()).add(r)
     rk = 0
-    prev = 1
-    for col in range(m.cols):
-        pivot = None
-        for idx, row in enumerate(rows):
-            if col in row:
-                pivot = idx
-                break
-        if pivot is None:
-            continue
-        prow = rows.pop(pivot)
-        piv = prow[col]
+    while rows:
+        pr, prow = rows.popitem()
+        for c in prow:
+            where[c].discard(pr)
+        col = min(prow, key=lambda c: len(where[c]))
+        piv = prow.pop(col)
         rk += 1
-        new_rows = []
-        for row in rows:
-            a = row.pop(col, 0)
-            new = {}
-            if a:
-                for c in row.keys() | prow.keys():
-                    if c == col:
-                        continue
-                    val = piv * row.get(c, 0) - a * prow.get(c, 0)
-                    q, rem = divmod(val, prev)
-                    assert rem == 0, "Bareiss division not exact"
-                    if q:
-                        new[c] = q
+        if p:
+            pinv = pow(piv, -1, p)
+        for r in where.pop(col):
+            row = rows[r]
+            a = row.pop(col)
+            if p:
+                t = a * pinv % p
             else:
-                for c, v in row.items():
-                    val = piv * v
-                    q, rem = divmod(val, prev)
-                    assert rem == 0, "Bareiss division not exact"
-                    new[c] = q
-            if new:
-                new_rows.append(new)
-        rows = new_rows
-        prev = piv
+                g = gcd(piv, a)
+                s, t = piv // g, a // g
+                if s != 1:
+                    for c in row:
+                        row[c] *= s
+            for c, v in prow.items():
+                old = row.get(c)
+                if old is None:
+                    row[c] = -t * v % p if p else -t * v
+                    where[c].add(r)
+                    continue
+                new = (old - t * v) % p if p else old - t * v
+                if new:
+                    row[c] = new
+                else:
+                    del row[c]
+                    where[c].discard(r)
+            if not row:
+                del rows[r]
+            elif not p:
+                g = gcd(*row.values())
+                if g != 1:
+                    for c in row:
+                        row[c] //= g
     return rk

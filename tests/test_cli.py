@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from helpers import DUAL_DOC, GROUND_DOC, dual_numbers, multiplication_module
 from hhx.cli import main
@@ -360,3 +364,44 @@ def test_max_degree_below_one_is_usage_error(tmp_path, capsys):
     )
     assert status == 2
     assert "max-degree" in err
+
+
+def test_budget_below_one_is_usage_error(tmp_path, capsys):
+    alg_path = write_json(tmp_path / "dual.json", DUAL_DOC)
+    mod_path = write_json(
+        tmp_path / "regular.json", regular_module_doc(["e.0", "e.1"])
+    )
+    for budget in ("0", "-5"):
+        status, out, err = run_cli(
+            capsys, "cohomology", "--builtin", "circle",
+            "--algebra", alg_path, "--module", mod_path, "--budget", budget,
+        )
+        assert status == 2
+        assert out == ""
+        assert f"--budget must be at least 1, got {budget}" in err
+
+
+def test_cohomology_bytes_independent_of_hash_seed_and_optimize(tmp_path):
+    # rank iterates sets of row ids; the report must not depend on hash
+    # randomisation, and no check may be an assert that -O strips
+    alg_path = write_json(tmp_path / "dual.json", DUAL_DOC)
+    mod_path = write_json(
+        tmp_path / "regular.json", regular_module_doc(["a.0"])
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    argv = [
+        "-m", "hhx", "cohomology", "--builtin", "torus",
+        "--algebra", alg_path, "--module", mod_path, "-N", "2",
+        "--format", "json",
+    ]
+    outputs = set()
+    for flags, seed in (([], "0"), ([], "1"), (["-O"], "0")):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, *flags, *argv],
+            capture_output=True, env=env, timeout=120, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+    assert json.loads(outputs.pop())["hh_dims"] == [2, 2, 4]

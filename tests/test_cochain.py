@@ -324,3 +324,19 @@ def test_report_on_failure_omits_cohomology():
     report = setup.report()
     assert report["identities"] != "pass"
     assert "hh_dims" not in report
+
+
+@pytest.mark.parametrize(
+    "field_doc, kind, shape, rank",
+    [
+        ("Q", "regular", (65536, 512), 494),
+        ({"Fp": 5}, "regular", (65536, 512), 494),
+        ({"Fp": 5}, "end", (131072, 1024), 988),
+    ],
+    ids=["Q-regular", "F5-regular", "F5-end"],
+)
+def test_torus_delta2_rank_pinned(field_doc, kind, shape, rank):
+    setup = make_setup("torus", dual_numbers(field_doc), kind, 2)
+    delta = setup.differential(2)
+    assert (delta.rows, delta.cols) == shape
+    assert delta.rank() == rank

@@ -10,9 +10,6 @@ from hhx.exactlinalg import (
     QQ,
     field_from_json,
     field_from_text,
-    kernel_dim,
-    matrix_product,
-    rank,
 )
 
 
@@ -75,10 +72,10 @@ def test_prime_field_scalars():
 
 def test_product_identity_and_zero():
     ident = Matrix.identity(QQ, 3)
-    assert matrix_product(ident, ident) == ident
+    assert ident @ ident == ident
     a = Matrix.from_rows(QQ, [[1, 2, 3], [4, 5, 6]])
-    z = Matrix.zeros(QQ, 3, 4)
-    assert matrix_product(a, z) == Matrix.zeros(QQ, 2, 4)
+    z = Matrix(QQ, 3, 4)
+    assert a @ z == Matrix(QQ, 2, 4)
 
 
 def test_product_hand_example():
@@ -89,7 +86,7 @@ def test_product_hand_example():
 
 def test_product_shape_mismatch():
     a = Matrix.from_rows(QQ, [[1, 2], [3, 4]])
-    b = Matrix.zeros(QQ, 3, 2)
+    b = Matrix(QQ, 3, 2)
     with pytest.raises(ValueError):
         a @ b
 
@@ -105,15 +102,15 @@ def test_stored_entries_are_nonzero():
 
 
 def test_rank_examples():
-    assert rank(Matrix.zeros(QQ, 4, 5)) == 0
-    assert rank(Matrix.identity(QQ, 5)) == 5
-    assert rank(Matrix.from_rows(QQ, [[1, 2], [2, 4]])) == 1
+    assert Matrix(QQ, 4, 5).rank() == 0
+    assert Matrix.identity(QQ, 5).rank() == 5
+    assert Matrix.from_rows(QQ, [[1, 2], [2, 4]]).rank() == 1
 
 
 def test_kernel_examples():
-    assert kernel_dim(Matrix.zeros(QQ, 4, 5)) == 5
-    assert kernel_dim(Matrix.identity(QQ, 5)) == 0
-    assert kernel_dim(Matrix.from_rows(QQ, [[1, 2], [2, 4]])) == 1
+    assert Matrix(QQ, 4, 5).kernel_dim() == 5
+    assert Matrix.identity(QQ, 5).kernel_dim() == 0
+    assert Matrix.from_rows(QQ, [[1, 2], [2, 4]]).kernel_dim() == 1
 
 
 def test_rank_with_fractions():
@@ -187,11 +184,76 @@ def test_rank_matches_transpose():
         assert m.rank() == m.transpose().rank()
 
 
+def _low_rank(field, rng, rows, cols, k, density):
+    """A rows x k by k x cols product: rank at most k."""
+    left = _random_matrix(field, rng, rows, k, density)
+    return left @ _random_matrix(field, rng, k, cols, density)
+
+
+def _permuted(m, rng):
+    rperm = list(range(m.rows))
+    cperm = list(range(m.cols))
+    rng.shuffle(rperm)
+    rng.shuffle(cperm)
+    return Matrix(
+        m.field, m.rows, m.cols,
+        {(rperm[r], cperm[c]): v for (r, c), v in m.entries.items()},
+    )
+
+
+@pytest.mark.parametrize(
+    "field, count",
+    [(QQ, 4), (PrimeField(2), 8), (PrimeField(3), 8), (PrimeField(5), 8)],
+    ids=["Q", "F2", "F3", "F5"],
+)
+def test_rank_matches_naive_oracle_at_20_to_40(field, count):
+    # over Q the entries are fractions p/q with |p| <= 4, q <= 4
+    rng = random.Random(29)
+    seen = set()
+    for i in range(count):
+        rows, cols = rng.randint(20, 40), rng.randint(20, 40)
+        if i % 2:
+            m = _random_matrix(field, rng, rows, cols, density=rng.choice((0.1, 0.3)))
+        else:
+            k = rng.randint(3, min(rows, cols) - 1)
+            m = _low_rank(field, rng, rows, cols, k, density=0.6)
+        rk = m.rank()
+        assert rk == naive_rank(m)
+        seen.add(rk == min(rows, cols))
+    assert seen == {True, False}  # both full and deficient ranks were checked
+
+
+def test_rank_of_block_diagonal_matrices():
+    rng = random.Random(17)
+    for field in (QQ, PrimeField(2), PrimeField(5)):
+        entries = {}
+        r0 = c0 = expected = 0
+        for _ in range(15):
+            rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+            block = _random_matrix(field, rng, rows, cols, density=0.6)
+            expected += naive_rank(block)
+            for (r, c), v in block.entries.items():
+                entries[(r0 + r, c0 + c)] = v
+            r0 += rows
+            c0 += cols
+        m = _permuted(Matrix(field, r0, c0, entries), rng)
+        assert m.rank() == expected == naive_rank(m)
+
+
+def test_rank_of_tall_and_wide_shapes():
+    rng = random.Random(23)
+    for field in (QQ, PrimeField(3)):
+        for rows, cols in ((40, 6), (33, 1), (25, 24), (40, 12)):
+            tall = _low_rank(field, rng, rows, cols, min(cols, 5), density=0.5)
+            wide = tall.transpose()
+            assert tall.rank() == wide.rank() == naive_rank(tall) == naive_rank(wide)
+
+
 def test_add_scale_neg():
     a = Matrix.from_rows(QQ, [[1, 2], [3, 4]])
-    assert a - a == Matrix.zeros(QQ, 2, 2)
+    assert a - a == Matrix(QQ, 2, 2)
     assert a.scale(2) == a + a
-    assert (-a) + a == Matrix.zeros(QQ, 2, 2)
+    assert (-a) + a == Matrix(QQ, 2, 2)
     F5 = PrimeField(5)
     b = Matrix.from_rows(F5, [[2, 3], [4, 1]])
     assert b.scale(3) == Matrix.from_rows(F5, [[1, 4], [2, 3]])
