@@ -40,10 +40,7 @@ from .simplicial import (
     Generator,
     Simplex,
     SimplicialSpace,
-    apply_degeneracy,
-    apply_face,
     builtin_space,
-    enumerate_simplices,
     parse_space,
     validate_space,
 )
@@ -69,12 +66,9 @@ __all__ = [
     "Simplex",
     "SimplicialSpace",
     "ValidationError",
-    "apply_degeneracy",
-    "apply_face",
     "builtin_space",
     "classical_hochschild_dims",
     "endomorphism_module",
-    "enumerate_simplices",
     "enumerate_slots",
     "field_from_json",
     "field_from_text",

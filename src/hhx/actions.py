@@ -10,7 +10,6 @@ what kind of coefficient module the space admits.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .errors import InternalError
@@ -245,11 +244,4 @@ def paranoid_closure(space: SimplicialSpace, dim_cap: int) -> ActionPartition:
         for s in space.simplices(n):
             if not space.is_basepoint(s):
                 pairs.extend(_pairs_from(space, s))
-    return partition_from_pairs(enumerate_slots(space), pairs)
-
-
-def shuffled_closure(space: SimplicialSpace, seed: int) -> ActionPartition:
-    """sweep_closure with the identification scan applied in random order."""
-    pairs = closure_pairs(space)
-    random.Random(seed).shuffle(pairs)
     return partition_from_pairs(enumerate_slots(space), pairs)

@@ -11,8 +11,12 @@ class actions of all (n+1)-simplices whose i-th face is the basepoint,
 applied to the source evaluated at the per-simplex products grouped by the
 i-th face (empty product = unit). A codegeneracy places each source factor
 at the i-th degeneracy of its simplex and fills every other slot with the
-unit. The alternating sum of cofaces is the differential; cohomology
-dimensions come from exact rank/kernel computations.
+unit. Both kinds of matrix are built as a product of per-simplex factors
+(the grouped products; the identity at each degeneracy image) tensored
+with module blocks (the nonzero composite star actions; the identity), so
+the work is proportional to the nnz of the result. The alternating sum of
+cofaces is the differential; cohomology dimensions come from exact
+rank/kernel computations.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import itertools
 
 from .actions import ActionPartition, reduce_slot
-from .coeffalg import Algebra, MultiModule
+from .coeffalg import Algebra, MultiModule, _unit_vector
 from .errors import BudgetError, InternalError, ValidationError
 from .exactlinalg import Matrix
 from .simplicial import SimplicialSpace
@@ -166,18 +170,16 @@ class CochainSetup:
         F = alg.field
         d = alg.dim
         m = self.module.dim
+        if m == 0:
+            return Matrix(F, self.hom_dims[n + 1], self.hom_dims[n])
         src = self._basis[n]
         tgt = self._basis[n + 1]
-        rows = self.hom_dims[n + 1]
-        cols = self.hom_dims[n]
-        if m == 0:
-            return Matrix(F, rows, cols)
-
         src_pos = {s: q for q, s in enumerate(src)}
-        star_positions = []
+        star_places = []
         star_mats = []
         groups = [[] for _ in src]
         for p, s in enumerate(tgt):
+            place = d ** (len(tgt) - 1 - p)
             f = space.face(s, i)
             if space.is_basepoint(f):
                 slot = reduce_slot(space, s, i)
@@ -186,111 +188,102 @@ class CochainSetup:
                     raise InternalError(
                         f"no action supplied for {self.action_key(slot)!r}"
                     )
-                star_positions.append(p)
+                star_places.append(place)
                 star_mats.append(mats)
             else:
-                groups[src_pos[f]].append(p)
+                groups[src_pos[f]].append(place)
 
-        # composite action for each choice of basis elements on the star
-        # positions, stored as a nonzero-triple list
-        star_table = {}
-        for combo in itertools.product(range(d), repeat=len(star_positions)):
+        # the composite action for each choice of basis elements on the star
+        # positions, kept where it is nonzero
+        blocks = []
+        for combo in itertools.product(range(d), repeat=len(star_mats)):
             mat = None
-            for k, t in enumerate(combo):
-                mat = star_mats[k][t] if mat is None else mat @ star_mats[k][t]
+            for mats, t in zip(star_mats, combo):
+                mat = mats[t] if mat is None else mat @ mats[t]
             if mat is None:
                 items = [(u, u, F.one) for u in range(m)]
             else:
                 items = [(r, c, v) for (r, c), v in sorted(mat.entries.items())]
-            star_table[combo] = items
+            if items:
+                blocks.append((_value(combo, star_places), items))
 
-        # per-source-simplex expansion of the grouped product into basis
-        # coordinates, for each choice of factors
-        varying = [q for q in range(len(src)) if groups[q]]
-        group_tables = []
-        for q in varying:
-            table = {}
-            for combo in itertools.product(range(d), repeat=len(groups[q])):
+        # per source simplex that some face hits: the nonzero coordinates of
+        # the product of each choice of basis elements on its group; the
+        # others keep the unit index 0
+        factors = []
+        for q, places in enumerate(groups):
+            if not places:
+                continue
+            col_place = d ** (len(src) - 1 - q)
+            terms = []
+            for combo in itertools.product(range(d), repeat=len(places)):
                 coords = alg.unit
                 for t in combo:
-                    coords = alg.multiply(coords, _basis_vector(F, d, t))
-                table[combo] = [(t, c) for t, c in enumerate(coords) if c != 0]
-            group_tables.append(table)
-
-        # source-index place value of each varying position (first simplex
-        # most significant); non-varying positions keep the unit index 0
-        t_src = len(src)
-        place = [d ** (t_src - 1 - q) for q in varying]
-
-        entries = {}
-        mul = F.mul
-        for b in itertools.product(range(d), repeat=len(tgt)):
-            p_items = star_table[tuple(b[p] for p in star_positions)]
-            if not p_items:
-                continue
-            expansions = []
-            for k, q in enumerate(varying):
-                terms = group_tables[k][tuple(b[p] for p in groups[q])]
-                if not terms:
-                    break
-                expansions.append(terms)
-            else:
-                row_value = 0
-                for digit in b:
-                    row_value = row_value * d + digit
-                row_base = row_value * m
-                for chosen in itertools.product(*expansions):
-                    col_value = 0
-                    coeff = F.one
-                    for k, (t, c) in enumerate(chosen):
-                        col_value += t * place[k]
-                        if c != 1:
-                            coeff = mul(coeff, c)
-                    col_base = col_value * m
-                    if coeff == 1:
-                        for r, c_idx, v in p_items:
-                            entries[(row_base + r, col_base + c_idx)] = v
-                    else:
-                        for r, c_idx, v in p_items:
-                            entries[(row_base + r, col_base + c_idx)] = mul(coeff, v)
-        return Matrix(F, rows, cols, entries)
+                    coords = alg.multiply(coords, _unit_vector(F, d, t))
+                row = _value(combo, places)
+                terms.extend(
+                    (row, t * col_place, c) for t, c in enumerate(coords) if c != 0
+                )
+            factors.append(terms)
+        return self._kronecker(n + 1, n, blocks, factors)
 
     def _build_codegeneracy(self, n: int, i: int) -> Matrix:
         space = self.space
         F = self.algebra.field
         d = self.algebra.dim
         m = self.module.dim
+        if m == 0:
+            return Matrix(F, self.hom_dims[n], self.hom_dims[n + 1])
         src = self._basis[n]
         up = self._basis[n + 1]
-        rows = self.hom_dims[n]
-        cols = self.hom_dims[n + 1]
-        if m == 0:
-            return Matrix(F, rows, cols)
         up_pos = {s: p for p, s in enumerate(up)}
-        t_up = len(up)
-        image_place = []
         seen = set()
-        for s in src:
-            target = space.degeneracy(s, i)
-            p = up_pos.get(target)
+        factors = []
+        for q, s in enumerate(src):
+            p = up_pos.get(space.degeneracy(s, i))
             if p is None or p in seen:
                 raise InternalError("degeneracy image not found or not injective")
             seen.add(p)
-            image_place.append(d ** (t_up - 1 - p))
-        one = F.one
+            row_place = d ** (len(src) - 1 - q)
+            col_place = d ** (len(up) - 1 - p)
+            factors.append([(t * row_place, t * col_place, F.one) for t in range(d)])
+        identity = [(u, u, F.one) for u in range(m)]
+        return self._kronecker(n, n + 1, [(0, identity)], factors)
+
+    def _kronecker(self, row_degree, col_degree, blocks, factors) -> Matrix:
+        """The sparse Kronecker product of the factors and the module blocks.
+
+        A factor is a list of nonzero terms (row offset, column offset,
+        coefficient) with offsets in assignment values; a block is (row
+        offset, module entries (r, c, v)). Each choice of terms sums its
+        offsets to (row, col) and multiplies its coefficients, then puts
+        every block entry at ((row + block offset) * m + r, col * m + c).
+        No two choices hit the same entry, so the work is the output nnz.
+        """
+        F = self.algebra.field
+        mul = F.mul
+        m = self.module.dim
         entries = {}
-        for b in itertools.product(range(d), repeat=len(src)):
-            row_value = 0
-            for digit in b:
-                row_value = row_value * d + digit
-            col_value = 0
-            for q, digit in enumerate(b):
-                col_value += digit * image_place[q]
-            row_base = row_value * m
-            col_base = col_value * m
-            for u in range(m):
-                entries[(row_base + u, col_base + u)] = one
-        return Matrix(F, rows, cols, entries)
+        for chosen in itertools.product(*factors):
+            row = col = 0
+            coeff = F.one
+            for r, c, v in chosen:
+                row += r
+                col += c
+                if v != 1:
+                    coeff = mul(coeff, v)
+            col_base = col * m
+            for block_row, items in blocks:
+                row_base = (row + block_row) * m
+                if coeff == 1:
+                    for r, c, v in items:
+                        entries[(row_base + r, col_base + c)] = v
+                else:
+                    for r, c, v in items:
+                        entries[(row_base + r, col_base + c)] = mul(coeff, v)
+        return Matrix(
+            F, self.hom_dims[row_degree], self.hom_dims[col_degree], entries
+        )
 
     # -- checks and cohomology --------------------------------------------
 
@@ -332,16 +325,7 @@ class CochainSetup:
 
     def cohomology_dims(self) -> list[int]:
         """[HH^0 .. HH^N] by kernel/rank of the alternating-sum differentials."""
-        dims = []
-        prev_rank = 0
-        for n in range(self.max_degree + 1):
-            delta = self.differential(n)
-            hh = delta.kernel_dim() - prev_rank
-            if hh < 0:
-                raise InternalError(f"negative cohomology dimension in degree {n}")
-            dims.append(hh)
-            prev_rank = delta.rank()
-        return dims
+        return _dims_from_differentials(self.differential, self.max_degree)
 
     def report(self, *, with_cohomology: bool = True) -> dict:
         failures = self.check_cosimplicial_identities()
@@ -356,8 +340,9 @@ class CochainSetup:
         return out
 
 
-def _basis_vector(F, d, t):
-    return tuple(F.one if s == t else F.zero for s in range(d))
+def _value(digits, places) -> int:
+    """Assignment value of the given digits at the given place values."""
+    return sum(t * place for t, place in zip(digits, places))
 
 
 def classical_hochschild_dims(
@@ -425,10 +410,18 @@ def classical_hochschild_dims(
                 put(acc, (row_base + r, col_value * m + c), neg(v) if last_sign else v)
         return Matrix(F, rows, cols, acc)
 
+    return _dims_from_differentials(diff, max_degree)
+
+
+def _dims_from_differentials(differential, max_degree: int) -> list[int]:
+    """[H^0 .. H^N] of the complex whose n-th differential is differential(n)."""
     dims = []
     prev_rank = 0
     for n in range(max_degree + 1):
-        delta = diff(n)
-        dims.append(delta.kernel_dim() - prev_rank)
+        delta = differential(n)
+        hh = delta.kernel_dim() - prev_rank
+        if hh < 0:
+            raise InternalError(f"negative cohomology dimension in degree {n}")
+        dims.append(hh)
         prev_rank = delta.rank()
     return dims

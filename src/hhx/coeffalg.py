@@ -10,10 +10,8 @@ distinct class actions) are checked eagerly at parse time with witnesses.
 
 from __future__ import annotations
 
-import json
-
 from .actions import ActionPartition
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, read_json
 from .exactlinalg import Field, Matrix, field_from_json
 
 
@@ -152,12 +150,7 @@ def parse_algebra(doc, *, field: Field | None = None) -> Algebra:
 
 
 def load_algebra(path: str, *, field: Field | None = None) -> Algebra:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON ({exc})") from exc
-    return parse_algebra(doc, field=field)
+    return parse_algebra(read_json(path), field=field)
 
 
 class MultiModule:
@@ -295,12 +288,9 @@ def parse_module(
 
 
 def load_module(path: str, algebra, partition, *, override_slots=False) -> MultiModule:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON ({exc})") from exc
-    return parse_module(doc, algebra, partition, override_slots=override_slots)
+    return parse_module(
+        read_json(path), algebra, partition, override_slots=override_slots
+    )
 
 
 def multiplication_module(algebra: Algebra, twists: dict) -> MultiModule:

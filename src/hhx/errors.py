@@ -1,4 +1,7 @@
-"""Shared exception types, mapped onto CLI exit statuses."""
+"""Shared exception types, mapped onto CLI exit statuses, and the JSON
+document reader that turns unparseable input into FormatError."""
+
+import json
 
 
 class FormatError(ValueError):
@@ -24,3 +27,12 @@ class BudgetError(RuntimeError):
 
 class InternalError(RuntimeError):
     """An invariant the engine relies on was violated; indicates a bug."""
+
+
+def read_json(path: str):
+    """The JSON document at path; invalid JSON raises FormatError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}: invalid JSON ({exc})") from exc

@@ -12,11 +12,10 @@ renormalizing, so equality of simplices is plain structural equality.
 from __future__ import annotations
 
 import itertools
-import json
 import re
 from dataclasses import dataclass, field
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, read_json
 
 
 class Generator:
@@ -166,18 +165,6 @@ class SimplicialSpace:
         return tuple(s for s in self.simplices(n) if not s.is_degenerate)
 
 
-def enumerate_simplices(space: SimplicialSpace, n: int):
-    return space.simplices(n)
-
-
-def apply_face(space: SimplicialSpace, s: Simplex, i: int) -> Simplex:
-    return space.face(s, i)
-
-
-def apply_degeneracy(space: SimplicialSpace, s: Simplex, i: int) -> Simplex:
-    return space.degeneracy(s, i)
-
-
 def validate_space(space: SimplicialSpace) -> list[tuple[str, int, int]]:
     """Check d_i d_j = d_{j-1} d_i (i < j) on every generator of dim >= 2.
 
@@ -293,12 +280,7 @@ def parse_space(doc, *, validate: bool = True) -> SimplicialSpace:
 
 
 def load_space(path: str, *, validate: bool = True) -> SimplicialSpace:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON ({exc})") from exc
-    return parse_space(doc, validate=validate)
+    return parse_space(read_json(path), validate=validate)
 
 
 def _builtin_doc(name: str):

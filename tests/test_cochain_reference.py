@@ -101,11 +101,19 @@ def slow_codegeneracy(setup, n, i):
     return Matrix(F, setup.hom_dimension(n), setup.hom_dimension(n + 1), entries)
 
 
+def dual_numbers_f5():
+    return dual_numbers({"Fp": 5})
+
+
 REFERENCE_SETUPS = [
     ("circle", dual_numbers, "twisted", 2),
     ("circle", cubic_truncation, "regular", 2),
     ("sphere2", dual_numbers, "end", 2),
     ("pinched-torus", dual_numbers, "twisted", 1),
+    ("torus", dual_numbers, "regular", 1),
+    ("torus", dual_numbers_f5, "regular", 1),
+    ("torus", dual_numbers_f5, "end", 1),
+    ("sphere4", dual_numbers_f5, "regular", 4),
 ]
 
 

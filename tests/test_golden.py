@@ -1,0 +1,123 @@
+"""Golden CLI reports: exit status and stdout bytes, compared byte for byte.
+
+The inputs live in tests/golden/: dual numbers over Q (dual-q.json), the
+regular module that `hhx actions --emit-template` writes for each builtin
+(regular-<space>.json) and a slot-keyed sphere2 module whose cosimplicial
+identities fail (override-sphere2.json). Case <name> keeps its stdout in
+<name>.out and its exit status in status.json.
+
+To re-record after an intended output change:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from helpers import DUAL_DOC, dual_numbers, multiplication_module
+from hhx.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# builtin -> top degree of its cohomology case
+BUILTINS = {
+    "circle": 4,
+    "sphere2": 3,
+    "sphere3": 4,
+    "sphere4": 4,
+    "torus": 2,
+    "pinched-torus": 2,
+}
+
+
+def _cases():
+    cases = {}
+    for name, top in BUILTINS.items():
+        for fmt in ("text", "json"):
+            cases[f"validate-{name}-{fmt}"] = [
+                "validate", "--builtin", name, "--format", fmt,
+            ]
+            cases[f"actions-{name}-{fmt}"] = [
+                "actions", "--builtin", name, "--format", fmt,
+            ]
+            cases[f"cohomology-{name}-{fmt}"] = [
+                "cohomology", "--builtin", name,
+                "--algebra", "dual-q.json", "--module", f"regular-{name}.json",
+                "-N", str(top), "--format", fmt,
+            ]
+    cases["actions-torus-paranoid-json"] = [
+        "actions", "--builtin", "torus", "--paranoid", "4", "--format", "json",
+    ]
+    for fmt in ("text", "json"):
+        cases[f"cohomology-sphere2-override-{fmt}"] = [
+            "cohomology", "--builtin", "sphere2",
+            "--algebra", "dual-q.json", "--module", "override-sphere2.json",
+            "-N", "2", "--override-slots", "--format", fmt,
+        ]
+    return cases
+
+
+CASES = _cases()
+
+
+def run_case(argv):
+    """(exit status, stdout bytes) of `hhx argv`, input names under GOLDEN."""
+    argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = main(argv)
+    return status, out.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name):
+    expected = json.loads((GOLDEN / "status.json").read_text(encoding="utf-8"))
+    status, out = run_case(CASES[name])
+    assert status == expected[name]
+    assert out == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def record():
+    GOLDEN.mkdir(exist_ok=True)
+
+    def write(name, doc):
+        text = json.dumps(doc, indent=2) + "\n"
+        (GOLDEN / name).write_text(text, encoding="utf-8")
+
+    write("dual-q.json", DUAL_DOC)
+    for name in BUILTINS:
+        with contextlib.redirect_stdout(io.StringIO()):
+            main([
+                "actions", "--builtin", name,
+                "--algebra", str(GOLDEN / "dual-q.json"),
+                "--emit-template", str(GOLDEN / f"regular-{name}.json"),
+            ])
+    alg = dual_numbers()
+    twist = [[1, 0], [0, -1]]
+    module = multiplication_module(
+        alg, {"sigma.0": None, "sigma.1": None, "sigma.2": twist}
+    )
+    write("override-sphere2.json", {
+        "dim": module.dim,
+        "actions": {
+            key: [
+                [[alg.field.to_json(mat.get(r, c)) for c in range(module.dim)]
+                 for r in range(module.dim)]
+                for mat in mats
+            ]
+            for key, mats in module.actions.items()
+        },
+    })
+    statuses = {}
+    for name, argv in sorted(CASES.items()):
+        statuses[name], out = run_case(argv)
+        (GOLDEN / f"{name}.out").write_bytes(out)
+    write("status.json", statuses)
+
+
+if __name__ == "__main__":
+    record()
