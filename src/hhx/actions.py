@@ -10,14 +10,18 @@ what kind of coefficient module the space admits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from math import comb
+from typing import NamedTuple
 
 from .errors import InternalError
 from .simplicial import Generator, Simplex, SimplicialSpace
 
 
-@dataclass(frozen=True)
-class ActionSlot:
+# most simplices paranoid_closure visits; a scan of this size takes minutes
+PARANOID_LIMIT = 1_000_000
+
+
+class ActionSlot(NamedTuple):
     """A generator together with a face index pointing at the basepoint."""
 
     generator: Generator
@@ -228,16 +232,34 @@ def sweep_closure(space: SimplicialSpace) -> ActionPartition:
     return partition_from_pairs(enumerate_slots(space), closure_pairs(space))
 
 
+def scan_size(space: SimplicialSpace, dim_cap: int) -> int:
+    """Number of simplices of dimensions 2..dim_cap, basepoint ones included.
+
+    A generator of dim d has C(n, d) n-simplices, and the sum of C(n, d)
+    over n = 2..dim_cap is C(dim_cap + 1, d + 1) - C(2, d + 1).
+    """
+    return sum(
+        comb(dim_cap + 1, g.dim + 1) - comb(2, g.dim + 1) for g in space.generators
+    )
+
+
 def paranoid_closure(space: SimplicialSpace, dim_cap: int) -> ActionPartition:
     """Same closure, but scanning every simplex (degenerate included).
 
     Scans dimensions 2..dim_cap and reduces each slot to its generator; the
     result should always equal sweep_closure, which only trusts generators.
+    A scan of more than PARANOID_LIMIT simplices is refused before it starts.
     """
     if dim_cap < space.max_dim + 1:
         raise ValueError(
             f"dim_cap {dim_cap} must be at least max generator dimension + 1 "
             f"({space.max_dim + 1})"
+        )
+    size = scan_size(space, dim_cap)
+    if size > PARANOID_LIMIT:
+        raise ValueError(
+            f"paranoid scan to dimension {dim_cap} would visit {size} simplices, "
+            f"more than the limit of {PARANOID_LIMIT}"
         )
     pairs = []
     for n in range(2, dim_cap + 1):

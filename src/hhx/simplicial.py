@@ -4,16 +4,21 @@ Every simplex is stored as a pair (word, base): a strictly decreasing tuple
 of degeneracy indices applied to a non-degenerate generator. The word
 (j_0 > j_1 > ... > j_{r-1}) denotes s_{j_0} . s_{j_1} . ... . s_{j_{r-1}}
 applied to the generator, leftmost applied last; a simplex is non-degenerate
-iff its word is empty. Faces and degeneracies of arbitrary simplices are
-computed by pushing maps through the word with the simplicial identities and
-renormalizing, so equality of simplices is plain structural equality.
+iff its word is empty. Equality of simplices is plain tuple equality.
+
+A face d_k is pushed through the word in one pass, outermost index first,
+with the simplicial identities: below an index j it keeps s_{j-1}, above
+j + 1 it keeps s_j and becomes d_{k-1}, and at j or j + 1 it cancels s_j.
+What is kept is merged into the word of the generator's face table entry
+(or, after a cancellation, is already the normal form). A degeneracy is the
+same merge with a single index.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import FormatError, ValidationError, read_json
 
@@ -37,16 +42,15 @@ class Generator:
         return f"Generator({self.name!r}, dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class Simplex:
+class Simplex(NamedTuple):
     """Normal form (degeneracy word, generator); dim = base.dim + len(word)."""
 
     word: tuple[int, ...]
     base: Generator
-    dim: int = field(init=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "dim", self.base.dim + len(self.word))
+    @property
+    def dim(self) -> int:
+        return self.base.dim + len(self.word)
 
     @property
     def is_degenerate(self) -> bool:
@@ -74,6 +78,27 @@ def word_is_valid(word: tuple[int, ...], base_dim: int) -> bool:
         if t + 1 < r and word[t + 1] >= j:
             return False
     return True
+
+
+def _merge(outer, word: tuple[int, ...]) -> tuple[int, ...]:
+    """Normal form of s_{outer[0]} ... s_{outer[-1]} applied over word.
+
+    Both are strictly decreasing. The outer indices stay as they are; an
+    index x of word becomes the y not among them with y - #{a < y} = x,
+    found by walking both lists from the top once.
+    """
+    out = []
+    p = 0
+    m = len(outer)
+    for x in word:
+        y = x + m - p
+        while p < m and outer[p] >= y:
+            out.append(outer[p])
+            p += 1
+            y -= 1
+        out.append(y)
+    out.extend(outer[p:])
+    return tuple(out)
 
 
 class SimplicialSpace:
@@ -105,37 +130,44 @@ class SimplicialSpace:
         return Simplex(tuple(range(n - 1, -1, -1)), self.basepoint)
 
     def face(self, s: Simplex, i: int) -> Simplex:
-        """d_i(s) in normal form."""
-        n = s.dim
+        """d_i(s) in normal form, in one pass over the word of s.
+
+        Walking the word outermost first, the face index k (initially i)
+        keeps j - 1 when k < j, keeps j and drops to k - 1 when k > j + 1,
+        and cancels s_j when k is j or j + 1: the kept indices followed by
+        the rest of the word are then the normal form. Without a
+        cancellation the kept indices are merged into base.faces[k].
+        """
+        word, base = s
+        n = base.dim + len(word)
         if n == 0:
             raise ValueError(f"{s!r} has no faces")
         if not 0 <= i <= n:
             raise ValueError(f"face index {i} out of range for dim {n}")
-        if s.word:
-            j = s.word[0]
-            rest = Simplex(s.word[1:], s.base)
-            if i == j or i == j + 1:
-                return rest
-            if i < j:
-                return self.degeneracy(self.face(rest, i), j - 1)
-            return self.degeneracy(self.face(rest, i - 1), j)
-        return s.base.faces[i]
+        kept = []
+        k = i
+        for t, j in enumerate(word):
+            if k < j:
+                kept.append(j - 1)
+            elif k > j + 1:
+                kept.append(j)
+                k -= 1
+            else:
+                return Simplex(tuple(kept) + word[t + 1:], base)
+        f = base.faces[k]
+        if not kept:
+            return f
+        return Simplex(_merge(kept, f.word), f.base)
 
     def degeneracy(self, s: Simplex, i: int) -> Simplex:
-        """s_i(s) in normal form (sorted insertion into the word)."""
+        """s_i(s) in normal form: i merged into the word, one pass.
+
+        Word indices >= i shift up by one and i follows them; this is the
+        one-index case of the merge that face uses.
+        """
         if not 0 <= i <= s.dim:
             raise ValueError(f"degeneracy index {i} out of range for dim {s.dim}")
-        head = []
-        tail = s.word
-        for t, j in enumerate(s.word):
-            if i <= j:
-                head.append(j + 1)
-            else:
-                tail = s.word[t:]
-                break
-        else:
-            tail = ()
-        return Simplex(tuple(head) + (i,) + tail, s.base)
+        return Simplex(_merge((i,), s.word), s.base)
 
     def simplices(self, n: int) -> tuple[Simplex, ...]:
         """All n-simplices, ordered by (generator name, word); cached.

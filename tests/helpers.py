@@ -33,6 +33,38 @@ CUBIC_DOC = {
 GROUND_DOC = {"field": "Q", "basis": ["1"], "mul": [[[1]]]}
 
 
+def _scan_like_doc():
+    """A one-vertex space: edges, triangles on edges and s0 pt, high cells.
+
+    The shape of the benchmark's paranoid-scan space, small: some triangle
+    faces are the degenerate basepoint s0 pt (t5 is a 2-sphere), and the
+    cells c3..c6 have every face at the degenerate basepoint.
+    """
+    edge = {"dim": 1, "faces": [["pt", []], ["pt", []]]}
+    pt0 = ["pt", [0]]
+    triangles = (
+        [["e0", []], ["e1", []], ["e2", []]],
+        [pt0, ["e0", []], ["e3", []]],
+        [["e1", []], pt0, ["e1", []]],
+        [["e2", []], ["e3", []], pt0],
+        [pt0, pt0, ["e0", []]],
+        [pt0, pt0, pt0],
+    )
+    simplices = [{"name": "pt", "dim": 0}]
+    simplices += [{"name": f"e{k}", **edge} for k in range(4)]
+    simplices += [
+        {"name": f"t{k}", "dim": 2, "faces": faces}
+        for k, faces in enumerate(triangles)
+    ]
+    for dim in (3, 4, 5, 6):
+        basepoint = ["pt", list(range(dim - 2, -1, -1))]
+        simplices.append({"name": f"c{dim}", "dim": dim, "faces": [basepoint] * (dim + 1)})
+    return {"name": "scan-like", "basepoint": "pt", "simplices": simplices}
+
+
+SCAN_LIKE_DOC = _scan_like_doc()
+
+
 def dual_numbers(field_doc="Q"):
     doc = dict(DUAL_DOC)
     doc["field"] = field_doc

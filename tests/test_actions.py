@@ -2,15 +2,19 @@ import random
 
 import pytest
 
+from helpers import SCAN_LIKE_DOC
 from hhx.actions import (
+    PARANOID_LIMIT,
+    ActionSlot,
     closure_pairs,
     enumerate_slots,
     paranoid_closure,
     partition_from_pairs,
     reduce_slot,
+    scan_size,
     sweep_closure,
 )
-from hhx.simplicial import Simplex, builtin_space
+from hhx.simplicial import Simplex, builtin_space, parse_space
 
 BUILTINS = ("circle", "sphere2", "sphere3", "sphere4", "torus", "pinched-torus")
 
@@ -47,6 +51,29 @@ def test_slot_rendering():
     assert backward.describe() == "a.1 (backward)"
     sigma_slot = enumerate_slots(builtin_space("sphere2"))[1]
     assert sigma_slot.describe() == "sigma.1"
+
+
+def test_action_slot_equality_hash_and_class_lookup():
+    space = builtin_space("pinched-torus")
+    partition = sweep_closure(space)
+    sigma = space.generator("sigma")
+    slot = ActionSlot(sigma, 1)
+    assert slot == ActionSlot(generator=sigma, index=1)
+    assert hash(slot) == hash(ActionSlot(sigma, 1))
+    assert slot != ActionSlot(sigma, 0)
+    assert slot != ActionSlot(space.generator("tau"), 1)
+    assert (slot.generator, slot.index) == (sigma, 1)
+    assert slot.key == ("sigma", 1)
+    assert slot.id == "sigma.1"
+    assert slot.describe() == "sigma.1"
+    assert repr(slot) == "ActionSlot(sigma.1)"
+    # a freshly built slot finds its class, as does one reduced from a
+    # degenerate simplex
+    assert partition.class_of(slot) == "a.1"
+    s0 = space.degeneracy(Simplex((), sigma), 0)
+    assert partition.class_of(reduce_slot(space, s0, 2)) == "a.1"
+    assert partition.class_of(ActionSlot(space.generator("tau"), 1)) == "a.0"
+    assert {slot: 1}[ActionSlot(sigma, 1)] == 1
 
 
 def test_reduce_slot_keeps_low_index():
@@ -158,6 +185,23 @@ def test_paranoid_cap_precondition():
     space = builtin_space("sphere3")
     with pytest.raises(ValueError):
         paranoid_closure(space, space.max_dim)
+
+
+@pytest.mark.parametrize("name,cap", [("circle", 9), ("torus", 6), ("sphere3", 12)])
+def test_scan_size_counts_every_simplex(name, cap):
+    space = builtin_space(name)
+    assert scan_size(space, cap) == sum(len(space.simplices(n)) for n in range(2, cap + 1))
+
+
+def test_paranoid_scan_above_limit_is_refused():
+    space = builtin_space("circle")
+    # circle: one n-simplex over pt and n over e, for n = 2..100000
+    assert scan_size(space, 100000) == 99999 + 100000 * 100001 // 2 - 1
+    with pytest.raises(ValueError, match="would visit 5000149998 simplices"):
+        paranoid_closure(space, 100000)
+    scan_like = parse_space(SCAN_LIKE_DOC)
+    assert scan_size(scan_like, 8) < PARANOID_LIMIT
+    assert paranoid_closure(scan_like, 8).same_classes(sweep_closure(scan_like))
 
 
 def test_slots_point_at_basepoint_in_every_class():

@@ -2,9 +2,16 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
-from helpers import DUAL_DOC, GROUND_DOC, dual_numbers, multiplication_module
+from helpers import (
+    DUAL_DOC,
+    GROUND_DOC,
+    SCAN_LIKE_DOC,
+    dual_numbers,
+    multiplication_module,
+)
 from hhx.cli import main
 
 
@@ -320,6 +327,18 @@ def test_paranoid_cap_too_small_is_parse_error(capsys):
     assert "dim_cap" in err
 
 
+def test_paranoid_cap_above_scan_limit_is_usage_error(capsys):
+    # circle to dimension 100000: sum of (n + 1) simplices for n = 2..100000
+    start = time.perf_counter()
+    status, out, err = run_cli(
+        capsys, "actions", "--builtin", "circle", "--paranoid", "100000"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert status == 2
+    assert out == ""
+    assert "would visit 5000149998 simplices" in err
+
+
 def test_custom_space_full_workflow(tmp_path, capsys):
     wedge = {
         "name": "wedge-of-circles",
@@ -381,6 +400,21 @@ def test_budget_below_one_is_usage_error(tmp_path, capsys):
         assert f"--budget must be at least 1, got {budget}" in err
 
 
+def reports_under_hash_seeds_and_optimize(*hhx_argv):
+    """Distinct stdouts of `python -m hhx` under PYTHONHASHSEED=0, =1 and -O."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = set()
+    for flags, seed in (([], "0"), ([], "1"), (["-O"], "0")):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "hhx", *hhx_argv],
+            capture_output=True, env=env, timeout=120, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    return outputs
+
+
 def test_cohomology_bytes_independent_of_hash_seed_and_optimize(tmp_path):
     # rank iterates sets of row ids; the report must not depend on hash
     # randomisation, and no check may be an assert that -O strips
@@ -388,20 +422,22 @@ def test_cohomology_bytes_independent_of_hash_seed_and_optimize(tmp_path):
     mod_path = write_json(
         tmp_path / "regular.json", regular_module_doc(["a.0"])
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    argv = [
-        "-m", "hhx", "cohomology", "--builtin", "torus",
+    outputs = reports_under_hash_seeds_and_optimize(
+        "cohomology", "--builtin", "torus",
         "--algebra", alg_path, "--module", mod_path, "-N", "2",
         "--format", "json",
-    ]
-    outputs = set()
-    for flags, seed in (([], "0"), ([], "1"), (["-O"], "0")):
-        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
-        proc = subprocess.run(
-            [sys.executable, *flags, *argv],
-            capture_output=True, env=env, timeout=120, check=False,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs.add(proc.stdout)
+    )
     assert len(outputs) == 1
     assert json.loads(outputs.pop())["hh_dims"] == [2, 2, 4]
+
+
+def test_paranoid_actions_bytes_independent_of_hash_seed_and_optimize(tmp_path):
+    # the paranoid scan unions slots hashed by generator identity; its
+    # report must not depend on hash randomisation or on -O
+    space_path = write_json(tmp_path / "scan-like.json", SCAN_LIKE_DOC)
+    outputs = reports_under_hash_seeds_and_optimize(
+        "actions", "--space", space_path, "--paranoid", "7", "--format", "json",
+    )
+    assert len(outputs) == 1
+    report = json.loads(outputs.pop())
+    assert report["paranoid"] == {"cap": 7, "class_count": 6, "agrees": True}

@@ -2,9 +2,11 @@
 
 The inputs live in tests/golden/: dual numbers over Q (dual-q.json), the
 regular module that `hhx actions --emit-template` writes for each builtin
-(regular-<space>.json) and a slot-keyed sphere2 module whose cosimplicial
-identities fail (override-sphere2.json). Case <name> keeps its stdout in
-<name>.out and its exit status in status.json.
+(regular-<space>.json), a slot-keyed sphere2 module whose cosimplicial
+identities fail (override-sphere2.json) and a one-vertex space with
+degenerate triangle faces and cells up to dimension 6 for the paranoid scan
+(scan-like.json). Case <name> keeps its stdout in <name>.out and its exit
+status in status.json.
 
 To re-record after an intended output change:
 
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import DUAL_DOC, dual_numbers, multiplication_module
+from helpers import DUAL_DOC, SCAN_LIKE_DOC, dual_numbers, multiplication_module
 from hhx.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -53,6 +55,9 @@ def _cases():
         "actions", "--builtin", "torus", "--paranoid", "4", "--format", "json",
     ]
     for fmt in ("text", "json"):
+        cases[f"actions-scan-like-paranoid-{fmt}"] = [
+            "actions", "--space", "scan-like.json", "--paranoid", "7", "--format", fmt,
+        ]
         cases[f"cohomology-sphere2-override-{fmt}"] = [
             "cohomology", "--builtin", "sphere2",
             "--algebra", "dual-q.json", "--module", "override-sphere2.json",
@@ -89,6 +94,7 @@ def record():
         (GOLDEN / name).write_text(text, encoding="utf-8")
 
     write("dual-q.json", DUAL_DOC)
+    write("scan-like.json", SCAN_LIKE_DOC)
     for name in BUILTINS:
         with contextlib.redirect_stdout(io.StringIO()):
             main([

@@ -3,8 +3,10 @@ from math import comb
 
 import pytest
 
+from helpers import SCAN_LIKE_DOC
 from hhx.errors import FormatError, ValidationError
 from hhx.simplicial import (
+    Generator,
     Simplex,
     builtin_space,
     parse_space,
@@ -233,6 +235,110 @@ def test_index_range_errors():
         space.degeneracy(e, 3)
     with pytest.raises(ValueError):
         space.face(Simplex((), space.basepoint), 0)
+
+
+def slow_degeneracy(s, i):
+    """s_i(s) by sorted insertion of i into the word, indices >= i shifted."""
+    head = []
+    tail = s.word
+    for t, j in enumerate(s.word):
+        if i <= j:
+            head.append(j + 1)
+        else:
+            tail = s.word[t:]
+            break
+    else:
+        tail = ()
+    return Simplex(tuple(head) + (i,) + tail, s.base)
+
+
+def slow_face(s, i):
+    """d_i(s) by peeling one degeneracy at a time and recursing."""
+    if s.word:
+        j = s.word[0]
+        rest = Simplex(s.word[1:], s.base)
+        if i == j or i == j + 1:
+            return rest
+        if i < j:
+            return slow_degeneracy(slow_face(rest, i), j - 1)
+        return slow_degeneracy(slow_face(rest, i - 1), j)
+    return s.base.faces[i]
+
+
+def assert_matches_slow_oracle(space, s):
+    for i in range(s.dim + 1):
+        if s.dim:
+            got = space.face(s, i)
+            assert got == slow_face(s, i), (s, i)
+            assert word_is_valid(got.word, got.base.dim)
+        up = space.degeneracy(s, i)
+        assert up == slow_degeneracy(s, i), (s, i)
+        assert word_is_valid(up.word, up.base.dim)
+
+
+def test_face_and_degeneracy_match_slow_oracle_on_scan_like_space():
+    space = parse_space(SCAN_LIKE_DOC)
+    count = 0
+    for n in range(9):
+        for s in space.simplices(n):
+            assert_matches_slow_oracle(space, s)
+            count += 1
+    assert count == sum(len(space.simplices(n)) for n in range(9)) > 1000
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_face_and_degeneracy_match_slow_oracle_on_builtins(name):
+    space = builtin_space(name)
+    for n in range(7):
+        for s in space.simplices(n):
+            assert_matches_slow_oracle(space, s)
+
+
+def test_face_and_degeneracy_match_slow_oracle_on_random_words():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    space = parse_space(SCAN_LIKE_DOC)
+    generators = sorted(space.generators, key=lambda g: g.name)
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        g = data.draw(st.sampled_from(generators))
+        n = g.dim + data.draw(st.integers(0, 6))
+        # every strictly decreasing word of length n - g.dim over range(n)
+        # is applicable to an n-simplex over g
+        indices = data.draw(st.permutations(range(n)))[: n - g.dim]
+        word = tuple(sorted(indices, reverse=True))
+        s = Simplex(word, g)
+        assert word_is_valid(word, g.dim)
+        assert_matches_slow_oracle(space, s)
+
+    check()
+
+
+def test_simplex_equality_hash_and_labels():
+    space = builtin_space("circle")
+    e = space.generator("e")
+    pt = space.basepoint
+    s = Simplex((1, 0), e)
+    assert s == Simplex(word=(1, 0), base=e)
+    assert hash(s) == hash(Simplex((1, 0), e))
+    # equal normal forms reached by different routes are equal
+    via = space.degeneracy(space.degeneracy(Simplex((), e), 0), 0)
+    assert via == s and hash(via) == hash(s)
+    assert len({s, via, Simplex((1, 0), e)}) == 1
+    assert s != Simplex((2, 0), e)
+    assert s != Simplex((1, 0), pt)
+    assert s != Simplex((1, 0), Generator("e", 1))  # same name, other generator
+    assert (s.word, s.base) == ((1, 0), e)
+    assert s.dim == 3 and s.is_degenerate
+    assert s.label() == "s1s0.e"
+    assert repr(s) == "Simplex(s1s0.e)"
+    plain = Simplex((), e)
+    assert plain.dim == 1 and not plain.is_degenerate
+    assert plain.label() == "e"
+    assert repr(plain) == "Simplex(e)"
+    assert space.basepoint_simplex(2).label() == "s1s0.pt"
 
 
 # -- enumeration ---------------------------------------------------------
