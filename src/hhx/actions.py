@@ -2,10 +2,14 @@
 
 A slot is a pair (non-degenerate simplex, face index) whose indexed face is
 the basepoint; slots on degenerate simplices reduce to slots on their
-underlying generator. Scanning every generator of dimension >= 2 produces
-forced identifications between slots; their union-find closure is the finest
+underlying generator, with the index read off the degeneracy word
+(slot_at). Scanning every generator of dimension >= 2 produces forced
+identifications between slots; their union-find closure is the finest
 partition compatible with a cosimplicial structure, and its class count says
-what kind of coefficient module the space admits.
+what kind of coefficient module the space admits. Each class keys one action
+of the coefficient module (ActionPartition.class_of); the partition in which
+every slot is its own class, partition_from_pairs(enumerate_slots(space), ()),
+keys one action per slot.
 """
 
 from __future__ import annotations
@@ -151,63 +155,62 @@ def enumerate_slots(space: SimplicialSpace) -> list[ActionSlot]:
     return slots
 
 
-def reduce_slot(space: SimplicialSpace, s: Simplex, i: int) -> ActionSlot:
-    """The slot on the underlying generator carrying the same action.
+def slot_at(s: Simplex, i: int) -> ActionSlot:
+    """The slot on s's generator behind face i of s; no checks.
 
-    Peels the degeneracy word outermost-first: an index below the layer is
-    kept, an index above layer+1 shifts down by one, and hitting the layer
-    (where the face map cancels the degeneracy) means the face was never the
-    basepoint, so the call was inconsistent.
+    The caller knows that d_i s is the basepoint and s is not. Then d_i
+    cancels no degeneracy, so neither i nor i - 1 is in s.word, and each
+    word index below i drops the face index by one on its way to the
+    generator.
     """
+    return ActionSlot(s.base, i - sum(1 for j in s.word if j < i))
+
+
+def reduce_slot(space: SimplicialSpace, s: Simplex, i: int) -> ActionSlot:
+    """The slot on the underlying generator carrying the same action."""
     if space.is_basepoint(s):
         raise ValueError(f"{s!r} is the basepoint and carries no actions")
     if not space.is_basepoint(space.face(s, i)):
         raise ValueError(f"face {i} of {s!r} is not the basepoint")
-    k = i
-    for j in s.word:
-        if k < j:
-            pass
-        elif k > j + 1:
-            k -= 1
-        else:
-            raise InternalError(
-                f"slot ({s!r}, {i}) hit the cancelling layer s{j}; "
-                "the indexed face cannot be the basepoint"
-            )
-    slot = ActionSlot(s.base, k)
-    if not space.is_basepoint(space.face(Simplex((), s.base), k)):
-        raise InternalError(f"reduced slot {slot!r} does not point at the basepoint")
-    return slot
+    return slot_at(s, i)
 
 
 def _pairs_from(space: SimplicialSpace, s: Simplex):
-    """Identifications forced by one simplex of dimension >= 2."""
+    """Identifications forced by one simplex of dimension >= 2.
+
+    For i < j the face d_i d_j s = d_{j-1} d_i s is reached two ways. When
+    it is the basepoint, the slot carrying it via j (on s if d_j s is the
+    basepoint, else on d_j s at i) is identified with the slot carrying it
+    via i (on s if d_i s is the basepoint, else on d_i s at j - 1). One way
+    reaching the basepoint and the other not breaks the simplicial identity
+    (InternalError). With neither d_i s nor d_j s at the basepoint, the way
+    via i is only followed once the way via j has reached it.
+    """
     pairs = []
     n = s.dim
     faces = [space.face(s, i) for i in range(n + 1)]
     star = [space.is_basepoint(f) for f in faces]
     for j in range(1, n + 1):
         for i in range(j):
-            fi, fj = faces[i], faces[j]
-            if star[i] and star[j]:
-                # both faces hit the basepoint: the simplex's two slots agree
-                pairs.append((reduce_slot(space, s, i), reduce_slot(space, s, j)))
-            elif star[j]:
-                # the slot transfers onto the i-th face with a shifted index
-                pairs.append((reduce_slot(space, s, j), reduce_slot(space, fi, j - 1)))
+            if star[j]:
+                via_j = slot_at(s, j)
+            elif space.is_basepoint(space.face(faces[j], i)):
+                via_j = slot_at(faces[j], i)
             elif star[i]:
-                pairs.append((reduce_slot(space, s, i), reduce_slot(space, fj, i)))
+                via_j = None
             else:
-                if space.is_basepoint(space.face(fj, i)):
-                    # the two faces share a basepoint face, forced equal by
-                    # d_{j-1} d_i = d_i d_j
-                    if not space.is_basepoint(space.face(fi, j - 1)):
-                        raise InternalError(
-                            f"faces {i},{j} of {s!r} break the simplicial identity"
-                        )
-                    pairs.append(
-                        (reduce_slot(space, fj, i), reduce_slot(space, fi, j - 1))
-                    )
+                continue
+            if star[i]:
+                via_i = slot_at(s, i)
+            elif space.is_basepoint(space.face(faces[i], j - 1)):
+                via_i = slot_at(faces[i], j - 1)
+            else:
+                via_i = None
+            if via_j is None or via_i is None:
+                raise InternalError(
+                    f"faces {i},{j} of {s!r} break the simplicial identity"
+                )
+            pairs.append((via_j, via_i))
     return pairs
 
 

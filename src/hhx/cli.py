@@ -188,20 +188,18 @@ def cmd_cohomology(args) -> int:
     if args.budget < 1:
         raise FormatError(f"--budget must be at least 1, got {args.budget}")
     space = _load_space(args)
-    partition = actions_mod.sweep_closure(space)
+    if args.override_slots:
+        # every slot its own class: one action per slot
+        partition = actions_mod.partition_from_pairs(
+            actions_mod.enumerate_slots(space), ()
+        )
+    else:
+        partition = actions_mod.sweep_closure(space)
     field = field_from_text(args.field) if args.field else None
     algebra = load_algebra(args.algebra, field=field)
-    module = load_module(
-        args.module, algebra, partition, override_slots=args.override_slots
-    )
+    module = load_module(args.module, algebra, partition)
     setup = cochain_mod.CochainSetup(
-        space,
-        algebra,
-        module,
-        partition,
-        args.max_degree,
-        budget=args.budget,
-        override_slots=args.override_slots,
+        space, algebra, module, partition, args.max_degree, budget=args.budget
     )
     report = setup.report()
     lines = [

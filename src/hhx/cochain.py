@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 
-from .actions import ActionPartition, reduce_slot
+from .actions import ActionPartition, slot_at
 from .coeffalg import Algebra, MultiModule, _unit_vector
 from .errors import BudgetError, InternalError, ValidationError
 from .exactlinalg import Matrix
@@ -49,7 +49,6 @@ class CochainSetup:
         max_degree: int,
         *,
         budget: int = DEFAULT_BUDGET,
-        override_slots: bool = False,
     ):
         if max_degree < 1:
             raise ValidationError("max degree must be at least 1")
@@ -59,7 +58,6 @@ class CochainSetup:
         self.partition = partition
         self.max_degree = max_degree
         self.budget = budget
-        self.override_slots = override_slots
         self._basis = {}
         self._coface = {}
         self._codegeneracy = {}
@@ -93,9 +91,6 @@ class CochainSetup:
             raise ValueError(
                 f"degree {n} outside 0..{self.max_degree + 1} for this setup"
             )
-
-    def action_key(self, slot) -> str:
-        return slot.id if self.override_slots else self.partition.class_of(slot)
 
     def flat_index(self, n: int, assignment, module_index: int) -> int:
         """Column index of the hom basis element (assignment, module index)."""
@@ -182,12 +177,10 @@ class CochainSetup:
             place = d ** (len(tgt) - 1 - p)
             f = space.face(s, i)
             if space.is_basepoint(f):
-                slot = reduce_slot(space, s, i)
-                mats = self.module.actions.get(self.action_key(slot))
+                key = self.partition.class_of(slot_at(s, i))
+                mats = self.module.actions.get(key)
                 if mats is None:
-                    raise InternalError(
-                        f"no action supplied for {self.action_key(slot)!r}"
-                    )
+                    raise InternalError(f"no action supplied for {key!r}")
                 star_places.append(place)
                 star_mats.append(mats)
             else:

@@ -31,9 +31,6 @@ class Algebra:
             self.field.one if t == 0 else self.field.zero for t in range(self.dim)
         )
 
-    def basis_product(self, i: int, j: int) -> tuple:
-        return self.mul[i][j]
-
     def multiply(self, u, v):
         """Product of two coordinate vectors."""
         F = self.field
@@ -238,17 +235,10 @@ def validate_module(module: MultiModule, algebra: Algebra, expected_keys) -> Non
                         )
 
 
-def parse_module(
-    doc,
-    algebra: Algebra,
-    partition: ActionPartition,
-    *,
-    override_slots: bool = False,
-) -> MultiModule:
+def parse_module(doc, algebra: Algebra, partition: ActionPartition) -> MultiModule:
     """Build and validate a multi-module from its JSON document form.
 
-    Actions are keyed by the partition's class ids; with override_slots they
-    are keyed by individual slot ids instead (test mode).
+    Actions are keyed by the partition's class ids.
     """
     if not isinstance(doc, dict):
         raise FormatError("module document must be a JSON object")
@@ -278,19 +268,12 @@ def parse_module(
             )
         actions[key] = tuple(parsed)
     module = MultiModule(m, actions)
-    expected = (
-        [slot.id for slot in partition.slots]
-        if override_slots
-        else list(partition.class_ids)
-    )
-    validate_module(module, algebra, expected)
+    validate_module(module, algebra, list(partition.class_ids))
     return module
 
 
-def load_module(path: str, algebra, partition, *, override_slots=False) -> MultiModule:
-    return parse_module(
-        read_json(path), algebra, partition, override_slots=override_slots
-    )
+def load_module(path: str, algebra, partition) -> MultiModule:
+    return parse_module(read_json(path), algebra, partition)
 
 
 def multiplication_module(algebra: Algebra, twists: dict) -> MultiModule:

@@ -51,10 +51,6 @@ class Field:
     def to_json(self, value):
         raise NotImplementedError
 
-    def spec(self):
-        """The field's JSON form ("Q" or {"Fp": p})."""
-        raise NotImplementedError
-
 
 class Rationals(Field):
     """The field of rational numbers."""
@@ -73,10 +69,6 @@ class Rationals(Field):
             raise ZeroDivisionError("inverse of zero")
         f = Fraction(1, 1) / a
         return int(f) if f.denominator == 1 else f
-
-    @staticmethod
-    def from_int(n: int):
-        return n
 
     def parse(self, value):
         if isinstance(value, bool) or isinstance(value, float):
@@ -97,9 +89,6 @@ class Rationals(Field):
                 return int(value)
             return f"{value.numerator}/{value.denominator}"
         return value
-
-    def spec(self):
-        return "Q"
 
     def __repr__(self):
         return "Rationals()"
@@ -139,9 +128,6 @@ class PrimeField(Field):
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
 
-    def from_int(self, n: int):
-        return n % self.p
-
     def parse(self, value):
         if isinstance(value, bool) or isinstance(value, float):
             raise FormatError(f"not an exact field element: {value!r}")
@@ -159,9 +145,6 @@ class PrimeField(Field):
 
     def to_json(self, value):
         return value
-
-    def spec(self):
-        return {"Fp": self.p}
 
     def __repr__(self):
         return f"PrimeField({self.p})"

@@ -185,16 +185,13 @@ class SimplicialSpace:
                 if r == 0:
                     out.append(Simplex((), g))
                     continue
+                # a reversed r-subset of 0..n-1 is a valid word over a
+                # generator of dimension n - r, and every word is one
                 for combo in itertools.combinations(range(n), r):
-                    word = combo[::-1]
-                    if word_is_valid(word, g.dim):
-                        out.append(Simplex(word, g))
+                    out.append(Simplex(combo[::-1], g))
             cached = tuple(out)
             self._levels[n] = cached
         return cached
-
-    def nondegenerate_simplices(self, n: int) -> tuple[Simplex, ...]:
-        return tuple(s for s in self.simplices(n) if not s.is_degenerate)
 
 
 def validate_space(space: SimplicialSpace) -> list[tuple[str, int, int]]:
@@ -315,6 +312,11 @@ def load_space(path: str, *, validate: bool = True) -> SimplicialSpace:
     return parse_space(read_json(path), validate=validate)
 
 
+# largest builtin sphere: its n + 1 face words of length n - 1 make the
+# document and its validation cubic in n
+SPHERE_LIMIT = 256
+
+
 def _builtin_doc(name: str):
     if name == "circle":
         return {
@@ -328,8 +330,10 @@ def _builtin_doc(name: str):
     m = re.fullmatch(r"sphere(\d+)", name)
     if m:
         n = int(m.group(1))
-        if n < 1:
-            raise FormatError("sphere dimension must be at least 1")
+        if not 1 <= n <= SPHERE_LIMIT:
+            raise FormatError(
+                f"sphere dimension must be between 1 and {SPHERE_LIMIT}, got {n}"
+            )
         bp = ["pt", list(range(n - 2, -1, -1))]
         return {
             "name": name,
@@ -380,9 +384,10 @@ BUILTIN_NAMES = ("circle", "sphere<n>", "torus", "pinched-torus")
 def builtin_space(name: str) -> SimplicialSpace:
     """One of the built-in minimal pointed spaces.
 
-    circle: one vertex and one edge. sphere<n> (n >= 1): one vertex and one
-    n-cell with every face at the (degenerate) basepoint. torus: one vertex,
-    edges a, b, c and triangles sigma = [c, b, a], tau = [a, b, c].
+    circle: one vertex and one edge. sphere<n> (1 <= n <= SPHERE_LIMIT): one
+    vertex and one n-cell with every face at the (degenerate) basepoint.
+    torus: one vertex, edges a, b, c and triangles sigma = [c, b, a],
+    tau = [a, b, c].
     pinched-torus: the torus with b collapsed to the basepoint.
     """
     return parse_space(_builtin_doc(name))

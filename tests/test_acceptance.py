@@ -19,6 +19,7 @@ from helpers import (
     space_and_partition,
 )
 from hhx import CochainSetup, classical_hochschild_dims, paranoid_closure
+from hhx.actions import partition_from_pairs
 
 BUILTINS = ("circle", "sphere2", "sphere3", "sphere4", "torus", "pinched-torus")
 
@@ -210,18 +211,15 @@ def test_criterion_7_unequal_slot_actions_break_identity_a():
         unequal = multiplication_module(
             algebra, {"sigma.0": None, "sigma.1": None, "sigma.2": twist}
         )
-        setup = CochainSetup(
-            space, algebra, unequal, partition, 2, override_slots=True
-        )
+        per_slot = partition_from_pairs(partition.slots, ())
+        setup = CochainSetup(space, algebra, unequal, per_slot, 2)
         failures = setup.check_cosimplicial_identities()
         assert any(f["relation"] == "a" for f in failures)
 
         equal = multiplication_module(
             algebra, {"sigma.0": None, "sigma.1": None, "sigma.2": None}
         )
-        setup_ok = CochainSetup(
-            space, algebra, equal, partition, 2, override_slots=True
-        )
+        setup_ok = CochainSetup(space, algebra, equal, per_slot, 2)
         assert setup_ok.check_cosimplicial_identities() == []
 
     run_criterion(

@@ -14,9 +14,32 @@ from hhx.actions import (
     scan_size,
     sweep_closure,
 )
+from hhx.errors import InternalError
 from hhx.simplicial import Simplex, builtin_space, parse_space
 
 BUILTINS = ("circle", "sphere2", "sphere3", "sphere4", "torus", "pinched-torus")
+
+
+def slow_reduce_slot(space, s, i):
+    """reduce_slot by peeling the degeneracy word, outermost index first.
+
+    A word index j above the face index k keeps it; one below k - 1 lowers
+    it by one; j = k or k - 1 would cancel the degeneracy, so face i could
+    not be the basepoint. The result is checked against the generator's
+    face table.
+    """
+    if space.is_basepoint(s) or not space.is_basepoint(space.face(s, i)):
+        raise ValueError(f"({s!r}, {i}) is not a slot")
+    k = i
+    for j in s.word:
+        if k > j + 1:
+            k -= 1
+        elif k >= j:
+            raise ValueError(f"({s!r}, {i}) hits the cancelling layer s{j}")
+    slot = ActionSlot(s.base, k)
+    if not space.is_basepoint(space.face(Simplex((), s.base), k)):
+        raise ValueError(f"{slot!r} does not point at the basepoint")
+    return slot
 
 
 def ids(slots):
@@ -237,3 +260,47 @@ def test_multi_class_kind_naming():
     partition = sweep_closure(parse_space(doc))
     assert partition.class_count == 4
     assert partition.coefficient_kind() == "4-multi-module"
+
+
+@pytest.mark.parametrize(
+    "name,cap", [("scan-like", 8)] + [(name, 6) for name in BUILTINS]
+)
+def test_reduce_slot_matches_peeling_oracle(name, cap):
+    space = parse_space(SCAN_LIKE_DOC) if name == "scan-like" else builtin_space(name)
+    checked = 0
+    for n in range(1, cap + 1):
+        for s in space.simplices(n):
+            if space.is_basepoint(s):
+                continue
+            for i in range(n + 1):
+                if space.is_basepoint(space.face(s, i)):
+                    assert reduce_slot(space, s, i) == slow_reduce_slot(space, s, i)
+                    checked += 1
+    assert checked > 0
+
+
+# faces of t break d_0 d_2 = d_1 d_0 at the basepoint: d_2 t = s0 pt, but
+# d_1 d_0 t = d_1 f = v
+BROKEN_AT_BASEPOINT_DOC = {
+    "name": "broken",
+    "basepoint": "pt",
+    "simplices": [
+        {"name": "pt", "dim": 0},
+        {"name": "v", "dim": 0},
+        {"name": "f", "dim": 1, "faces": [["pt", []], ["v", []]]},
+        {"name": "g", "dim": 1, "faces": [["v", []], ["pt", []]]},
+        {"name": "t", "dim": 2, "faces": [["f", []], ["g", []], ["pt", [0]]]},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "closure", [sweep_closure, lambda space: paranoid_closure(space, 3)],
+    ids=["sweep", "paranoid"],
+)
+def test_broken_identity_at_basepoint_face_is_internal_error(closure):
+    space = parse_space(BROKEN_AT_BASEPOINT_DOC, validate=False)
+    with pytest.raises(
+        InternalError, match=r"faces 0,2 of Simplex\(t\) break the simplicial identity"
+    ):
+        closure(space)

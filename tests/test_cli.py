@@ -339,6 +339,18 @@ def test_paranoid_cap_above_scan_limit_is_usage_error(capsys):
     assert "would visit 5000149998 simplices" in err
 
 
+def test_sphere_above_limit_is_usage_error(capsys):
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, "validate", "--builtin", "sphere257")
+    assert time.perf_counter() - start < 1.0
+    assert status == 2
+    assert out == ""
+    assert "between 1 and 256, got 257" in err
+    status, out, _ = run_cli(capsys, "validate", "--builtin", "sphere256")
+    assert status == 0
+    assert "simplicial identities: pass" in out
+
+
 def test_custom_space_full_workflow(tmp_path, capsys):
     wedge = {
         "name": "wedge-of-circles",

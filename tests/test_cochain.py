@@ -12,6 +12,7 @@ from helpers import (
     space_and_partition,
 )
 from hhx import CochainSetup, classical_hochschild_dims, multiplication_module
+from hhx.actions import partition_from_pairs
 from hhx.errors import BudgetError, ValidationError
 from hhx.exactlinalg import Matrix, QQ
 
@@ -230,9 +231,8 @@ def test_override_slots_breaks_identity_a():
     unequal = multiplication_module(
         alg, {"sigma.0": None, "sigma.1": None, "sigma.2": twist}
     )
-    setup = CochainSetup(
-        space, alg, unequal, partition, 2, override_slots=True
-    )
+    per_slot = partition_from_pairs(partition.slots, ())
+    setup = CochainSetup(space, alg, unequal, per_slot, 2)
     failures = setup.check_cosimplicial_identities()
     assert {"relation": "a", "n": 0, "i": 0, "j": 2} in failures
     assert all(f["relation"] == "a" for f in failures)
@@ -240,7 +240,7 @@ def test_override_slots_breaks_identity_a():
     equal = multiplication_module(
         alg, {"sigma.0": None, "sigma.1": None, "sigma.2": None}
     )
-    setup_ok = CochainSetup(space, alg, equal, partition, 2, override_slots=True)
+    setup_ok = CochainSetup(space, alg, equal, per_slot, 2)
     assert setup_ok.check_cosimplicial_identities() == []
 
 
@@ -320,7 +320,8 @@ def test_report_on_failure_omits_cohomology():
     module = multiplication_module(
         alg, {"sigma.0": None, "sigma.1": None, "sigma.2": twist}
     )
-    setup = CochainSetup(space, alg, module, partition, 2, override_slots=True)
+    per_slot = partition_from_pairs(partition.slots, ())
+    setup = CochainSetup(space, alg, module, per_slot, 2)
     report = setup.report()
     assert report["identities"] != "pass"
     assert "hh_dims" not in report

@@ -17,9 +17,10 @@ from helpers import (
     space_and_partition,
 )
 from hhx import CochainSetup, classical_hochschild_dims, multiplication_module
-from hhx.actions import reduce_slot, sweep_closure
+from hhx.actions import partition_from_pairs, sweep_closure
 from hhx.exactlinalg import Matrix
 from hhx.simplicial import parse_space
+from test_actions import slow_reduce_slot
 
 
 def unit_vec(F, d, t):
@@ -41,9 +42,9 @@ def slow_coface(setup, n, i):
         for p, s in enumerate(tgt):
             face = space.face(s, i)
             if space.is_basepoint(face):
-                slot = reduce_slot(space, s, i)
+                slot = slow_reduce_slot(space, s, i)
                 composite = composite @ module.act(
-                    setup.action_key(slot), unit_vec(F, d, bt[p])
+                    setup.partition.class_of(slot), unit_vec(F, d, bt[p])
                 )
         grouped = []
         for source_simplex in src:
@@ -150,7 +151,8 @@ def test_override_cofaces_match_reference():
     module = multiplication_module(
         algebra, {"sigma.0": None, "sigma.1": twist, "sigma.2": twist}
     )
-    setup = CochainSetup(space, algebra, module, partition, 2, override_slots=True)
+    per_slot = partition_from_pairs(partition.slots, ())
+    setup = CochainSetup(space, algebra, module, per_slot, 2)
     for n in range(3):
         for i in range(n + 2):
             assert setup.coface(n, i) == slow_coface(setup, n, i)
