@@ -175,7 +175,7 @@ def reduce_slot(space: SimplicialSpace, s: Simplex, i: int) -> ActionSlot:
     return slot_at(s, i)
 
 
-def _pairs_from(space: SimplicialSpace, s: Simplex):
+def _pairs_from(space: SimplicialSpace, s: Simplex, *, both_ways: bool = False):
     """Identifications forced by one simplex of dimension >= 2.
 
     For i < j the face d_i d_j s = d_{j-1} d_i s is reached two ways. When
@@ -184,7 +184,8 @@ def _pairs_from(space: SimplicialSpace, s: Simplex):
     via i (on s if d_i s is the basepoint, else on d_i s at j - 1). One way
     reaching the basepoint and the other not breaks the simplicial identity
     (InternalError). With neither d_i s nor d_j s at the basepoint, the way
-    via i is only followed once the way via j has reached it.
+    via i is only followed once the way via j has reached it, unless
+    both_ways is set.
     """
     pairs = []
     n = s.dim
@@ -196,7 +197,7 @@ def _pairs_from(space: SimplicialSpace, s: Simplex):
                 via_j = slot_at(s, j)
             elif space.is_basepoint(space.face(faces[j], i)):
                 via_j = slot_at(faces[j], i)
-            elif star[i]:
+            elif star[i] or both_ways:
                 via_j = None
             else:
                 continue
@@ -206,6 +207,8 @@ def _pairs_from(space: SimplicialSpace, s: Simplex):
                 via_i = slot_at(faces[i], j - 1)
             else:
                 via_i = None
+            if via_j is None and via_i is None:
+                continue
             if via_j is None or via_i is None:
                 raise InternalError(
                     f"faces {i},{j} of {s!r} break the simplicial identity"
@@ -215,11 +218,15 @@ def _pairs_from(space: SimplicialSpace, s: Simplex):
 
 
 def closure_pairs(space: SimplicialSpace) -> list[tuple[ActionSlot, ActionSlot]]:
-    """All identifications from scanning the generators of dimension >= 2."""
+    """All identifications from scanning the generators of dimension >= 2.
+
+    Generators are checked both ways round: they are few, and degenerate
+    simplices inherit the simplicial identities through their normal forms.
+    """
     pairs = []
     for g in sorted(space.generators, key=lambda g: g.name):
         if g.dim >= 2:
-            pairs.extend(_pairs_from(space, Simplex((), g)))
+            pairs.extend(_pairs_from(space, Simplex((), g), both_ways=True))
     return pairs
 
 
@@ -251,7 +258,9 @@ def paranoid_closure(space: SimplicialSpace, dim_cap: int) -> ActionPartition:
 
     Scans dimensions 2..dim_cap and reduces each slot to its generator; the
     result should always equal sweep_closure, which only trusts generators.
-    A scan of more than PARANOID_LIMIT simplices is refused before it starts.
+    The generators are first checked both ways round, as in closure_pairs;
+    the scan itself keeps the one-way rule of _pairs_from. A scan of more
+    than PARANOID_LIMIT simplices is refused before it starts.
     """
     if dim_cap < space.max_dim + 1:
         raise ValueError(
@@ -264,6 +273,9 @@ def paranoid_closure(space: SimplicialSpace, dim_cap: int) -> ActionPartition:
             f"paranoid scan to dimension {dim_cap} would visit {size} simplices, "
             f"more than the limit of {PARANOID_LIMIT}"
         )
+    # raises on a generator broken either way round; the scan re-derives
+    # its pairs on its own
+    closure_pairs(space)
     pairs = []
     for n in range(2, dim_cap + 1):
         for s in space.simplices(n):

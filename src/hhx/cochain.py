@@ -17,6 +17,13 @@ with module blocks (the nonzero composite star actions; the identity), so
 the work is proportional to the nnz of the result. The alternating sum of
 cofaces is the differential; cohomology dimensions come from exact
 rank/kernel computations.
+
+The cosimplicial identities are checked on simplices, not on matrices: a
+composite of cofaces and codegeneracies carries the factor on each simplex
+either to a simplex or, through a basepoint face, to the action of a slot
+class. Two composites agree exactly when every simplex ends at the same
+simplex both ways round, or at classes with equal actions
+(check_cosimplicial_identities). No matrix is built for the check.
 """
 
 from __future__ import annotations
@@ -281,38 +288,110 @@ class CochainSetup:
     # -- checks and cohomology --------------------------------------------
 
     def check_cosimplicial_identities(self) -> list[dict]:
-        """Every identity instance whose matrices fit inside the degree cap.
+        """Every identity instance within the degree cap, checked on simplices.
 
-        Returns failing instances as {"relation", "n", "i", "j"}; empty
-        means the cosimplicial structure is consistent.
+        Returns failing instances as {"relation", "n", "i", "j"}, relation a
+        first, then b, then c; empty means the cosimplicial structure is
+        consistent. No coface or codegeneracy matrix is built.
+
+        Each composite of cofaces and codegeneracies carries the factor on a
+        simplex to an end: a simplex, whose factor it joins in the argument,
+        or the class of the slot behind a basepoint face, whose action it
+        then undergoes. An instance holds exactly when every simplex reaches
+        the same simplex both ways round, or classes with equal action lists:
+
+        - a) at (n, i, j): d_i d_j s against d_{j-1} d_i s, s of degree n + 2;
+        - b) at (n, i, j): s_i s_j x against s_j s_{i-1} x, x of degree n - 1;
+        - c) at (n, i, j): d_i s_j x, x of degree n, against x when i is j or
+          j + 1, s_{j-1} d_i x when i < j, and s_j d_{i-1} x when i > j + 1.
+
+        This is exact for a validated module (unital, multiplicative, with
+        commuting actions) over a commutative algebra, and needs those
+        axioms: multiplicativity splits every grouped product into one
+        action per simplex, and putting the unit on every other simplex
+        isolates act_c(t) on a single one. Two different simplices, or a
+        simplex and a class, as the ends mean that the space breaks its
+        simplicial identities (InternalError).
         """
+        space = self.space
+        face = space.face
+        degeneracy = space.degeneracy
+        is_basepoint = space.is_basepoint
+        class_of = self.partition.class_of
+        actions = self.module.actions
+        same_action = {}
+        downs = {}
+        ups = {}
+
+        def down(end, k):
+            """Face k of a simplex end, or the class behind it; classes stay."""
+            if type(end) is str:
+                return end
+            out = downs.get((end, k))
+            if out is None:
+                out = face(end, k)
+                if is_basepoint(out):
+                    out = class_of(slot_at(end, k))
+                    if out not in actions:
+                        raise InternalError(f"no action supplied for {out!r}")
+                downs[end, k] = out
+            return out
+
+        def up(end, k):
+            """Degeneracy k of a simplex end; classes stay."""
+            if type(end) is str:
+                return end
+            out = ups.get((end, k))
+            if out is None:
+                out = ups[end, k] = degeneracy(end, k)
+            return out
+
+        def agree(relation, s, lhs, rhs) -> bool:
+            if lhs == rhs:
+                return True
+            if type(lhs) is str and type(rhs) is str:
+                same = same_action.get((lhs, rhs))
+                if same is None:
+                    same = same_action[lhs, rhs] = actions[lhs] == actions[rhs]
+                return same
+            raise InternalError(
+                f"relation {relation}) carries {s!r} to {lhs!r} and {rhs!r}: "
+                "the space breaks the simplicial identities"
+            )
+
         failures = []
         N = self.max_degree
         for n in range(N):
+            level = self._basis[n + 2]
             for j in range(1, n + 3):
                 for i in range(j):
-                    lhs = self.coface(n + 1, j) @ self.coface(n, i)
-                    rhs = self.coface(n + 1, i) @ self.coface(n, j - 1)
-                    if lhs != rhs:
+                    # no short cut, so a broken space always raises
+                    if not all([
+                        agree("a", s, down(down(s, j), i), down(down(s, i), j - 1))
+                        for s in level
+                    ]):
                         failures.append({"relation": "a", "n": n, "i": i, "j": j})
         for n in range(1, N + 1):
+            level = self._basis[n - 1]
             for i in range(1, n + 1):
                 for j in range(i):
-                    lhs = self.codegeneracy(n - 1, j) @ self.codegeneracy(n, i)
-                    rhs = self.codegeneracy(n - 1, i - 1) @ self.codegeneracy(n, j)
-                    if lhs != rhs:
-                        failures.append({"relation": "b", "n": n, "i": i, "j": j})
+                    # no factor reaches a class, so only a broken space fails
+                    for x in level:
+                        agree("b", x, up(up(x, j), i), up(up(x, i - 1), j))
         for n in range(N + 1):
+            level = self._basis[n]
             for i in range(n + 2):
                 for j in range(n + 1):
-                    lhs = self.codegeneracy(n, j) @ self.coface(n, i)
                     if i == j or i == j + 1:
-                        rhs = Matrix.identity(self.algebra.field, self.hom_dims[n])
+                        rhs = level
                     elif i < j:
-                        rhs = self.coface(n - 1, i) @ self.codegeneracy(n - 1, j - 1)
+                        rhs = [up(down(x, i), j - 1) for x in level]
                     else:
-                        rhs = self.coface(n - 1, i - 1) @ self.codegeneracy(n - 1, j)
-                    if lhs != rhs:
+                        rhs = [up(down(x, i - 1), j) for x in level]
+                    if not all([
+                        agree("c", x, down(up(x, j), i), r)
+                        for x, r in zip(level, rhs)
+                    ]):
                         failures.append({"relation": "c", "n": n, "i": i, "j": j})
         return failures
 

@@ -15,7 +15,7 @@ from hhx.actions import (
     sweep_closure,
 )
 from hhx.errors import InternalError
-from hhx.simplicial import Simplex, builtin_space, parse_space
+from hhx.simplicial import Simplex, builtin_space, parse_space, validate_space
 
 BUILTINS = ("circle", "sphere2", "sphere3", "sphere4", "torus", "pinched-torus")
 
@@ -279,7 +279,8 @@ def test_reduce_slot_matches_peeling_oracle(name, cap):
     assert checked > 0
 
 
-# faces of t break d_0 d_2 = d_1 d_0 at the basepoint: d_2 t = s0 pt, but
+# faces of t break d_0 d_1 = d_0 d_0 at the basepoint: d_0 d_1 t = d_0 g = v,
+# but d_0 d_0 t = d_0 f = pt; and d_0 d_2 = d_1 d_0: d_2 t = s0 pt, but
 # d_1 d_0 t = d_1 f = v
 BROKEN_AT_BASEPOINT_DOC = {
     "name": "broken",
@@ -299,8 +300,38 @@ BROKEN_AT_BASEPOINT_DOC = {
     ids=["sweep", "paranoid"],
 )
 def test_broken_identity_at_basepoint_face_is_internal_error(closure):
+    # faces 0,1 come first and are only seen when the way via i is followed
     space = parse_space(BROKEN_AT_BASEPOINT_DOC, validate=False)
     with pytest.raises(
-        InternalError, match=r"faces 0,2 of Simplex\(t\) break the simplicial identity"
+        InternalError, match=r"faces 0,1 of Simplex\(t\) break the simplicial identity"
+    ):
+        closure(space)
+
+
+# only faces 0,1 of t break an identity, and only the way via 0 reaches the
+# basepoint: d_0 d_0 t = d_0 f = pt, but d_0 d_1 t = d_0 g = v
+BROKEN_VIA_I_ONLY_DOC = {
+    "name": "broken-via-i",
+    "basepoint": "pt",
+    "simplices": [
+        {"name": "pt", "dim": 0},
+        {"name": "v", "dim": 0},
+        {"name": "w", "dim": 0},
+        {"name": "f", "dim": 1, "faces": [["pt", []], ["v", []]]},
+        {"name": "g", "dim": 1, "faces": [["v", []], ["w", []]]},
+        {"name": "t", "dim": 2, "faces": [["f", []], ["g", []], ["g", []]]},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "closure", [sweep_closure, lambda space: paranoid_closure(space, 3)],
+    ids=["sweep", "paranoid"],
+)
+def test_identity_broken_only_via_i_is_internal_error(closure):
+    space = parse_space(BROKEN_VIA_I_ONLY_DOC, validate=False)
+    assert validate_space(space) == [("t", 0, 1)]
+    with pytest.raises(
+        InternalError, match=r"faces 0,1 of Simplex\(t\) break the simplicial identity"
     ):
         closure(space)

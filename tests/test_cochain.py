@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,9 +16,11 @@ from helpers import (
     space_and_partition,
 )
 from hhx import CochainSetup, classical_hochschild_dims, multiplication_module
-from hhx.actions import partition_from_pairs
-from hhx.errors import BudgetError, ValidationError
+from hhx.actions import enumerate_slots, partition_from_pairs
+from hhx.errors import BudgetError, InternalError, ValidationError
 from hhx.exactlinalg import Matrix, QQ
+from hhx.simplicial import parse_space
+from test_actions import BROKEN_AT_BASEPOINT_DOC
 
 
 def make_setup(space_name, algebra, kind, max_degree, **kw):
@@ -242,6 +248,59 @@ def test_override_slots_breaks_identity_a():
     )
     setup_ok = CochainSetup(space, alg, equal, per_slot, 2)
     assert setup_ok.check_cosimplicial_identities() == []
+
+
+@pytest.mark.parametrize("space_name,top", [("torus", 2), ("circle", 10)])
+def test_identity_check_forms_no_matrix_product(monkeypatch, space_name, top):
+    setup = make_setup(space_name, dual_numbers(), "regular", top)
+    products = []
+    matmul = Matrix.__matmul__
+
+    def counting(a, b):
+        products.append((a.rows, b.cols))
+        return matmul(a, b)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counting)
+    assert setup.check_cosimplicial_identities() == []
+    assert products == []
+    assert not setup._coface and not setup._codegeneracy
+    monkeypatch.undo()
+    assert setup.report()["identities"] == "pass"
+    assert setup._codegeneracy == {}
+
+
+def broken_space_setup():
+    """BROKEN_AT_BASEPOINT_DOC unvalidated, every slot its own class."""
+    space = parse_space(BROKEN_AT_BASEPOINT_DOC, validate=False)
+    partition = partition_from_pairs(enumerate_slots(space), ())
+    module = coefficient_module(dual_numbers(), partition, "regular")
+    return CochainSetup(space, dual_numbers(), module, partition, 1)
+
+
+def test_identity_check_on_broken_space_is_internal_error():
+    setup = broken_space_setup()
+    with pytest.raises(InternalError, match=r"relation a\) carries Simplex\(t\)"):
+        setup.check_cosimplicial_identities()
+
+
+def test_identity_check_on_broken_space_is_internal_error_under_optimize():
+    # InternalError is raised, not asserted, so -O does not strip the check
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    script = (
+        "from hhx.errors import InternalError\n"
+        "from test_cochain import broken_space_setup\n"
+        "try:\n"
+        "    print('returned', broken_space_setup().check_cosimplicial_identities())\n"
+        "except InternalError as exc:\n"
+        "    print('InternalError', exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=120, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("InternalError relation a) carries Simplex(t)")
 
 
 # -- cohomology ----------------------------------------------------------------

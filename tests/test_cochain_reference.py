@@ -3,7 +3,10 @@
 The reference implementations below recompute coface and codegeneracy
 matrices directly from their defining evaluation rules, one (target, source)
 basis pair at a time, with none of the engine's caching or expansion
-shortcuts. Agreement on assorted setups pins the optimized assembly.
+shortcuts. Agreement on assorted setups pins the optimized assembly. The
+cosimplicial identities are also checked the slow way, as products of the
+engine's coface and codegeneracy matrices, against the engine's check on
+simplices.
 """
 
 import itertools
@@ -16,11 +19,20 @@ from helpers import (
     dual_numbers,
     space_and_partition,
 )
-from hhx import CochainSetup, classical_hochschild_dims, multiplication_module
-from hhx.actions import partition_from_pairs, sweep_closure
+from hhx import (
+    CochainSetup,
+    MultiModule,
+    builtin_space,
+    classical_hochschild_dims,
+    multiplication_module,
+    validate_module,
+)
+from hhx.actions import enumerate_slots, partition_from_pairs, sweep_closure
+from hhx.coeffalg import load_algebra, load_module
 from hhx.exactlinalg import Matrix
 from hhx.simplicial import parse_space
 from test_actions import slow_reduce_slot
+from test_golden import BUILTINS, GOLDEN
 
 
 def unit_vec(F, d, t):
@@ -102,6 +114,39 @@ def slow_codegeneracy(setup, n, i):
     return Matrix(F, setup.hom_dimension(n), setup.hom_dimension(n + 1), entries)
 
 
+def slow_check_cosimplicial_identities(setup):
+    """The identity check as products of coface and codegeneracy matrices."""
+    failures = []
+    N = setup.max_degree
+    for n in range(N):
+        for j in range(1, n + 3):
+            for i in range(j):
+                lhs = setup.coface(n + 1, j) @ setup.coface(n, i)
+                rhs = setup.coface(n + 1, i) @ setup.coface(n, j - 1)
+                if lhs != rhs:
+                    failures.append({"relation": "a", "n": n, "i": i, "j": j})
+    for n in range(1, N + 1):
+        for i in range(1, n + 1):
+            for j in range(i):
+                lhs = setup.codegeneracy(n - 1, j) @ setup.codegeneracy(n, i)
+                rhs = setup.codegeneracy(n - 1, i - 1) @ setup.codegeneracy(n, j)
+                if lhs != rhs:
+                    failures.append({"relation": "b", "n": n, "i": i, "j": j})
+    for n in range(N + 1):
+        for i in range(n + 2):
+            for j in range(n + 1):
+                lhs = setup.codegeneracy(n, j) @ setup.coface(n, i)
+                if i == j or i == j + 1:
+                    rhs = Matrix.identity(setup.algebra.field, setup.hom_dims[n])
+                elif i < j:
+                    rhs = setup.coface(n - 1, i) @ setup.codegeneracy(n - 1, j - 1)
+                else:
+                    rhs = setup.coface(n - 1, i - 1) @ setup.codegeneracy(n - 1, j)
+                if lhs != rhs:
+                    failures.append({"relation": "c", "n": n, "i": i, "j": j})
+    return failures
+
+
 def dual_numbers_f5():
     return dual_numbers({"Fp": 5})
 
@@ -156,6 +201,83 @@ def test_override_cofaces_match_reference():
     for n in range(3):
         for i in range(n + 2):
             assert setup.coface(n, i) == slow_coface(setup, n, i)
+
+
+# -- the identity check on simplices against matrix products ------------------
+
+
+@pytest.mark.parametrize("name,alg_fn,kind,top", REFERENCE_SETUPS)
+def test_identity_check_matches_matrix_products(name, alg_fn, kind, top):
+    algebra = alg_fn()
+    space, partition = space_and_partition(name)
+    module = coefficient_module(algebra, partition, kind)
+    setup = CochainSetup(space, algebra, module, partition, top)
+    expected = slow_check_cosimplicial_identities(setup)
+    assert setup.check_cosimplicial_identities() == expected
+
+
+def golden_setup(name, override):
+    """The setup behind a golden cohomology case (see test_golden.py)."""
+    space = builtin_space(name)
+    algebra = load_algebra(str(GOLDEN / "dual-q.json"))
+    if override:
+        partition = partition_from_pairs(enumerate_slots(space), ())
+        module_path, top = GOLDEN / "override-sphere2.json", 2
+    else:
+        partition = sweep_closure(space)
+        module_path, top = GOLDEN / f"regular-{name}.json", BUILTINS[name]
+    module = load_module(str(module_path), algebra, partition)
+    return CochainSetup(space, algebra, module, partition, top)
+
+
+@pytest.mark.parametrize(
+    "name,override",
+    [(name, False) for name in BUILTINS] + [("sphere2", True)],
+)
+def test_identity_check_matches_matrix_products_on_golden_setups(name, override):
+    setup = golden_setup(name, override)
+    expected = slow_check_cosimplicial_identities(setup)
+    assert (expected != []) == override
+    assert setup.check_cosimplicial_identities() == expected
+
+
+# top degree of each space in the per-slot module draws
+PER_SLOT_TOPS = {"circle": 4, "sphere2": 3, "sphere3": 3, "torus": 2, "pinched-torus": 2}
+
+
+def per_slot_setup(name, scales):
+    """x acts as k X on slot number q, k = scales[q], X = [[0, 1], [0, 0]]."""
+    space = builtin_space(name)
+    algebra = dual_numbers()
+    F = algebra.field
+    partition = partition_from_pairs(enumerate_slots(space), ())
+    ident = Matrix.identity(F, 2)
+    module = MultiModule(
+        2,
+        {
+            cid: (ident, Matrix(F, 2, 2, {(0, 1): k}))
+            for cid, k in zip(partition.class_ids, scales)
+        },
+    )
+    validate_module(module, algebra, partition.class_ids)
+    return CochainSetup(space, algebra, module, partition, PER_SLOT_TOPS[name])
+
+
+def test_identity_check_matches_matrix_products_on_per_slot_modules():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=30, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        name = data.draw(st.sampled_from(sorted(PER_SLOT_TOPS)))
+        slots = len(enumerate_slots(builtin_space(name)))
+        scales = data.draw(st.lists(st.sampled_from([1, 2]), min_size=slots, max_size=slots))
+        setup = per_slot_setup(name, scales)
+        expected = slow_check_cosimplicial_identities(setup)
+        assert setup.check_cosimplicial_identities() == expected
+
+    check()
 
 
 # -- known cohomology values ---------------------------------------------------
