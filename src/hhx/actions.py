@@ -175,7 +175,7 @@ def reduce_slot(space: SimplicialSpace, s: Simplex, i: int) -> ActionSlot:
     return slot_at(s, i)
 
 
-def _pairs_from(space: SimplicialSpace, s: Simplex, *, both_ways: bool = False):
+def _pairs_from(space: SimplicialSpace, s: Simplex):
     """Identifications forced by one simplex of dimension >= 2.
 
     For i < j the face d_i d_j s = d_{j-1} d_i s is reached two ways. When
@@ -183,12 +183,14 @@ def _pairs_from(space: SimplicialSpace, s: Simplex, *, both_ways: bool = False):
     basepoint, else on d_j s at i) is identified with the slot carrying it
     via i (on s if d_i s is the basepoint, else on d_i s at j - 1). One way
     reaching the basepoint and the other not breaks the simplicial identity
-    (InternalError). With neither d_i s nor d_j s at the basepoint, the way
-    via i is only followed once the way via j has reached it, unless
-    both_ways is set.
+    (InternalError). A generator is checked both ways round; on a degenerate
+    simplex, with neither d_i s nor d_j s at the basepoint, the way via i is
+    only followed once the way via j has reached it, since degenerate
+    simplices inherit the identities through their normal forms.
     """
     pairs = []
     n = s.dim
+    both_ways = not s.word
     faces = [space.face(s, i) for i in range(n + 1)]
     star = [space.is_basepoint(f) for f in faces]
     for j in range(1, n + 1):
@@ -218,15 +220,11 @@ def _pairs_from(space: SimplicialSpace, s: Simplex, *, both_ways: bool = False):
 
 
 def closure_pairs(space: SimplicialSpace) -> list[tuple[ActionSlot, ActionSlot]]:
-    """All identifications from scanning the generators of dimension >= 2.
-
-    Generators are checked both ways round: they are few, and degenerate
-    simplices inherit the simplicial identities through their normal forms.
-    """
+    """All identifications from scanning the generators of dimension >= 2."""
     pairs = []
     for g in sorted(space.generators, key=lambda g: g.name):
         if g.dim >= 2:
-            pairs.extend(_pairs_from(space, Simplex((), g), both_ways=True))
+            pairs.extend(_pairs_from(space, Simplex((), g)))
     return pairs
 
 
@@ -258,9 +256,7 @@ def paranoid_closure(space: SimplicialSpace, dim_cap: int) -> ActionPartition:
 
     Scans dimensions 2..dim_cap and reduces each slot to its generator; the
     result should always equal sweep_closure, which only trusts generators.
-    The generators are first checked both ways round, as in closure_pairs;
-    the scan itself keeps the one-way rule of _pairs_from. A scan of more
-    than PARANOID_LIMIT simplices is refused before it starts.
+    A scan of more than PARANOID_LIMIT simplices is refused before it starts.
     """
     if dim_cap < space.max_dim + 1:
         raise ValueError(
@@ -273,9 +269,6 @@ def paranoid_closure(space: SimplicialSpace, dim_cap: int) -> ActionPartition:
             f"paranoid scan to dimension {dim_cap} would visit {size} simplices, "
             f"more than the limit of {PARANOID_LIMIT}"
         )
-    # raises on a generator broken either way round; the scan re-derives
-    # its pairs on its own
-    closure_pairs(space)
     pairs = []
     for n in range(2, dim_cap + 1):
         for s in space.simplices(n):
