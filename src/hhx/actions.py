@@ -110,12 +110,6 @@ class ActionPartition:
         except KeyError:
             raise InternalError(f"{slot!r} is not a slot of this space") from None
 
-    def members(self, class_id: str) -> tuple[ActionSlot, ...]:
-        for cls in self.classes:
-            if cls[0].id == class_id:
-                return cls
-        raise KeyError(class_id)
-
     def coefficient_kind(self) -> str:
         k = self.class_count
         if k == 1:

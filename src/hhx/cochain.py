@@ -14,9 +14,10 @@ at the i-th degeneracy of its simplex and fills every other slot with the
 unit. Both kinds of matrix are built as a product of per-simplex factors
 (the grouped products; the identity at each degeneracy image) tensored
 with module blocks (the nonzero composite star actions; the identity), so
-the work is proportional to the nnz of the result. The alternating sum of
-cofaces is the differential; cohomology dimensions come from exact
-rank/kernel computations.
+the work is proportional to the nnz of the result; the star actions and the
+grouped products are extended one position at a time, forming each shared
+prefix once. The alternating sum of cofaces is the differential, the only
+matrix kept; cohomology dimensions come from exact rank/kernel computations.
 
 The cosimplicial identities are checked on simplices, not on matrices: a
 composite of cofaces and codegeneracies carries the factor on each simplex
@@ -29,22 +30,29 @@ simplex both ways round, or at classes with equal actions
 from __future__ import annotations
 
 import itertools
+from math import comb
 
 from .actions import ActionPartition, slot_at
 from .coeffalg import Algebra, MultiModule, _unit_vector
-from .errors import BudgetError, InternalError, ValidationError
+from .errors import BudgetError, ColumnBudgetError, InternalError, ValidationError
 from .exactlinalg import Matrix
 from .simplicial import SimplicialSpace
 
 DEFAULT_BUDGET = 200_000
 
+# most simplices check_cosimplicial_identities may visit: about 5 s at the
+# 2-3 microseconds a visit takes on circle over k
+IDENTITY_LIMIT = 2_000_000
+
 
 class CochainSetup:
-    """Space + algebra + multi-module + degree cap, with cached matrices.
+    """Space + algebra + multi-module + degree cap.
 
-    All coface/codegeneracy/differential matrices for degrees up to the cap
-    are derived (and memoized) from here. Construction fails fast with
-    BudgetError if any hom space within the cap exceeds the column budget.
+    Coface and codegeneracy matrices for degrees up to the cap are built on
+    every call; differentials are memoised. Construction fails fast with
+    BudgetError, before any simplex is listed, if a hom space within the cap
+    exceeds the column budget or the identity check would visit more than
+    IDENTITY_LIMIT simplices.
     """
 
     def __init__(
@@ -65,33 +73,36 @@ class CochainSetup:
         self.partition = partition
         self.max_degree = max_degree
         self.budget = budget
-        self._basis = {}
-        self._coface = {}
-        self._codegeneracy = {}
         self._differential = {}
         d = algebra.dim
         m = module.dim
+        generators = [g for g in space.generators if g is not space.basepoint]
         self.t = []
         self.hom_dims = []
         for n in range(max_degree + 2):
-            basis = tuple(
-                s for s in space.simplices(n) if not space.is_basepoint(s)
-            )
-            self._basis[n] = basis
-            self.t.append(len(basis))
-            dim = m * d ** len(basis)
+            # a generator of dim k has C(n, k) n-simplices
+            t = sum(comb(n, g.dim) for g in generators)
+            dim = m * d**t if m else 0
             if dim > budget:
-                raise BudgetError(n, dim, budget)
+                raise ColumnBudgetError(n, dim, budget)
+            self.t.append(t)
             self.hom_dims.append(dim)
+        # with d = 1 or m = 0 the hom dims never grow, so bound the check too
+        visits = identity_visits(self.t, max_degree)
+        if visits > IDENTITY_LIMIT:
+            raise BudgetError(
+                f"the cosimplicial identity check would visit {visits} "
+                f"simplices, exceeding the limit of {IDENTITY_LIMIT}"
+            )
+        self._basis = {
+            n: tuple(s for s in space.simplices(n) if not space.is_basepoint(s))
+            for n in range(max_degree + 2)
+        }
 
     def basis(self, n: int):
         """The non-basepoint n-simplices indexing the tensor factors."""
         self._check_degree(n)
         return self._basis[n]
-
-    def hom_dimension(self, n: int) -> int:
-        self._check_degree(n)
-        return self.hom_dims[n]
 
     def _check_degree(self, n: int):
         if not 0 <= n <= self.max_degree + 1:
@@ -99,58 +110,23 @@ class CochainSetup:
                 f"degree {n} outside 0..{self.max_degree + 1} for this setup"
             )
 
-    def flat_index(self, n: int, assignment, module_index: int) -> int:
-        """Column index of the hom basis element (assignment, module index)."""
-        d = self.algebra.dim
-        m = self.module.dim
-        if len(assignment) != self.t[n]:
-            raise ValueError(f"assignment must cover the {self.t[n]} tensor factors")
-        if not 0 <= module_index < m:
-            raise ValueError("module index out of range")
-        value = 0
-        for digit in assignment:
-            if not 0 <= digit < d:
-                raise ValueError("algebra basis index out of range")
-            value = value * d + digit
-        return value * m + module_index
-
-    def basis_element(self, n: int, flat: int):
-        """Inverse of flat_index: (assignment tuple, module index)."""
-        d = self.algebra.dim
-        m = self.module.dim
-        if not 0 <= flat < self.hom_dimension(n):
-            raise ValueError("flat index out of range")
-        value, module_index = divmod(flat, m)
-        digits = []
-        for _ in range(self.t[n]):
-            value, digit = divmod(value, d)
-            digits.append(digit)
-        return tuple(reversed(digits)), module_index
-
     # -- matrices ---------------------------------------------------------
 
     def coface(self, n: int, i: int) -> Matrix:
         self._check_degree(n + 1)
         if not 0 <= i <= n + 1:
             raise ValueError(f"coface index {i} out of range 0..{n + 1}")
-        key = (n, i)
-        if key not in self._coface:
-            self._coface[key] = self._build_coface(n, i)
-        return self._coface[key]
+        return self._build_coface(n, i)
 
     def codegeneracy(self, n: int, i: int) -> Matrix:
         self._check_degree(n + 1)
         if not 0 <= i <= n:
             raise ValueError(f"codegeneracy index {i} out of range 0..{n}")
-        key = (n, i)
-        if key not in self._codegeneracy:
-            self._codegeneracy[key] = self._build_codegeneracy(n, i)
-        return self._codegeneracy[key]
+        return self._build_codegeneracy(n, i)
 
     def differential(self, n: int) -> Matrix:
-        """Alternating sum of the cofaces out of degree n."""
-        if n < 0:
-            return Matrix(self.algebra.field, self.hom_dims[0], 0)
+        """Alternating sum of the cofaces out of degree n (memoised)."""
+        self._check_degree(n)
         if n not in self._differential:
             F = self.algebra.field
             acc = {}
@@ -194,37 +170,38 @@ class CochainSetup:
                 groups[src_pos[f]].append(place)
 
         # the composite action for each choice of basis elements on the star
-        # positions, kept where it is nonzero
-        blocks = []
-        for combo in itertools.product(range(d), repeat=len(star_mats)):
-            mat = None
-            for mats, t in zip(star_mats, combo):
-                mat = mats[t] if mat is None else mat @ mats[t]
-            if mat is None:
-                items = [(u, u, F.one) for u in range(m)]
-            else:
-                items = [(r, c, v) for (r, c), v in sorted(mat.entries.items())]
-            if items:
-                blocks.append((_value(combo, star_places), items))
+        # positions, kept where it is nonzero (None: no star position)
+        acts = _by_position(
+            None,
+            zip(star_places, star_mats),
+            lambda prev, act: act if prev is None else prev @ act,
+            Matrix.nnz,
+        )
+        identity = [(u, u, F.one) for u in range(m)]
+        blocks = [
+            (row, identity if mat is None
+             else [(r, c, v) for (r, c), v in sorted(mat.entries.items())])
+            for row, mat in acts
+        ]
 
         # per source simplex that some face hits: the nonzero coordinates of
         # the product of each choice of basis elements on its group; the
         # others keep the unit index 0
+        units = [_unit_vector(F, d, t) for t in range(d)]
         factors = []
         for q, places in enumerate(groups):
             if not places:
                 continue
             col_place = d ** (len(src) - 1 - q)
-            terms = []
-            for combo in itertools.product(range(d), repeat=len(places)):
-                coords = alg.unit
-                for t in combo:
-                    coords = alg.multiply(coords, _unit_vector(F, d, t))
-                row = _value(combo, places)
-                terms.extend(
-                    (row, t * col_place, c) for t, c in enumerate(coords) if c != 0
-                )
-            factors.append(terms)
+            products = _by_position(
+                alg.unit, ((place, units) for place in places), alg.multiply, any
+            )
+            factors.append([
+                (row, t * col_place, c)
+                for row, coords in products
+                for t, c in enumerate(coords)
+                if c != 0
+            ])
         return self._kronecker(n + 1, n, blocks, factors)
 
     def _build_codegeneracy(self, n: int, i: int) -> Matrix:
@@ -412,9 +389,35 @@ class CochainSetup:
         return out
 
 
-def _value(digits, places) -> int:
-    """Assignment value of the given digits at the given place values."""
-    return sum(t * place for t, place in zip(digits, places))
+def identity_visits(t, max_degree: int) -> int:
+    """Simplices check_cosimplicial_identities visits, from the level sizes t.
+
+    Relation a visits t[n + 2] for each of its C(n + 3, 2) pairs (i, j),
+    b visits t[n - 1] C(n + 1, 2) times and c visits t[n] (n + 1)(n + 2) times.
+    """
+    N = max_degree
+    return (
+        sum(comb(n + 3, 2) * t[n + 2] for n in range(N))
+        + sum(comb(n + 1, 2) * t[n - 1] for n in range(1, N + 1))
+        + sum((n + 1) * (n + 2) * t[n] for n in range(N + 1))
+    )
+
+
+def _by_position(start, positions, step, nonzero):
+    """(sum of t * place, product) for each choice of options t per position.
+
+    Built one position at a time in lexicographic order, so shared prefixes
+    are formed once; a zero prefix is dropped with every choice extending it.
+    """
+    out = [(0, start)]
+    for place, options in positions:
+        out = [
+            (row + t * place, product)
+            for row, prev in out
+            for t, option in enumerate(options)
+            if nonzero(product := step(prev, option))
+        ]
+    return out
 
 
 def classical_hochschild_dims(

@@ -13,7 +13,11 @@ class ValidationError(ValueError):
 
 
 class BudgetError(RuntimeError):
-    """A hom-space exceeded the column budget. CLI exit 3."""
+    """A computation would exceed a resource limit. CLI exit 3."""
+
+
+class ColumnBudgetError(BudgetError):
+    """A hom-space exceeded the column budget."""
 
     def __init__(self, degree: int, dimension: int, budget: int):
         self.degree = degree

@@ -229,18 +229,8 @@ class Matrix:
             raise LinAlgError(f"index ({r},{c}) outside {self.rows}x{self.cols}")
         return self.entries.get((r, c), self.field.zero)
 
-    def to_rows(self):
-        zero = self.field.zero
-        out = [[zero] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
-        return out
-
     def nnz(self):
         return len(self.entries)
-
-    def is_zero(self):
-        return not self.entries
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -272,16 +262,6 @@ class Matrix:
             out[k] = v if cur is None else add(cur, v)
         return Matrix(self.field, self.rows, self.cols, out)
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        neg = self.field.neg
-        return Matrix(
-            self.field, self.rows, self.cols,
-            {k: neg(v) for k, v in self.entries.items()},
-        )
-
     def scale(self, scalar):
         if scalar == 0:
             return Matrix(self.field, self.rows, self.cols)
@@ -289,12 +269,6 @@ class Matrix:
         return Matrix(
             self.field, self.rows, self.cols,
             {k: mul(scalar, v) for k, v in self.entries.items()},
-        )
-
-    def transpose(self):
-        return Matrix(
-            self.field, self.cols, self.rows,
-            {(c, r): v for (r, c), v in self.entries.items()},
         )
 
     def _by_row(self):

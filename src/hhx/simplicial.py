@@ -52,10 +52,6 @@ class Simplex(NamedTuple):
     def dim(self) -> int:
         return self.base.dim + len(self.word)
 
-    @property
-    def is_degenerate(self) -> bool:
-        return bool(self.word)
-
     def label(self) -> str:
         if not self.word:
             return self.base.name
@@ -125,9 +121,6 @@ class SimplicialSpace:
         # every degeneracy of the basepoint normalizes to a word over it,
         # so basepoint-ness is just a base check
         return s.base is self.basepoint
-
-    def basepoint_simplex(self, n: int) -> Simplex:
-        return Simplex(tuple(range(n - 1, -1, -1)), self.basepoint)
 
     def face(self, s: Simplex, i: int) -> Simplex:
         """d_i(s) in normal form, in one pass over the word of s.

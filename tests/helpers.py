@@ -146,7 +146,7 @@ def random_f5_bimodules(count, seed=20240803):
         rows = lambda: [[rng.randrange(5) for _ in range(m)] for _ in range(m)]
         xl = Matrix.from_rows(F, rows())
         xr = Matrix.from_rows(F, rows())
-        if not (xl @ xl).is_zero() or not (xr @ xr).is_zero():
+        if (xl @ xl).entries or (xr @ xr).entries:
             continue
         if xl @ xr != xr @ xl:
             continue

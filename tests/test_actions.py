@@ -130,7 +130,7 @@ def test_reduce_slot_on_sphere_degeneracies():
 def test_reduce_slot_rejects_basepoint_and_nonstar_faces():
     space = builtin_space("circle")
     with pytest.raises(ValueError):
-        reduce_slot(space, space.basepoint_simplex(2), 0)
+        reduce_slot(space, Simplex((1, 0), space.basepoint), 0)
     e = Simplex((), space.generator("e"))
     s0e = space.degeneracy(e, 0)
     with pytest.raises(ValueError):
@@ -174,7 +174,7 @@ def test_class_ids_are_least_members():
     partition = sweep_closure(builtin_space("pinched-torus"))
     assert partition.class_ids == ("a.0", "a.1")
     assert partition.class_of(partition.slots[0]) == "a.0"
-    assert ids(partition.members("a.1")) == ["a.1", "c.0", "sigma.1"]
+    assert ids(partition.classes[1]) == ["a.1", "c.0", "sigma.1"]
 
 
 def test_closure_idempotent():

@@ -351,6 +351,61 @@ def test_sphere_above_limit_is_usage_error(capsys):
     assert "simplicial identities: pass" in out
 
 
+def test_identity_check_above_visit_limit_is_budget_error(tmp_path, capsys):
+    # over k with its emitted template the hom dims stay at 1 in every
+    # degree, so the column budget never trips; the check's size does
+    alg_path = write_json(tmp_path / "ground.json", GROUND_DOC)
+    template = str(tmp_path / "module.json")
+    status, _, _ = run_cli(
+        capsys, "actions", "--builtin", "circle",
+        "--algebra", alg_path, "--emit-template", template,
+    )
+    assert status == 0
+    start = time.perf_counter()
+    status, out, err = run_cli(
+        capsys, "cohomology", "--builtin", "circle",
+        "--algebra", alg_path, "--module", template, "-N", "80",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert status == 3
+    assert out == ""
+    assert "would visit 21877640 simplices" in err
+
+
+TWO_EDGE_CIRCLE = {
+    "name": "two-edge-circle",
+    "basepoint": "pt",
+    "simplices": [
+        {"name": "pt", "dim": 0},
+        {"name": "v", "dim": 0},
+        {"name": "e1", "dim": 1, "faces": [["v", []], ["pt", []]]},
+        {"name": "e2", "dim": 1, "faces": [["pt", []], ["v", []]]},
+    ],
+}
+
+
+def test_two_edge_circle_matches_builtin_circle(tmp_path, capsys):
+    # homotopy invariance: the builtin circle gives the same HH
+    # (test_cohomology_circle_regular)
+    space_path = write_json(tmp_path / "two-edge.json", TWO_EDGE_CIRCLE)
+    alg_path = write_json(tmp_path / "dual.json", DUAL_DOC)
+    template = str(tmp_path / "module.json")
+    status, _, _ = run_cli(
+        capsys, "actions", "--space", space_path,
+        "--algebra", alg_path, "--emit-template", template,
+    )
+    assert status == 0
+    status, out, _ = run_cli(
+        capsys, "cohomology", "--space", space_path,
+        "--algebra", alg_path, "--module", template,
+        "-N", "4", "--format", "json",
+    )
+    assert status == 0
+    report = json.loads(out)
+    assert report["identities"] == "pass"
+    assert report["hh_dims"] == [2, 1, 1, 1, 1]
+
+
 def test_custom_space_full_workflow(tmp_path, capsys):
     wedge = {
         "name": "wedge-of-circles",

@@ -1,4 +1,3 @@
-import itertools
 import os
 import subprocess
 import sys
@@ -17,6 +16,7 @@ from helpers import (
 )
 from hhx import CochainSetup, classical_hochschild_dims, multiplication_module
 from hhx.actions import enumerate_slots, partition_from_pairs
+from hhx.cochain import identity_visits
 from hhx.errors import BudgetError, InternalError, ValidationError
 from hhx.exactlinalg import Matrix, QQ
 from hhx.simplicial import parse_space
@@ -29,6 +29,19 @@ def make_setup(space_name, algebra, kind, max_degree, **kw):
     return CochainSetup(space, algebra, module, partition, max_degree, **kw)
 
 
+def record_calls(monkeypatch, owner, name):
+    """The argument tuples of every later call to owner.name (self first)."""
+    calls = []
+    original = getattr(owner, name)
+
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, recording)
+    return calls
+
+
 # -- hom spaces ---------------------------------------------------------------
 
 
@@ -36,14 +49,12 @@ def test_circle_hom_dimensions():
     setup = make_setup("circle", dual_numbers(), "regular", 4)
     assert setup.t == [0, 1, 2, 3, 4, 5]
     assert setup.hom_dims == [2, 4, 8, 16, 32, 64]
-    assert setup.hom_dimension(0) == 2
-    assert setup.hom_dimension(3) == 16
 
 
 def test_sphere2_hom_dimensions():
     setup = make_setup("sphere2", dual_numbers(), "regular", 3)
     assert setup.t[:5] == [0, 0, 1, 3][:4] + [setup.t[4]]
-    assert setup.hom_dimension(3) == 16
+    assert setup.hom_dims[3] == 16
 
 
 def test_zero_module_hom_dimensions():
@@ -59,7 +70,9 @@ def test_zero_module_hom_dimensions():
 def test_degree_out_of_range():
     setup = make_setup("circle", dual_numbers(), "regular", 2)
     with pytest.raises(ValueError):
-        setup.hom_dimension(4)
+        setup.basis(4)
+    with pytest.raises(ValueError):
+        setup.differential(-1)
     with pytest.raises(ValueError):
         setup.coface(3, 0)
     with pytest.raises(ValueError):
@@ -71,23 +84,37 @@ def test_budget_error_reports_degree_and_dimension():
         make_setup("torus", dual_numbers(), "regular", 5)
     assert info.value.degree == 4
     assert info.value.dimension == 2 * 2**24
+    assert str(info.value) == (
+        "hom-space in degree 4 has dimension 33554432, "
+        "exceeding the budget of 200000 columns"
+    )
+
+
+@pytest.mark.parametrize(
+    "space_name,alg,m,top,visits",
+    [
+        ("circle", ground_field(), 1, 80, "21877640"),
+        # t reaches C(401, 200) > 10^118, so d^t must not be formed
+        ("sphere200", dual_numbers(), 0, 400, r"\d{120,}"),
+    ],
+    ids=["circle-over-k", "sphere200-zero-module"],
+)
+def test_identity_visits_above_limit_is_budget_error(
+    monkeypatch, space_name, alg, m, top, visits
+):
+    # over k, or with a 0-dimensional module, every hom dim is m, so only
+    # the visit count can trip
+    space, partition = space_and_partition(space_name)
+    module = identity_module(alg.field, m, partition.class_ids)
+    simplices = record_calls(monkeypatch, type(space), "simplices")
+    with pytest.raises(BudgetError, match=f"would visit {visits} simplices"):
+        CochainSetup(space, alg, module, partition, top)
+    assert simplices == []
 
 
 def test_max_degree_must_be_positive():
     with pytest.raises(ValidationError):
         make_setup("circle", dual_numbers(), "regular", 0)
-
-
-def test_flat_index_roundtrip():
-    setup = make_setup("circle", dual_numbers(), "regular", 3)
-    n = 2
-    seen = set()
-    for assignment in itertools.product(range(2), repeat=setup.t[n]):
-        for u in range(2):
-            flat = setup.flat_index(n, assignment, u)
-            assert setup.basis_element(n, flat) == (assignment, u)
-            seen.add(flat)
-    assert seen == set(range(setup.hom_dimension(n)))
 
 
 # -- coface and codegeneracy matrices -----------------------------------------
@@ -131,7 +158,7 @@ def test_codegeneracy_after_coface_is_identity():
         setup = make_setup(name, dual_numbers(), "regular", 2)
         for n in range(3):
             for i in range(n + 1):
-                ident = Matrix.identity(QQ, setup.hom_dimension(n))
+                ident = Matrix.identity(QQ, setup.hom_dims[n])
                 assert setup.codegeneracy(n, i) @ setup.coface(n, i) == ident
                 assert setup.codegeneracy(n, i) @ setup.coface(n, i + 1) == ident
 
@@ -142,14 +169,14 @@ def test_matrix_shapes_match_hom_dimensions():
         for i in range(n + 2):
             mat = setup.coface(n, i)
             assert (mat.rows, mat.cols) == (
-                setup.hom_dimension(n + 1),
-                setup.hom_dimension(n),
+                setup.hom_dims[n + 1],
+                setup.hom_dims[n],
             )
         for i in range(n + 1):
             mat = setup.codegeneracy(n, i)
             assert (mat.rows, mat.cols) == (
-                setup.hom_dimension(n),
-                setup.hom_dimension(n + 1),
+                setup.hom_dims[n],
+                setup.hom_dims[n + 1],
             )
 
 
@@ -158,7 +185,7 @@ def test_matrix_shapes_match_hom_dimensions():
 
 def test_symmetric_circle_differential_zero():
     setup = make_setup("circle", dual_numbers(), "regular", 2)
-    assert setup.differential(0).is_zero()
+    assert not setup.differential(0).entries
 
 
 def test_twisted_circle_differential_rank_one():
@@ -176,7 +203,7 @@ def test_ground_field_differentials_alternate():
     for n in range(4):
         delta = setup.differential(n)
         if n % 2 == 0:
-            assert delta.is_zero()
+            assert not delta.entries
         else:
             assert delta == Matrix.identity(QQ, 2)
 
@@ -189,7 +216,7 @@ def test_differential_squares_to_zero():
     ):
         setup = make_setup(name, alg, kind, top)
         for n in range(top):
-            assert (setup.differential(n + 1) @ setup.differential(n)).is_zero()
+            assert not (setup.differential(n + 1) @ setup.differential(n)).entries
 
 
 # -- cosimplicial identities ---------------------------------------------------
@@ -253,20 +280,52 @@ def test_override_slots_breaks_identity_a():
 @pytest.mark.parametrize("space_name,top", [("torus", 2), ("circle", 10)])
 def test_identity_check_forms_no_matrix_product(monkeypatch, space_name, top):
     setup = make_setup(space_name, dual_numbers(), "regular", top)
-    products = []
-    matmul = Matrix.__matmul__
-
-    def counting(a, b):
-        products.append((a.rows, b.cols))
-        return matmul(a, b)
-
-    monkeypatch.setattr(Matrix, "__matmul__", counting)
+    products = record_calls(monkeypatch, Matrix, "__matmul__")
+    cofaces = record_calls(monkeypatch, CochainSetup, "_build_coface")
+    codegeneracies = record_calls(monkeypatch, CochainSetup, "_build_codegeneracy")
     assert setup.check_cosimplicial_identities() == []
-    assert products == []
-    assert not setup._coface and not setup._codegeneracy
-    monkeypatch.undo()
+    assert products == [] and cofaces == [] and codegeneracies == []
     assert setup.report()["identities"] == "pass"
-    assert setup._codegeneracy == {}
+    assert codegeneracies == []
+
+
+@pytest.mark.parametrize(
+    "space_name,top", [("circle", 6), ("sphere3", 4), ("pinched-torus", 2)]
+)
+def test_identity_visits_closed_form_matches_check(space_name, top):
+    setup = make_setup(space_name, dual_numbers(), "regular", top)
+    assert setup.t == [len(setup.basis(n)) for n in range(top + 2)]
+    visits = []
+
+    def profile(frame, event, arg):
+        # the check calls its inner agree() once per simplex it visits
+        if event == "call" and frame.f_code.co_name == "agree":
+            visits.append(frame.f_locals["s"])
+
+    sys.setprofile(profile)
+    try:
+        assert setup.check_cosimplicial_identities() == []
+    finally:
+        sys.setprofile(None)
+    assert len(visits) == identity_visits(setup.t, top) > 0
+
+
+def test_report_builds_each_coface_once(monkeypatch):
+    setup = make_setup("torus", dual_numbers(), "regular", 2)
+    cofaces = record_calls(monkeypatch, CochainSetup, "_build_coface")
+    assert "hh_dims" in setup.report()
+    built = sorted((n, i) for _, n, i in cofaces)
+    assert built == [(n, i) for n in range(3) for i in range(n + 2)]
+
+
+def test_star_products_share_prefixes(monkeypatch):
+    # three star positions over Q[x]/x^2: 4 products for the 4 two-position
+    # prefixes, of which x.x acts as 0, then 6 for the 3 that are left, where
+    # forming each of the 8 composites afresh takes 2 products apiece
+    setup = make_setup("torus", dual_numbers(), "regular", 2)
+    products = record_calls(monkeypatch, Matrix, "__matmul__")
+    setup.coface(1, 0)
+    assert len(products) == 10
 
 
 def broken_space_setup():

@@ -82,7 +82,7 @@ def slow_coface(setup, n, i):
                 col_value = col_value * d + digit
             for (r, u), v in composite.entries.items():
                 entries[(row_value * m + r, col_value * m + u)] = F.mul(coeff, v)
-    return Matrix(F, setup.hom_dimension(n + 1), setup.hom_dimension(n), entries)
+    return Matrix(F, setup.hom_dims[n + 1], setup.hom_dims[n], entries)
 
 
 def slow_codegeneracy(setup, n, i):
@@ -111,7 +111,7 @@ def slow_codegeneracy(setup, n, i):
             col_value = col_value * d + digit
         for u in range(m):
             entries[(row_value * m + u, col_value * m + u)] = F.one
-    return Matrix(F, setup.hom_dimension(n), setup.hom_dimension(n + 1), entries)
+    return Matrix(F, setup.hom_dims[n], setup.hom_dims[n + 1], entries)
 
 
 def slow_check_cosimplicial_identities(setup):
@@ -346,7 +346,7 @@ def test_wedge_four_classes_identities_hold():
     assert setup.t == [0, 2, 4, 6]
     assert setup.check_cosimplicial_identities() == []
     for n in range(2):
-        assert (setup.differential(n + 1) @ setup.differential(n)).is_zero()
+        assert not (setup.differential(n + 1) @ setup.differential(n)).entries
 
 
 def test_balloon_space_with_degenerate_face_target():
@@ -354,7 +354,7 @@ def test_balloon_space_with_degenerate_face_target():
 
     space = parse_space(BALLOON_DOC)
     z = space.generator("Z")
-    assert z.faces[0].is_degenerate and not space.is_basepoint(z.faces[0])
+    assert z.faces[0].word and not space.is_basepoint(z.faces[0])
     partition = sweep_closure(space)
     assert [s.id for s in partition.slots] == ["f.1"]
     assert partition.class_count == 1
@@ -364,7 +364,7 @@ def test_balloon_space_with_degenerate_face_target():
     setup = CochainSetup(space, algebra, module, partition, 2)
     assert setup.check_cosimplicial_identities() == []
     for n in range(2):
-        assert (setup.differential(n + 1) @ setup.differential(n)).is_zero()
+        assert not (setup.differential(n + 1) @ setup.differential(n)).entries
     for n in range(2):
         for i in range(n + 2):
             assert setup.coface(n, i) == slow_coface(setup, n, i)

@@ -197,7 +197,7 @@ def test_face_of_degenerate_circle_edge():
     assert s0e.word == (0,)
     assert space.face(s0e, 0) == e
     assert space.face(s0e, 1) == e
-    assert space.face(s0e, 2) == space.basepoint_simplex(1)
+    assert space.face(s0e, 2) == Simplex((0,), space.basepoint)
 
 
 def test_torus_middle_face():
@@ -213,7 +213,7 @@ def test_degeneracy_insertion():
     s0e = space.degeneracy(e, 0)
     assert space.degeneracy(s0e, 0).word == (1, 0)
     pt = Simplex((), space.basepoint)
-    assert space.degeneracy(pt, 0) == space.basepoint_simplex(1)
+    assert space.degeneracy(pt, 0) == Simplex((0,), space.basepoint)
 
 
 def test_degeneracy_words_stay_normal():
@@ -331,14 +331,14 @@ def test_simplex_equality_hash_and_labels():
     assert s != Simplex((1, 0), pt)
     assert s != Simplex((1, 0), Generator("e", 1))  # same name, other generator
     assert (s.word, s.base) == ((1, 0), e)
-    assert s.dim == 3 and s.is_degenerate
+    assert s.dim == 3 and s.word
     assert s.label() == "s1s0.e"
     assert repr(s) == "Simplex(s1s0.e)"
     plain = Simplex((), e)
-    assert plain.dim == 1 and not plain.is_degenerate
+    assert plain.dim == 1 and not plain.word
     assert plain.label() == "e"
     assert repr(plain) == "Simplex(e)"
-    assert space.basepoint_simplex(2).label() == "s1s0.pt"
+    assert Simplex((1, 0), space.basepoint).label() == "s1s0.pt"
 
 
 # -- enumeration ---------------------------------------------------------
@@ -445,7 +445,7 @@ def test_degeneracy_then_face_recovers(name):
 def test_basepoint_degeneracies_recognized(name):
     space = builtin_space(name)
     for n in range(6):
-        bp = space.basepoint_simplex(n)
+        bp = Simplex(tuple(range(n - 1, -1, -1)), space.basepoint)
         assert space.is_basepoint(bp)
         candidates = [s for s in space.simplices(n) if space.is_basepoint(s)]
         assert candidates == [bp]
