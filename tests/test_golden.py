@@ -2,8 +2,9 @@
 
 The inputs live in tests/golden/: dual numbers over Q (dual-q.json), the
 regular module that `hhx actions --emit-template` writes for each builtin
-(regular-<space>.json), a slot-keyed sphere2 module whose cosimplicial
-identities fail (override-sphere2.json) and a one-vertex space with
+(regular-<space>.json), slot-keyed sphere2 and pinched-torus modules with
+one slot twisted by x -> -x, whose cosimplicial identities fail
+(override-<space>.json), and a one-vertex space with
 degenerate triangle faces and cells up to dimension 6 for the paranoid scan
 (scan-like.json). Case <name> keeps its stdout in <name>.out and its exit
 status in status.json.
@@ -35,6 +36,12 @@ BUILTINS = {
     "pinched-torus": 2,
 }
 
+# builtin -> its slots under --override-slots; the last one is twisted
+OVERRIDES = {
+    "sphere2": ("sigma.0", "sigma.1", "sigma.2"),
+    "pinched-torus": ("a.0", "a.1", "c.0", "c.1", "tau.1", "sigma.1"),
+}
+
 
 def _cases():
     cases = {}
@@ -58,11 +65,12 @@ def _cases():
         cases[f"actions-scan-like-paranoid-{fmt}"] = [
             "actions", "--space", "scan-like.json", "--paranoid", "7", "--format", fmt,
         ]
-        cases[f"cohomology-sphere2-override-{fmt}"] = [
-            "cohomology", "--builtin", "sphere2",
-            "--algebra", "dual-q.json", "--module", "override-sphere2.json",
-            "-N", "2", "--override-slots", "--format", fmt,
-        ]
+        for name in OVERRIDES:
+            cases[f"cohomology-{name}-override-{fmt}"] = [
+                "cohomology", "--builtin", name,
+                "--algebra", "dual-q.json", "--module", f"override-{name}.json",
+                "-N", "2", "--override-slots", "--format", fmt,
+            ]
     return cases
 
 
@@ -104,20 +112,21 @@ def record():
             ])
     alg = dual_numbers()
     twist = [[1, 0], [0, -1]]
-    module = multiplication_module(
-        alg, {"sigma.0": None, "sigma.1": None, "sigma.2": twist}
-    )
-    write("override-sphere2.json", {
-        "dim": module.dim,
-        "actions": {
-            key: [
-                [[alg.field.to_json(mat.get(r, c)) for c in range(module.dim)]
-                 for r in range(module.dim)]
-                for mat in mats
-            ]
-            for key, mats in module.actions.items()
-        },
-    })
+    for name, slots in OVERRIDES.items():
+        module = multiplication_module(
+            alg, {key: None for key in slots[:-1]} | {slots[-1]: twist}
+        )
+        write(f"override-{name}.json", {
+            "dim": module.dim,
+            "actions": {
+                key: [
+                    [[alg.field.to_json(mat.get(r, c)) for c in range(module.dim)]
+                     for r in range(module.dim)]
+                    for mat in mats
+                ]
+                for key, mats in module.actions.items()
+            },
+        })
     statuses = {}
     for name, argv in sorted(CASES.items()):
         statuses[name], out = run_case(argv)
