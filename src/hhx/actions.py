@@ -4,7 +4,8 @@ A slot is a pair (non-degenerate simplex, face index) whose indexed face is
 the basepoint; slots on degenerate simplices reduce to slots on their
 underlying generator, with the index read off the degeneracy word
 (slot_at). Scanning every generator of dimension >= 2 produces forced
-identifications between slots; their union-find closure is the finest
+identifications between slots (slot_pairs, which the cosimplicial identity
+check reads too); their union-find closure is the finest
 partition compatible with a cosimplicial structure, and its class count says
 what kind of coefficient module the space admits. Each class keys one action
 of the coefficient module (ActionPartition.class_of); the partition in which
@@ -169,29 +170,32 @@ def reduce_slot(space: SimplicialSpace, s: Simplex, i: int) -> ActionSlot:
     return slot_at(s, i)
 
 
-def _pairs_from(space: SimplicialSpace, s: Simplex):
-    """Identifications forced by one simplex of dimension >= 2.
+def slot_pairs(space: SimplicialSpace, s: Simplex):
+    """(i, j, via_j, via_i) for each basepoint face d_i d_j s, s of dim >= 2.
 
     For i < j the face d_i d_j s = d_{j-1} d_i s is reached two ways. When
-    it is the basepoint, the slot carrying it via j (on s if d_j s is the
-    basepoint, else on d_j s at i) is identified with the slot carrying it
-    via i (on s if d_i s is the basepoint, else on d_i s at j - 1). One way
-    reaching the basepoint and the other not breaks the simplicial identity
-    (InternalError). A generator is checked both ways round; on a degenerate
-    simplex, with neither d_i s nor d_j s at the basepoint, the way via i is
-    only followed once the way via j has reached it, since degenerate
-    simplices inherit the identities through their normal forms.
+    it is the basepoint, via_j is the slot carrying it via j (on s if d_j s
+    is the basepoint, else on d_j s at i) and via_i the slot carrying it via
+    i (on s if d_i s is the basepoint, else on d_i s at j - 1); a module
+    must act equally on the two. One way reaching the basepoint and the
+    other not, or, on a generator, two different double faces, break the
+    simplicial identity (InternalError). A generator is checked both ways
+    round; on a degenerate simplex, with neither d_i s nor d_j s at the
+    basepoint, the way via i is only followed once the way via j has
+    reached it, since degenerate simplices inherit the identities through
+    their normal forms.
     """
-    pairs = []
     n = s.dim
     both_ways = not s.word
-    faces = [space.face(s, i) for i in range(n + 1)]
-    star = [space.is_basepoint(f) for f in faces]
+    face = space.face
+    is_basepoint = space.is_basepoint
+    faces = [face(s, i) for i in range(n + 1)]
+    star = [is_basepoint(f) for f in faces]
     for j in range(1, n + 1):
         for i in range(j):
             if star[j]:
                 via_j = slot_at(s, j)
-            elif space.is_basepoint(space.face(faces[j], i)):
+            elif is_basepoint(by_j := face(faces[j], i)):
                 via_j = slot_at(faces[j], i)
             elif star[i] or both_ways:
                 via_j = None
@@ -199,18 +203,17 @@ def _pairs_from(space: SimplicialSpace, s: Simplex):
                 continue
             if star[i]:
                 via_i = slot_at(s, i)
-            elif space.is_basepoint(space.face(faces[i], j - 1)):
+            elif is_basepoint(by_i := face(faces[i], j - 1)):
                 via_i = slot_at(faces[i], j - 1)
             else:
                 via_i = None
-            if via_j is None and via_i is None:
+            if via_j is None and via_i is None and by_j == by_i:
                 continue
             if via_j is None or via_i is None:
                 raise InternalError(
                     f"faces {i},{j} of {s!r} break the simplicial identity"
                 )
-            pairs.append((via_j, via_i))
-    return pairs
+            yield i, j, via_j, via_i
 
 
 def closure_pairs(space: SimplicialSpace) -> list[tuple[ActionSlot, ActionSlot]]:
@@ -218,7 +221,7 @@ def closure_pairs(space: SimplicialSpace) -> list[tuple[ActionSlot, ActionSlot]]
     pairs = []
     for g in sorted(space.generators, key=lambda g: g.name):
         if g.dim >= 2:
-            pairs.extend(_pairs_from(space, Simplex((), g)))
+            pairs.extend(pair[2:] for pair in slot_pairs(space, Simplex((), g)))
     return pairs
 
 
@@ -267,5 +270,5 @@ def paranoid_closure(space: SimplicialSpace, dim_cap: int) -> ActionPartition:
     for n in range(2, dim_cap + 1):
         for s in space.simplices(n):
             if not space.is_basepoint(s):
-                pairs.extend(_pairs_from(space, s))
+                pairs.extend(pair[2:] for pair in slot_pairs(space, s))
     return partition_from_pairs(enumerate_slots(space), pairs)

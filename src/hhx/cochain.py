@@ -19,12 +19,11 @@ grouped products are extended one position at a time, forming each shared
 prefix once. The alternating sum of cofaces is the differential, the only
 matrix kept; cohomology dimensions come from exact rank/kernel computations.
 
-The cosimplicial identities are checked on simplices, not on matrices: a
-composite of cofaces and codegeneracies carries the factor on each simplex
-either to a simplex or, through a basepoint face, to the action of a slot
-class. Two composites agree exactly when every simplex ends at the same
-simplex both ways round, or at classes with equal actions
-(check_cosimplicial_identities). No matrix is built for the check.
+The cosimplicial identities are checked on simplices, not on matrices:
+d_i d_j = d_{j-1} d_i holds exactly when the module acts equally on the two
+slots through which each basepoint face d_i d_j s is reached
+(actions.slot_pairs), and the relations with codegeneracies hold by
+construction (check_cosimplicial_identities). No matrix is built for it.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from __future__ import annotations
 import itertools
 from math import comb
 
-from .actions import ActionPartition, slot_at
+from .actions import ActionPartition, slot_at, slot_pairs
 from .coeffalg import Algebra, MultiModule, _unit_vector
 from .errors import BudgetError, ColumnBudgetError, InternalError, ValidationError
 from .exactlinalg import Matrix
@@ -40,8 +39,8 @@ from .simplicial import SimplicialSpace
 
 DEFAULT_BUDGET = 200_000
 
-# most simplices check_cosimplicial_identities may visit: about 5 s at the
-# 2-3 microseconds a visit takes on circle over k
+# most simplex-pair visits check_cosimplicial_identities may make: about 7 s
+# at the 3-4 microseconds a visit takes on circle over k (-N 61)
 IDENTITY_LIMIT = 2_000_000
 
 
@@ -51,8 +50,8 @@ class CochainSetup:
     Coface and codegeneracy matrices for degrees up to the cap are built on
     every call; differentials are memoised. Construction fails fast with
     BudgetError, before any simplex is listed, if a hom space within the cap
-    exceeds the column budget or the identity check would visit more than
-    IDENTITY_LIMIT simplices.
+    exceeds the column budget or the identity check would make more than
+    IDENTITY_LIMIT simplex-pair visits.
     """
 
     def __init__(
@@ -110,19 +109,14 @@ class CochainSetup:
                 f"degree {n} outside 0..{self.max_degree + 1} for this setup"
             )
 
+    def _action(self, key: str) -> list:
+        """The action matrices of class key."""
+        mats = self.module.actions.get(key)
+        if mats is None:
+            raise InternalError(f"no action supplied for {key!r}")
+        return mats
+
     # -- matrices ---------------------------------------------------------
-
-    def coface(self, n: int, i: int) -> Matrix:
-        self._check_degree(n + 1)
-        if not 0 <= i <= n + 1:
-            raise ValueError(f"coface index {i} out of range 0..{n + 1}")
-        return self._build_coface(n, i)
-
-    def codegeneracy(self, n: int, i: int) -> Matrix:
-        self._check_degree(n + 1)
-        if not 0 <= i <= n:
-            raise ValueError(f"codegeneracy index {i} out of range 0..{n}")
-        return self._build_codegeneracy(n, i)
 
     def differential(self, n: int) -> Matrix:
         """Alternating sum of the cofaces out of degree n (memoised)."""
@@ -142,7 +136,10 @@ class CochainSetup:
             )
         return self._differential[n]
 
-    def _build_coface(self, n: int, i: int) -> Matrix:
+    def coface(self, n: int, i: int) -> Matrix:
+        self._check_degree(n + 1)
+        if not 0 <= i <= n + 1:
+            raise ValueError(f"coface index {i} out of range 0..{n + 1}")
         space = self.space
         alg = self.algebra
         F = alg.field
@@ -160,12 +157,8 @@ class CochainSetup:
             place = d ** (len(tgt) - 1 - p)
             f = space.face(s, i)
             if space.is_basepoint(f):
-                key = self.partition.class_of(slot_at(s, i))
-                mats = self.module.actions.get(key)
-                if mats is None:
-                    raise InternalError(f"no action supplied for {key!r}")
                 star_places.append(place)
-                star_mats.append(mats)
+                star_mats.append(self._action(self.partition.class_of(slot_at(s, i))))
             else:
                 groups[src_pos[f]].append(place)
 
@@ -204,7 +197,10 @@ class CochainSetup:
             ])
         return self._kronecker(n + 1, n, blocks, factors)
 
-    def _build_codegeneracy(self, n: int, i: int) -> Matrix:
+    def codegeneracy(self, n: int, i: int) -> Matrix:
+        self._check_degree(n + 1)
+        if not 0 <= i <= n:
+            raise ValueError(f"codegeneracy index {i} out of range 0..{n}")
         space = self.space
         F = self.algebra.field
         d = self.algebra.dim
@@ -265,112 +261,46 @@ class CochainSetup:
     # -- checks and cohomology --------------------------------------------
 
     def check_cosimplicial_identities(self) -> list[dict]:
-        """Every identity instance within the degree cap, checked on simplices.
+        """Every instance of d_i d_j = d_{j-1} d_i within the degree cap.
 
-        Returns failing instances as {"relation", "n", "i", "j"}, relation a
-        first, then b, then c; empty means the cosimplicial structure is
-        consistent. No coface or codegeneracy matrix is built.
+        Returns the failing instances (n, i, j), i < j, as {"relation": "a",
+        "n", "i", "j"} sorted by (n, j, i); empty means the cosimplicial
+        structure is consistent. No coface or codegeneracy matrix is built.
 
-        Each composite of cofaces and codegeneracies carries the factor on a
-        simplex to an end: a simplex, whose factor it joins in the argument,
-        or the class of the slot behind a basepoint face, whose action it
-        then undergoes. An instance holds exactly when every simplex reaches
-        the same simplex both ways round, or classes with equal action lists:
+        Both composites carry the factor on a simplex s of degree n + 2 to
+        the same face d_i d_j s = d_{j-1} d_i s. Away from the basepoint
+        that face joins the argument either way; at the basepoint the first
+        composite applies the action of the slot reached via j and the
+        second that of the slot reached via i (actions.slot_pairs). So an
+        instance holds exactly when the module acts equally on every such
+        pair of slots. This is exact for a validated module (unital,
+        multiplicative, with commuting actions) over a commutative algebra:
+        multiplicativity splits every grouped product into one action per
+        simplex, and the unit on every other simplex isolates one action.
+        A space that breaks d_i d_j = d_{j-1} d_i raises InternalError.
 
-        - a) at (n, i, j): d_i d_j s against d_{j-1} d_i s, s of degree n + 2;
-        - b) at (n, i, j): s_i s_j x against s_j s_{i-1} x, x of degree n - 1;
-        - c) at (n, i, j): d_i s_j x, x of degree n, against x when i is j or
-          j + 1, s_{j-1} d_i x when i < j, and s_j d_{i-1} x when i > j + 1.
-
-        This is exact for a validated module (unital, multiplicative, with
-        commuting actions) over a commutative algebra, and needs those
-        axioms: multiplicativity splits every grouped product into one
-        action per simplex, and putting the unit on every other simplex
-        isolates act_c(t) on a single one. Two different simplices, or a
-        simplex and a class, as the ends mean that the space breaks its
-        simplicial identities (InternalError).
+        The other relations hold by construction. s_i s_j x = s_j s_{i-1} x
+        is an identity of degeneracy words alone. d_i s_j x is x when i is
+        j or j + 1, and otherwise passes through s_j to the face-table entry
+        and the slot (slot_at) of d_i x or d_{i-1} x, so it reads no input
+        the two sides could disagree on; the test suite checks both on
+        simplices.
         """
         space = self.space
-        face = space.face
-        degeneracy = space.degeneracy
-        is_basepoint = space.is_basepoint
         class_of = self.partition.class_of
-        actions = self.module.actions
-        same_action = {}
-        downs = {}
-        ups = {}
-
-        def down(end, k):
-            """Face k of a simplex end, or the class behind it; classes stay."""
-            if type(end) is str:
-                return end
-            out = downs.get((end, k))
-            if out is None:
-                out = face(end, k)
-                if is_basepoint(out):
-                    out = class_of(slot_at(end, k))
-                    if out not in actions:
-                        raise InternalError(f"no action supplied for {out!r}")
-                downs[end, k] = out
-            return out
-
-        def up(end, k):
-            """Degeneracy k of a simplex end; classes stay."""
-            if type(end) is str:
-                return end
-            out = ups.get((end, k))
-            if out is None:
-                out = ups[end, k] = degeneracy(end, k)
-            return out
-
-        def agree(relation, s, lhs, rhs) -> bool:
-            if lhs == rhs:
-                return True
-            if type(lhs) is str and type(rhs) is str:
-                same = same_action.get((lhs, rhs))
-                if same is None:
-                    same = same_action[lhs, rhs] = actions[lhs] == actions[rhs]
-                return same
-            raise InternalError(
-                f"relation {relation}) carries {s!r} to {lhs!r} and {rhs!r}: "
-                "the space breaks the simplicial identities"
-            )
-
-        failures = []
-        N = self.max_degree
-        for n in range(N):
-            level = self._basis[n + 2]
-            for j in range(1, n + 3):
-                for i in range(j):
-                    # no short cut, so a broken space always raises
-                    if not all([
-                        agree("a", s, down(down(s, j), i), down(down(s, i), j - 1))
-                        for s in level
-                    ]):
-                        failures.append({"relation": "a", "n": n, "i": i, "j": j})
-        for n in range(1, N + 1):
-            level = self._basis[n - 1]
-            for i in range(1, n + 1):
-                for j in range(i):
-                    # no factor reaches a class, so only a broken space fails
-                    for x in level:
-                        agree("b", x, up(up(x, j), i), up(up(x, i - 1), j))
-        for n in range(N + 1):
-            level = self._basis[n]
-            for i in range(n + 2):
-                for j in range(n + 1):
-                    if i == j or i == j + 1:
-                        rhs = level
-                    elif i < j:
-                        rhs = [up(down(x, i), j - 1) for x in level]
-                    else:
-                        rhs = [up(down(x, i - 1), j) for x in level]
-                    if not all([
-                        agree("c", x, down(up(x, j), i), r)
-                        for x, r in zip(level, rhs)
-                    ]):
-                        failures.append({"relation": "c", "n": n, "i": i, "j": j})
-        return failures
+        same = {}
+        failing = set()
+        for n in range(self.max_degree):
+            for s in self._basis[n + 2]:
+                for i, j, via_j, via_i in slot_pairs(space, s):
+                    key = (class_of(via_j), class_of(via_i))
+                    if key not in same:
+                        same[key] = self._action(key[0]) == self._action(key[1])
+                    if not same[key]:
+                        failing.add((n, j, i))
+        return [
+            {"relation": "a", "n": n, "i": i, "j": j} for n, j, i in sorted(failing)
+        ]
 
     def cohomology_dims(self) -> list[int]:
         """[HH^0 .. HH^N] by kernel/rank of the alternating-sum differentials."""
@@ -390,17 +320,12 @@ class CochainSetup:
 
 
 def identity_visits(t, max_degree: int) -> int:
-    """Simplices check_cosimplicial_identities visits, from the level sizes t.
+    """Simplex-pair visits of check_cosimplicial_identities, from t.
 
-    Relation a visits t[n + 2] for each of its C(n + 3, 2) pairs (i, j),
-    b visits t[n - 1] C(n + 1, 2) times and c visits t[n] (n + 1)(n + 2) times.
+    Each of the t[n + 2] simplices of degree n + 2 is visited once per pair
+    i < j of its C(n + 3, 2) pairs of face indices.
     """
-    N = max_degree
-    return (
-        sum(comb(n + 3, 2) * t[n + 2] for n in range(N))
-        + sum(comb(n + 1, 2) * t[n - 1] for n in range(1, N + 1))
-        + sum((n + 1) * (n + 2) * t[n] for n in range(N + 1))
-    )
+    return sum(comb(n + 3, 2) * t[n + 2] for n in range(max_degree))
 
 
 def _by_position(start, positions, step, nonzero):

@@ -64,6 +64,62 @@ def _scan_like_doc():
 
 SCAN_LIKE_DOC = _scan_like_doc()
 
+# Spaces that break d_i d_j = d_{j-1} d_i, for parse_space(..., validate=False).
+
+# faces of t break d_0 d_1 = d_0 d_0 at the basepoint: d_0 d_1 t = d_0 g = v,
+# but d_0 d_0 t = d_0 f = pt; and d_0 d_2 = d_1 d_0: d_2 t = s0 pt, but
+# d_1 d_0 t = d_1 f = v
+BROKEN_AT_BASEPOINT_DOC = {
+    "name": "broken",
+    "basepoint": "pt",
+    "simplices": [
+        {"name": "pt", "dim": 0},
+        {"name": "v", "dim": 0},
+        {"name": "f", "dim": 1, "faces": [["pt", []], ["v", []]]},
+        {"name": "g", "dim": 1, "faces": [["v", []], ["pt", []]]},
+        {"name": "t", "dim": 2, "faces": [["f", []], ["g", []], ["pt", [0]]]},
+    ],
+}
+
+
+# only faces 0,1 of t break an identity, and only the way via 0 reaches the
+# basepoint: d_0 d_0 t = d_0 f = pt, but d_0 d_1 t = d_0 g = v
+BROKEN_VIA_I_ONLY_DOC = {
+    "name": "broken-via-i",
+    "basepoint": "pt",
+    "simplices": [
+        {"name": "pt", "dim": 0},
+        {"name": "v", "dim": 0},
+        {"name": "w", "dim": 0},
+        {"name": "f", "dim": 1, "faces": [["pt", []], ["v", []]]},
+        {"name": "g", "dim": 1, "faces": [["v", []], ["w", []]]},
+        {"name": "t", "dim": 2, "faces": [["f", []], ["g", []], ["g", []]]},
+    ],
+}
+
+
+# only faces 0,2 of t break an identity, away from the basepoint:
+# d_0 d_2 t = d_0 g = w, but d_1 d_0 t = d_1 f = v
+BROKEN_AWAY_FROM_BASEPOINT_DOC = {
+    "name": "broken-away",
+    "basepoint": "pt",
+    "simplices": [
+        {"name": "pt", "dim": 0},
+        {"name": "v", "dim": 0},
+        {"name": "w", "dim": 0},
+        {"name": "e", "dim": 1, "faces": [["pt", []], ["pt", []]]},
+        {"name": "f", "dim": 1, "faces": [["v", []], ["v", []]]},
+        {"name": "g", "dim": 1, "faces": [["w", []], ["v", []]]},
+        {"name": "t", "dim": 2, "faces": [["f", []], ["f", []], ["g", []]]},
+    ],
+}
+
+BROKEN_DOCS = (
+    BROKEN_AT_BASEPOINT_DOC,
+    BROKEN_VIA_I_ONLY_DOC,
+    BROKEN_AWAY_FROM_BASEPOINT_DOC,
+)
+
 
 def dual_numbers(field_doc="Q"):
     doc = dict(DUAL_DOC)

@@ -2,7 +2,12 @@ import random
 
 import pytest
 
-from helpers import SCAN_LIKE_DOC
+from helpers import (
+    BROKEN_AT_BASEPOINT_DOC,
+    BROKEN_AWAY_FROM_BASEPOINT_DOC,
+    BROKEN_VIA_I_ONLY_DOC,
+    SCAN_LIKE_DOC,
+)
 from hhx.actions import (
     PARANOID_LIMIT,
     ActionSlot,
@@ -279,22 +284,6 @@ def test_reduce_slot_matches_peeling_oracle(name, cap):
     assert checked > 0
 
 
-# faces of t break d_0 d_1 = d_0 d_0 at the basepoint: d_0 d_1 t = d_0 g = v,
-# but d_0 d_0 t = d_0 f = pt; and d_0 d_2 = d_1 d_0: d_2 t = s0 pt, but
-# d_1 d_0 t = d_1 f = v
-BROKEN_AT_BASEPOINT_DOC = {
-    "name": "broken",
-    "basepoint": "pt",
-    "simplices": [
-        {"name": "pt", "dim": 0},
-        {"name": "v", "dim": 0},
-        {"name": "f", "dim": 1, "faces": [["pt", []], ["v", []]]},
-        {"name": "g", "dim": 1, "faces": [["v", []], ["pt", []]]},
-        {"name": "t", "dim": 2, "faces": [["f", []], ["g", []], ["pt", [0]]]},
-    ],
-}
-
-
 @pytest.mark.parametrize(
     "closure", [sweep_closure, lambda space: paranoid_closure(space, 3)],
     ids=["sweep", "paranoid"],
@@ -308,22 +297,6 @@ def test_broken_identity_at_basepoint_face_is_internal_error(closure):
         closure(space)
 
 
-# only faces 0,1 of t break an identity, and only the way via 0 reaches the
-# basepoint: d_0 d_0 t = d_0 f = pt, but d_0 d_1 t = d_0 g = v
-BROKEN_VIA_I_ONLY_DOC = {
-    "name": "broken-via-i",
-    "basepoint": "pt",
-    "simplices": [
-        {"name": "pt", "dim": 0},
-        {"name": "v", "dim": 0},
-        {"name": "w", "dim": 0},
-        {"name": "f", "dim": 1, "faces": [["pt", []], ["v", []]]},
-        {"name": "g", "dim": 1, "faces": [["v", []], ["w", []]]},
-        {"name": "t", "dim": 2, "faces": [["f", []], ["g", []], ["g", []]]},
-    ],
-}
-
-
 @pytest.mark.parametrize(
     "closure", [sweep_closure, lambda space: paranoid_closure(space, 3)],
     ids=["sweep", "paranoid"],
@@ -333,5 +306,20 @@ def test_identity_broken_only_via_i_is_internal_error(closure):
     assert validate_space(space) == [("t", 0, 1)]
     with pytest.raises(
         InternalError, match=r"faces 0,1 of Simplex\(t\) break the simplicial identity"
+    ):
+        closure(space)
+
+
+@pytest.mark.parametrize(
+    "closure", [sweep_closure, lambda space: paranoid_closure(space, 3)],
+    ids=["sweep", "paranoid"],
+)
+def test_identity_broken_away_from_basepoint_is_internal_error(closure):
+    # neither way reaches the basepoint, so only the generator's comparison
+    # of its two double faces sees the break
+    space = parse_space(BROKEN_AWAY_FROM_BASEPOINT_DOC, validate=False)
+    assert validate_space(space) == [("t", 0, 2)]
+    with pytest.raises(
+        InternalError, match=r"faces 0,2 of Simplex\(t\) break the simplicial identity"
     ):
         closure(space)

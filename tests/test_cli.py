@@ -369,7 +369,7 @@ def test_identity_check_above_visit_limit_is_budget_error(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     assert status == 3
     assert out == ""
-    assert "would visit 21877640 simplices" in err
+    assert "would visit 5604740 simplices" in err
 
 
 TWO_EDGE_CIRCLE = {

@@ -1,11 +1,15 @@
 import os
 import subprocess
 import sys
+import time
+from math import comb
 from pathlib import Path
 
 import pytest
 
 from helpers import (
+    BROKEN_AT_BASEPOINT_DOC,
+    BROKEN_AWAY_FROM_BASEPOINT_DOC,
     coefficient_module,
     cubic_truncation,
     dual_numbers,
@@ -14,13 +18,12 @@ from helpers import (
     random_f5_bimodules,
     space_and_partition,
 )
-from hhx import CochainSetup, classical_hochschild_dims, multiplication_module
+from hhx import CochainSetup, classical_hochschild_dims, cochain, multiplication_module
 from hhx.actions import enumerate_slots, partition_from_pairs
 from hhx.cochain import identity_visits
 from hhx.errors import BudgetError, InternalError, ValidationError
 from hhx.exactlinalg import Matrix, QQ
 from hhx.simplicial import parse_space
-from test_actions import BROKEN_AT_BASEPOINT_DOC
 
 
 def make_setup(space_name, algebra, kind, max_degree, **kw):
@@ -93,7 +96,7 @@ def test_budget_error_reports_degree_and_dimension():
 @pytest.mark.parametrize(
     "space_name,alg,m,top,visits",
     [
-        ("circle", ground_field(), 1, 80, "21877640"),
+        ("circle", ground_field(), 1, 80, "5604740"),
         # t reaches C(401, 200) > 10^118, so d^t must not be formed
         ("sphere200", dual_numbers(), 0, 400, r"\d{120,}"),
     ],
@@ -281,8 +284,8 @@ def test_override_slots_breaks_identity_a():
 def test_identity_check_forms_no_matrix_product(monkeypatch, space_name, top):
     setup = make_setup(space_name, dual_numbers(), "regular", top)
     products = record_calls(monkeypatch, Matrix, "__matmul__")
-    cofaces = record_calls(monkeypatch, CochainSetup, "_build_coface")
-    codegeneracies = record_calls(monkeypatch, CochainSetup, "_build_codegeneracy")
+    cofaces = record_calls(monkeypatch, CochainSetup, "coface")
+    codegeneracies = record_calls(monkeypatch, CochainSetup, "codegeneracy")
     assert setup.check_cosimplicial_identities() == []
     assert products == [] and cofaces == [] and codegeneracies == []
     assert setup.report()["identities"] == "pass"
@@ -292,27 +295,20 @@ def test_identity_check_forms_no_matrix_product(monkeypatch, space_name, top):
 @pytest.mark.parametrize(
     "space_name,top", [("circle", 6), ("sphere3", 4), ("pinched-torus", 2)]
 )
-def test_identity_visits_closed_form_matches_check(space_name, top):
+def test_identity_visits_closed_form_matches_check(monkeypatch, space_name, top):
     setup = make_setup(space_name, dual_numbers(), "regular", top)
     assert setup.t == [len(setup.basis(n)) for n in range(top + 2)]
-    visits = []
-
-    def profile(frame, event, arg):
-        # the check calls its inner agree() once per simplex it visits
-        if event == "call" and frame.f_code.co_name == "agree":
-            visits.append(frame.f_locals["s"])
-
-    sys.setprofile(profile)
-    try:
-        assert setup.check_cosimplicial_identities() == []
-    finally:
-        sys.setprofile(None)
-    assert len(visits) == identity_visits(setup.t, top) > 0
+    # the check hands each simplex it visits to slot_pairs, which walks its
+    # C(dim + 1, 2) pairs of face indices
+    visited = record_calls(monkeypatch, cochain, "slot_pairs")
+    assert setup.check_cosimplicial_identities() == []
+    visits = sum(comb(s.dim + 1, 2) for _, s in visited)
+    assert visits == identity_visits(setup.t, top) > 0
 
 
 def test_report_builds_each_coface_once(monkeypatch):
     setup = make_setup("torus", dual_numbers(), "regular", 2)
-    cofaces = record_calls(monkeypatch, CochainSetup, "_build_coface")
+    cofaces = record_calls(monkeypatch, CochainSetup, "coface")
     assert "hh_dims" in setup.report()
     built = sorted((n, i) for _, n, i in cofaces)
     assert built == [(n, i) for n in range(3) for i in range(n + 2)]
@@ -328,9 +324,9 @@ def test_star_products_share_prefixes(monkeypatch):
     assert len(products) == 10
 
 
-def broken_space_setup():
-    """BROKEN_AT_BASEPOINT_DOC unvalidated, every slot its own class."""
-    space = parse_space(BROKEN_AT_BASEPOINT_DOC, validate=False)
+def broken_space_setup(doc=BROKEN_AT_BASEPOINT_DOC):
+    """doc unvalidated, every slot its own class."""
+    space = parse_space(doc, validate=False)
     partition = partition_from_pairs(enumerate_slots(space), ())
     module = coefficient_module(dual_numbers(), partition, "regular")
     return CochainSetup(space, dual_numbers(), module, partition, 1)
@@ -338,8 +334,30 @@ def broken_space_setup():
 
 def test_identity_check_on_broken_space_is_internal_error():
     setup = broken_space_setup()
-    with pytest.raises(InternalError, match=r"relation a\) carries Simplex\(t\)"):
+    with pytest.raises(
+        InternalError, match=r"faces 0,1 of Simplex\(t\) break the simplicial identity"
+    ):
         setup.check_cosimplicial_identities()
+
+
+def test_identity_check_on_space_broken_away_from_basepoint_is_internal_error():
+    # d_0 d_2 t and d_1 d_0 t are different vertices, neither the basepoint
+    setup = broken_space_setup(BROKEN_AWAY_FROM_BASEPOINT_DOC)
+    with pytest.raises(InternalError, match=r"Simplex\(t\)"):
+        setup.check_cosimplicial_identities()
+
+
+def test_identity_check_on_point_space_is_fast():
+    # t is 0 in every degree, so the check has no simplex to visit
+    point = parse_space(
+        {"name": "point", "basepoint": "pt", "simplices": [{"name": "pt", "dim": 0}]}
+    )
+    alg = ground_field()
+    partition = partition_from_pairs(enumerate_slots(point), ())
+    setup = CochainSetup(point, alg, identity_module(alg.field, 1, ()), partition, 200)
+    start = time.perf_counter()
+    assert setup.check_cosimplicial_identities() == []
+    assert time.perf_counter() - start < 0.5
 
 
 def test_identity_check_on_broken_space_is_internal_error_under_optimize():
@@ -359,7 +377,9 @@ def test_identity_check_on_broken_space_is_internal_error_under_optimize():
         capture_output=True, text=True, env=env, timeout=120, check=False,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("InternalError relation a) carries Simplex(t)")
+    assert proc.stdout.startswith(
+        "InternalError faces 0,1 of Simplex(t) break the simplicial identity"
+    )
 
 
 # -- cohomology ----------------------------------------------------------------

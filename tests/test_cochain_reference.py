@@ -32,7 +32,7 @@ from hhx.coeffalg import load_algebra, load_module
 from hhx.exactlinalg import Matrix
 from hhx.simplicial import parse_space
 from test_actions import slow_reduce_slot
-from test_golden import BUILTINS, GOLDEN
+from test_golden import BUILTINS, GOLDEN, OVERRIDES
 
 
 def unit_vec(F, d, t):
@@ -222,7 +222,7 @@ def golden_setup(name, override):
     algebra = load_algebra(str(GOLDEN / "dual-q.json"))
     if override:
         partition = partition_from_pairs(enumerate_slots(space), ())
-        module_path, top = GOLDEN / "override-sphere2.json", 2
+        module_path, top = GOLDEN / f"override-{name}.json", 2
     else:
         partition = sweep_closure(space)
         module_path, top = GOLDEN / f"regular-{name}.json", BUILTINS[name]
@@ -232,7 +232,7 @@ def golden_setup(name, override):
 
 @pytest.mark.parametrize(
     "name,override",
-    [(name, False) for name in BUILTINS] + [("sphere2", True)],
+    [(name, False) for name in BUILTINS] + [(name, True) for name in OVERRIDES],
 )
 def test_identity_check_matches_matrix_products_on_golden_setups(name, override):
     setup = golden_setup(name, override)

@@ -3,7 +3,8 @@ from math import comb
 
 import pytest
 
-from helpers import SCAN_LIKE_DOC
+from helpers import BROKEN_DOCS, SCAN_LIKE_DOC
+from hhx.actions import slot_at
 from hhx.errors import FormatError, ValidationError
 from hhx.simplicial import (
     Generator,
@@ -404,9 +405,20 @@ def test_face_face_identity(name):
                 )
 
 
-@pytest.mark.parametrize("name", BUILTINS)
-def test_degeneracy_degeneracy_identity(name):
-    space = builtin_space(name)
+# the codegeneracy relations of the cosimplicial identities come down to
+# these two, which read no face table entry or slot the two sides could
+# disagree on, so they hold on spaces that break d_i d_j = d_{j-1} d_i too
+# and check_cosimplicial_identities leaves them out
+WITH_BROKEN = pytest.mark.parametrize(
+    "space",
+    [builtin_space(name) for name in BUILTINS]
+    + [parse_space(doc, validate=False) for doc in BROKEN_DOCS],
+    ids=lambda space: space.name,
+)
+
+
+@WITH_BROKEN
+def test_degeneracy_degeneracy_identity(space):
     for s in all_simplices_up_to(space, 5):
         for i in range(s.dim + 1):
             for j in range(i, s.dim + 1):
@@ -415,9 +427,9 @@ def test_degeneracy_degeneracy_identity(name):
                 )
 
 
-@pytest.mark.parametrize("name", BUILTINS)
-def test_mixed_identity(name):
-    space = builtin_space(name)
+@WITH_BROKEN
+def test_mixed_identity(space):
+    slots = 0
     for s in all_simplices_up_to(space, 5):
         for j in range(s.dim + 1):
             target = space.degeneracy(s, j)
@@ -425,10 +437,15 @@ def test_mixed_identity(name):
                 got = space.face(target, i)
                 if i == j or i == j + 1:
                     assert got == s
-                elif i < j:
-                    assert got == space.degeneracy(space.face(s, i), j - 1)
-                else:
-                    assert got == space.degeneracy(space.face(s, i - 1), j)
+                    continue
+                k = i if i < j else i - 1
+                down = space.face(s, k)
+                assert got == space.degeneracy(down, j - 1 if i < j else j)
+                # at the basepoint both sides apply the same slot's action
+                if space.is_basepoint(down) and not space.is_basepoint(s):
+                    assert slot_at(target, i) == slot_at(s, k)
+                    slots += 1
+    assert slots > 0
 
 
 @pytest.mark.parametrize("name", BUILTINS)
@@ -454,3 +471,4 @@ def test_basepoint_degeneracies_recognized(name):
         if n:
             for i in range(n + 1):
                 assert space.is_basepoint(space.face(bp, i))
+
