@@ -11,13 +11,15 @@ class actions of all (n+1)-simplices whose i-th face is the basepoint,
 applied to the source evaluated at the per-simplex products grouped by the
 i-th face (empty product = unit). A codegeneracy places each source factor
 at the i-th degeneracy of its simplex and fills every other slot with the
-unit. Both kinds of matrix are built as a product of per-simplex factors
-(the grouped products; the identity at each degeneracy image) tensored
-with module blocks (the nonzero composite star actions; the identity), so
-the work is proportional to the nnz of the result; the star actions and the
-grouped products are extended one position at a time, forming each shared
-prefix once. The alternating sum of cofaces is the differential, the only
-matrix kept; cohomology dimensions come from exact rank/kernel computations.
+unit. Both are a product of per-simplex factors (the grouped products; the
+identity at each degeneracy image) tensored with module blocks (the nonzero
+composite star actions; the identity), expanded by one routine (_expand)
+whose work is the nnz of the result; the star actions and the grouped
+products are extended one position at a time, forming each shared prefix
+once. The differential δ_n = Σ (-1)^i d^i is expanded face by face into one
+dict of sparse columns, which goes straight into the exact elimination for
+its rank and is then dropped: cohomology dimensions need only the ranks, so
+no coface or differential matrix is formed or kept for them.
 
 The cosimplicial identities are checked on simplices, not on matrices:
 d_i d_j = d_{j-1} d_i holds exactly when the module acts equally on the two
@@ -34,7 +36,7 @@ from math import comb
 from .actions import ActionPartition, slot_at, slot_pairs
 from .coeffalg import Algebra, MultiModule, _unit_vector
 from .errors import BudgetError, ColumnBudgetError, InternalError, ValidationError
-from .exactlinalg import Matrix
+from .exactlinalg import Matrix, _eliminate
 from .simplicial import SimplicialSpace
 
 DEFAULT_BUDGET = 200_000
@@ -47,11 +49,11 @@ IDENTITY_LIMIT = 2_000_000
 class CochainSetup:
     """Space + algebra + multi-module + degree cap.
 
-    Coface and codegeneracy matrices for degrees up to the cap are built on
-    every call; differentials are memoised. Construction fails fast with
-    BudgetError, before any simplex is listed, if a hom space within the cap
-    exceeds the column budget or the identity check would make more than
-    IDENTITY_LIMIT simplex-pair visits.
+    Coface, codegeneracy and differential matrices are built on every call
+    and not kept; cohomology_dims forms none of them. Construction fails
+    fast with BudgetError, before any simplex is listed, if a hom space
+    within the cap exceeds the column budget or the identity check would
+    make more than IDENTITY_LIMIT simplex-pair visits.
     """
 
     def __init__(
@@ -72,7 +74,6 @@ class CochainSetup:
         self.partition = partition
         self.max_degree = max_degree
         self.budget = budget
-        self._differential = {}
         d = algebra.dim
         m = module.dim
         generators = [g for g in space.generators if g is not space.basepoint]
@@ -119,34 +120,69 @@ class CochainSetup:
     # -- matrices ---------------------------------------------------------
 
     def differential(self, n: int) -> Matrix:
-        """Alternating sum of the cofaces out of degree n (memoised)."""
+        """Alternating sum of the cofaces out of degree n, as a Matrix."""
         self._check_degree(n)
-        if n not in self._differential:
-            F = self.algebra.field
-            acc = {}
-            add = F.add
-            neg = F.neg
-            for i in range(n + 2):
-                for pos, v in self.coface(n, i).entries.items():
-                    term = v if i % 2 == 0 else neg(v)
-                    cur = acc.get(pos)
-                    acc[pos] = term if cur is None else add(cur, term)
-            self._differential[n] = Matrix(
-                F, self.hom_dims[n + 1], self.hom_dims[n], acc
-            )
-        return self._differential[n]
+        return self._matrix(n + 1, n, self._delta_columns(n))
 
     def coface(self, n: int, i: int) -> Matrix:
         self._check_degree(n + 1)
         if not 0 <= i <= n + 1:
             raise ValueError(f"coface index {i} out of range 0..{n + 1}")
+        columns = {}
+        if self.module.dim:
+            self._expand(columns, 1, *self._coface_terms(n, i))
+        return self._matrix(n + 1, n, columns)
+
+    def codegeneracy(self, n: int, i: int) -> Matrix:
+        self._check_degree(n + 1)
+        if not 0 <= i <= n:
+            raise ValueError(f"codegeneracy index {i} out of range 0..{n}")
+        space = self.space
+        d = self.algebra.dim
+        m = self.module.dim
+        columns = {}
+        if m == 0:
+            return self._matrix(n, n + 1, columns)
+        src = self._basis[n]
+        up = self._basis[n + 1]
+        up_pos = {s: p for p, s in enumerate(up)}
+        seen = set()
+        factors = []
+        for q, s in enumerate(src):
+            p = up_pos.get(space.degeneracy(s, i))
+            if p is None or p in seen:
+                raise InternalError("degeneracy image not found or not injective")
+            seen.add(p)
+            row_place = d ** (len(src) - 1 - q)
+            col_place = d ** (len(up) - 1 - p)
+            factors.append([(t * row_place, t * col_place, 1) for t in range(d)])
+        identity = [(u, u, 1) for u in range(m)]
+        self._expand(columns, 1, [(0, identity)], factors)
+        return self._matrix(n, n + 1, columns)
+
+    def _matrix(self, row_degree, col_degree, columns) -> Matrix:
+        return Matrix(
+            self.algebra.field,
+            self.hom_dims[row_degree],
+            self.hom_dims[col_degree],
+            {(r, c): v for c, column in columns.items() for r, v in column.items()},
+        )
+
+    def _delta_columns(self, n: int) -> dict:
+        """The columns {col: {row: value}} of δ_n = Σ (-1)^i d^i, nonzero only."""
+        columns = {}
+        if self.module.dim:
+            for i in range(n + 2):
+                self._expand(columns, -1 if i % 2 else 1, *self._coface_terms(n, i))
+        return columns
+
+    def _coface_terms(self, n: int, i: int):
+        """(blocks, factors) of d^i out of degree n for _expand; needs m > 0."""
         space = self.space
         alg = self.algebra
         F = alg.field
         d = alg.dim
         m = self.module.dim
-        if m == 0:
-            return Matrix(F, self.hom_dims[n + 1], self.hom_dims[n])
         src = self._basis[n]
         tgt = self._basis[n + 1]
         src_pos = {s: q for q, s in enumerate(src)}
@@ -195,68 +231,47 @@ class CochainSetup:
                 for t, c in enumerate(coords)
                 if c != 0
             ])
-        return self._kronecker(n + 1, n, blocks, factors)
+        return blocks, factors
 
-    def codegeneracy(self, n: int, i: int) -> Matrix:
-        self._check_degree(n + 1)
-        if not 0 <= i <= n:
-            raise ValueError(f"codegeneracy index {i} out of range 0..{n}")
-        space = self.space
-        F = self.algebra.field
-        d = self.algebra.dim
-        m = self.module.dim
-        if m == 0:
-            return Matrix(F, self.hom_dims[n], self.hom_dims[n + 1])
-        src = self._basis[n]
-        up = self._basis[n + 1]
-        up_pos = {s: p for p, s in enumerate(up)}
-        seen = set()
-        factors = []
-        for q, s in enumerate(src):
-            p = up_pos.get(space.degeneracy(s, i))
-            if p is None or p in seen:
-                raise InternalError("degeneracy image not found or not injective")
-            seen.add(p)
-            row_place = d ** (len(src) - 1 - q)
-            col_place = d ** (len(up) - 1 - p)
-            factors.append([(t * row_place, t * col_place, F.one) for t in range(d)])
-        identity = [(u, u, F.one) for u in range(m)]
-        return self._kronecker(n, n + 1, [(0, identity)], factors)
-
-    def _kronecker(self, row_degree, col_degree, blocks, factors) -> Matrix:
-        """The sparse Kronecker product of the factors and the module blocks.
+    def _expand(self, columns, sign, blocks, factors):
+        """Add sign times the Kronecker product of factors and blocks into columns.
 
         A factor is a list of nonzero terms (row offset, column offset,
         coefficient) with offsets in assignment values; a block is (row
         offset, module entries (r, c, v)). Each choice of terms sums its
-        offsets to (row, col) and multiplies its coefficients, then puts
-        every block entry at ((row + block offset) * m + r, col * m + c).
-        No two choices hit the same entry, so the work is the output nnz.
+        offsets to (row, col) and multiplies its coefficients to coeff, then
+        adds sign * coeff * v to columns[col * m + c][(row + block offset) *
+        m + r], deleting entries that cancel. The work is the product's nnz.
         """
-        F = self.algebra.field
-        mul = F.mul
+        p = self.algebra.field.p
         m = self.module.dim
-        entries = {}
+        # the block entries by module column c, as (row offset * m + r, v)
+        by_col = {}
+        for block_row, items in blocks:
+            for r, c, v in items:
+                by_col.setdefault(c, []).append((block_row * m + r, v))
         for chosen in itertools.product(*factors):
             row = col = 0
-            coeff = F.one
+            coeff = sign
             for r, c, v in chosen:
                 row += r
                 col += c
-                if v != 1:
-                    coeff = mul(coeff, v)
-            col_base = col * m
-            for block_row, items in blocks:
-                row_base = (row + block_row) * m
-                if coeff == 1:
-                    for r, c, v in items:
-                        entries[(row_base + r, col_base + c)] = v
-                else:
-                    for r, c, v in items:
-                        entries[(row_base + r, col_base + c)] = mul(coeff, v)
-        return Matrix(
-            F, self.hom_dims[row_degree], self.hom_dims[col_degree], entries
-        )
+                coeff *= v
+            row *= m
+            col *= m
+            for c, items in by_col.items():
+                column = columns.get(col + c)
+                if column is None:
+                    column = columns[col + c] = {}
+                for r, v in items:
+                    r += row
+                    v = coeff * v + column.get(r, 0)
+                    if p:
+                        v %= p
+                    if v:
+                        column[r] = v
+                    else:
+                        del column[r]
 
     # -- checks and cohomology --------------------------------------------
 
@@ -303,8 +318,11 @@ class CochainSetup:
         ]
 
     def cohomology_dims(self) -> list[int]:
-        """[HH^0 .. HH^N] by kernel/rank of the alternating-sum differentials."""
-        return _dims_from_differentials(self.differential, self.max_degree)
+        """[HH^0 .. HH^N]; each δ_n's columns go into the elimination, then away."""
+        p = self.algebra.field.p
+        degrees = range(self.max_degree + 1)
+        ranks = [_eliminate(self._delta_columns(n), p) for n in degrees]
+        return _dims_from_ranks(ranks, self.hom_dims)
 
     def report(self, *, with_cohomology: bool = True) -> dict:
         failures = self.check_cosimplicial_identities()
@@ -410,18 +428,14 @@ def classical_hochschild_dims(
                 put(acc, (row_base + r, col_value * m + c), neg(v) if last_sign else v)
         return Matrix(F, rows, cols, acc)
 
-    return _dims_from_differentials(diff, max_degree)
+    ranks = [diff(n).rank() for n in range(max_degree + 1)]
+    return _dims_from_ranks(ranks, [m * d**n for n in range(max_degree + 1)])
 
 
-def _dims_from_differentials(differential, max_degree: int) -> list[int]:
-    """[H^0 .. H^N] of the complex whose n-th differential is differential(n)."""
-    dims = []
-    prev_rank = 0
-    for n in range(max_degree + 1):
-        delta = differential(n)
-        hh = delta.kernel_dim() - prev_rank
-        if hh < 0:
+def _dims_from_ranks(ranks, dims) -> list[int]:
+    """[H^0 .. H^N] of a complex with rank δ_n = ranks[n] and dim C^n = dims[n]."""
+    hh = [dims[n] - rank - (ranks[n - 1] if n else 0) for n, rank in enumerate(ranks)]
+    for n, h in enumerate(hh):
+        if h < 0:
             raise InternalError(f"negative cohomology dimension in degree {n}")
-        dims.append(hh)
-        prev_rank = delta.rank()
-    return dims
+    return hh

@@ -1,4 +1,4 @@
-"""Exact fields (rationals, prime fields) and sparse matrices with rank/kernel.
+"""Exact fields (rationals, prime fields) and sparse matrices with rank.
 
 Scalars are plain Python numbers: over the rationals an element is an int
 whenever it is integral and a fractions.Fraction otherwise (the two mix
@@ -6,10 +6,10 @@ exactly and compare/hash equal); over F_p an element is an int in [0, p).
 No floating point is used anywhere.
 
 Rank over either field comes from one sparse elimination driver,
-_eliminate, which keeps a column -> rows index so that each pivot touches
-only the rows holding its column. Only the row combination depends on the
-field: mod p over F_p, fraction-free integer combination with gcd
-reduction over Q.
+_eliminate, on a dict of sparse vectors: the shorter side of a Matrix, or
+the columns of a differential as the cochain engine assembles them. Only the
+combination step depends on the field: mod p over F_p, fraction-free integer
+combination with gcd reduction over Q.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ class Field:
 
     zero = 0
     one = 1
+    p = 0  # the characteristic: 0 over Q, the modulus over F_p
 
     def parse(self, value):
         """Read a scalar from JSON: an int or a "p/q" string."""
@@ -307,48 +308,45 @@ class Matrix:
     def rank(self) -> int:
         """Rank over the field, by one exact sparse elimination (_eliminate).
 
-        Over F_p rows combine mod p; over Q they are scaled to integers and
-        combine fraction-free with gcd reductions. Cached after the first call.
+        The shorter side of the matrix becomes the vectors (rank(M) =
+        rank(M^T)). Cached after the first call.
         """
         if self._rank is None:
-            self._rank = _eliminate(self)
+            tall = self.rows > self.cols
+            vectors = {}
+            for (r, c), v in self.entries.items():
+                vectors.setdefault(c if tall else r, {})[r if tall else c] = v
+            self._rank = _eliminate(vectors, self.field.p)
         return self._rank
-
-    def kernel_dim(self) -> int:
-        return self.cols - self.rank()
 
 
 def _clear_denominators(row: dict) -> dict:
+    """row scaled to ints by the lcm of its denominators; row itself if all ints."""
     mult = 1
     for v in row.values():
-        if isinstance(v, Fraction):
+        if type(v) is not int:
             mult = lcm(mult, v.denominator)
-    if mult == 1:
-        return {c: int(v) if isinstance(v, Fraction) else v for c, v in row.items()}
+    if mult == 1 and all(type(v) is int for v in row.values()):
+        return row
     return {c: int(v * mult) for c, v in row.items()}
 
 
-def _eliminate(m: Matrix) -> int:
-    """Rank by sparse elimination with a column -> rows index.
+def _eliminate(rows: dict, p: int) -> int:
+    """Rank over F_p (Q if p = 0) of the sparse vectors {key: {coord: value}}.
 
-    The shorter side of m becomes the rows (rank(M) = rank(M^T)). Rows are
-    popped in turn; each nonzero popped row is a pivot row, pivoting on its
-    column held by the fewest remaining rows, and only those rows are
-    eliminated. Over F_p a row r becomes r - (a/piv) prow mod p. Over Q the
-    rows are scaled to integers first and r becomes (piv/g) r - (a/g) prow
-    with g = gcd(piv, a), then r is divided by the gcd of its entries; both
-    divisions are exact, so no Fraction arises.
+    Empty vectors are allowed; rows is consumed (over Q each vector is
+    replaced by an integer multiple as it is read, so none is held twice).
+    Each popped vector pivots on its coordinate held by the fewest remaining
+    vectors, and only those are eliminated: over F_p r becomes r - (a/piv)
+    prow mod p; over Q r becomes (piv/g) r - (a/g) prow, g = gcd(piv, a),
+    then is divided by the gcd of its entries, exactly, so no Fraction arises.
     """
-    p = m.field.p if isinstance(m.field, PrimeField) else 0
-    rows = {}
-    if m.rows > m.cols:
-        for (c, r), v in m.entries.items():
-            rows.setdefault(r, {})[c] = v
-    else:
-        for (r, c), v in m.entries.items():
-            rows.setdefault(r, {})[c] = v
     where = {}
-    for r, row in rows.items():
+    for r in list(rows):
+        row = rows[r]
+        if not row:
+            del rows[r]
+            continue
         if not p:
             rows[r] = row = _clear_denominators(row)
         for c in row:

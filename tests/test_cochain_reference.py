@@ -3,13 +3,16 @@
 The reference implementations below recompute coface and codegeneracy
 matrices directly from their defining evaluation rules, one (target, source)
 basis pair at a time, with none of the engine's caching or expansion
-shortcuts. Agreement on assorted setups pins the optimized assembly. The
-cosimplicial identities are also checked the slow way, as products of the
-engine's coface and codegeneracy matrices, against the engine's check on
-simplices.
+shortcuts. Agreement on assorted setups pins the optimized assembly: the
+coface and codegeneracy matrices, each differential against the alternating
+sum of reference cofaces, and the rank the engine takes from the columns it
+assembles against the rank of that differential. The cosimplicial
+identities are also checked the slow way, as products of the engine's coface
+and codegeneracy matrices, against the engine's check on simplices.
 """
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -17,6 +20,8 @@ from helpers import (
     coefficient_module,
     cubic_truncation,
     dual_numbers,
+    ground_field,
+    identity_module,
     space_and_partition,
 )
 from hhx import (
@@ -29,7 +34,7 @@ from hhx import (
 )
 from hhx.actions import enumerate_slots, partition_from_pairs, sweep_closure
 from hhx.coeffalg import load_algebra, load_module
-from hhx.exactlinalg import Matrix
+from hhx.exactlinalg import Matrix, _eliminate
 from hhx.simplicial import parse_space
 from test_actions import slow_reduce_slot
 from test_golden import BUILTINS, GOLDEN, OVERRIDES
@@ -203,6 +208,100 @@ def test_override_cofaces_match_reference():
             assert setup.coface(n, i) == slow_coface(setup, n, i)
 
 
+# -- differentials and the engine's rank ---------------------------------------
+
+
+def slow_differential(setup, n):
+    """Σ (-1)^i of the reference cofaces out of degree n."""
+    total = slow_coface(setup, n, 0)
+    for i in range(1, n + 2):
+        term = slow_coface(setup, n, i)
+        total = total + (term.scale(-1) if i % 2 else term)
+    return total
+
+
+def engine_rank(setup, n):
+    """rank δ_n as cohomology_dims takes it: from the assembled columns."""
+    return _eliminate(setup._delta_columns(n), setup.algebra.field.p)
+
+
+def check_differentials(setup, degrees):
+    for n in degrees:
+        delta = setup.differential(n)
+        assert delta == slow_differential(setup, n), n
+        assert engine_rank(setup, n) == delta.rank(), n
+
+
+@pytest.mark.parametrize("name,alg_fn,kind,top", REFERENCE_SETUPS)
+def test_differentials_match_reference(name, alg_fn, kind, top):
+    algebra = alg_fn()
+    space, partition = space_and_partition(name)
+    module = coefficient_module(algebra, partition, kind)
+    setup = CochainSetup(space, algebra, module, partition, top)
+    check_differentials(setup, range(top + 1))
+
+
+def zero_module_setup():
+    """m = 0 over the dual numbers on the circle: every hom space is 0."""
+    algebra = dual_numbers()
+    space, partition = space_and_partition("circle")
+    empty = Matrix(algebra.field, 0, 0)
+    module = MultiModule(0, {cid: (empty, empty) for cid in partition.class_ids})
+    return CochainSetup(space, algebra, module, partition, 2)
+
+
+def point_space_setup():
+    """d = 1: the point space over k, t = 0 in every degree."""
+    point = parse_space(
+        {"name": "point", "basepoint": "pt", "simplices": [{"name": "pt", "dim": 0}]}
+    )
+    algebra = ground_field()
+    partition = partition_from_pairs(enumerate_slots(point), ())
+    module = identity_module(algebra.field, 1, ())
+    return CochainSetup(point, algebra, module, partition, 4)
+
+
+def fraction_module_setup():
+    """x acts by [[0, 1/2], [0, 0]] and [[0, -2/3], [0, 0]] on the circle's classes."""
+    algebra = dual_numbers()
+    F = algebra.field
+    space, partition = space_and_partition("circle")
+    ident = Matrix.identity(F, 2)
+    module = MultiModule(
+        2,
+        {
+            cid: (ident, Matrix(F, 2, 2, {(0, 1): k}))
+            for cid, k in zip(partition.class_ids, (Fraction(1, 2), Fraction(-2, 3)))
+        },
+    )
+    validate_module(module, algebra, partition.class_ids)
+    return CochainSetup(space, algebra, module, partition, 3)
+
+
+@pytest.mark.parametrize(
+    "make", [zero_module_setup, point_space_setup, fraction_module_setup],
+    ids=["m=0", "point-over-k", "Q-fractions"],
+)
+def test_edge_setups_match_reference(make):
+    setup = make()
+    top = setup.max_degree
+    for n in range(top + 1):
+        for i in range(n + 2):
+            assert setup.coface(n, i) == slow_coface(setup, n, i), (n, i)
+        for i in range(n + 1):
+            assert setup.codegeneracy(n, i) == slow_codegeneracy(setup, n, i), (n, i)
+    check_differentials(setup, range(top + 1))
+
+
+def test_fraction_module_differentials_hold_fractions():
+    setup = fraction_module_setup()
+    values = setup.differential(1).entries.values()
+    assert any(isinstance(v, Fraction) for v in values)
+    assert setup.cohomology_dims() == classical_hochschild_dims(
+        setup.algebra, setup.module, "e.0", "e.1", 3
+    )
+
+
 # -- the identity check on simplices against matrix products ------------------
 
 
@@ -239,6 +338,21 @@ def test_identity_check_matches_matrix_products_on_golden_setups(name, override)
     expected = slow_check_cosimplicial_identities(setup)
     assert (expected != []) == override
     assert setup.check_cosimplicial_identities() == expected
+
+
+@pytest.mark.parametrize(
+    "name,override",
+    [(name, False) for name in BUILTINS] + [(name, True) for name in OVERRIDES],
+)
+def test_differentials_match_reference_on_golden_setups(name, override):
+    setup = golden_setup(name, override)
+    # the reference visits every (target, source) basis pair
+    degrees = [
+        n for n in range(setup.max_degree + 1)
+        if setup.hom_dims[n + 1] * setup.hom_dims[n] <= 2**12
+    ]
+    assert degrees
+    check_differentials(setup, degrees)
 
 
 # top degree of each space in the per-slot module draws

@@ -8,6 +8,7 @@ from hhx.exactlinalg import (
     Matrix,
     PrimeField,
     QQ,
+    _eliminate,
     field_from_json,
     field_from_text,
 )
@@ -107,12 +108,17 @@ def test_rank_examples():
     assert Matrix(QQ, 4, 5).rank() == 0
     assert Matrix.identity(QQ, 5).rank() == 5
     assert Matrix.from_rows(QQ, [[1, 2], [2, 4]]).rank() == 1
+    assert Matrix(QQ, 0, 3).rank() == Matrix(QQ, 3, 0).rank() == 0
 
 
 def test_kernel_examples():
-    assert Matrix(QQ, 4, 5).kernel_dim() == 5
-    assert Matrix.identity(QQ, 5).kernel_dim() == 0
-    assert Matrix.from_rows(QQ, [[1, 2], [2, 4]]).kernel_dim() == 1
+    # the kernel dimension is cols - rank, as the cochain engine reads it
+    for m, kernel in (
+        (Matrix(QQ, 4, 5), 5),
+        (Matrix.identity(QQ, 5), 0),
+        (Matrix.from_rows(QQ, [[1, 2], [2, 4]]), 1),
+    ):
+        assert m.cols - m.rank() == kernel
 
 
 def test_rank_with_fractions():
@@ -126,7 +132,6 @@ def test_rank_with_fractions():
     )
     # rows are multiples of the first
     assert m.rank() == 1
-    assert m.kernel_dim() == 2
 
 
 def _random_matrix(field, rng, rows, cols, density=0.6):
@@ -143,12 +148,12 @@ def _random_matrix(field, rng, rows, cols, density=0.6):
     return Matrix(field, rows, cols, entries)
 
 
-def test_rank_plus_kernel_is_cols():
+def test_rank_at_most_the_shorter_side():
     rng = random.Random(7)
     for field in (QQ, PrimeField(5)):
         for _ in range(40):
             m = _random_matrix(field, rng, rng.randint(0, 7), rng.randint(0, 7))
-            assert m.rank() + m.kernel_dim() == m.cols
+            assert m.rank() == naive_rank(m) <= min(m.rows, m.cols)
 
 
 def test_rank_invariant_under_permutation():
@@ -251,6 +256,46 @@ def test_rank_of_tall_and_wide_shapes():
             flipped = {(c, r): v for (r, c), v in tall.entries.items()}
             wide = Matrix(field, cols, rows, flipped)
             assert tall.rank() == wide.rank() == naive_rank(tall) == naive_rank(wide)
+
+
+def _summed_columns(field, rng, rows, cols):
+    """Columns {c: {r: v}} summed from random terms as the cochain engine adds
+    them: an entry that cancels is deleted, so some columns end up empty."""
+    columns = {c: {} for c in range(cols)}
+    for _ in range(rng.randint(0, rows * cols)):
+        c, r = rng.randrange(cols), rng.randrange(rows)
+        if field.p:
+            v = rng.randrange(1, field.p)
+        else:
+            v = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
+        terms = (v, field.neg(v)) if rng.random() < 0.4 else (v,)
+        column = columns[c]
+        for term in terms:
+            new = field.add(column.get(r, field.zero), term)
+            if new:
+                column[r] = new
+            else:
+                column.pop(r, None)
+    return columns
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_elimination_core_from_columns_and_rows(field):
+    rng = random.Random(31)
+    empty_seen = 0
+    for _ in range(60):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        columns = _summed_columns(field, rng, rows, cols)
+        empty_seen += sum(not column for column in columns.values())
+        entries = {(r, c): v for c, column in columns.items() for r, v in column.items()}
+        m = Matrix(field, rows, cols, entries)
+        by_row = {r: {} for r in range(rows)}
+        for (r, c), v in entries.items():
+            by_row[r][c] = v
+        from_columns = _eliminate(columns, field.p)
+        assert columns == {}  # consumed
+        assert from_columns == _eliminate(by_row, field.p) == m.rank() == naive_rank(m)
+    assert empty_seen
 
 
 def test_add_scale_neg():
