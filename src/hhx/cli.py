@@ -132,6 +132,12 @@ def cmd_validate(args) -> int:
 
 def cmd_actions(args) -> int:
     space = _load_space(args)
+    if args.emit_template:
+        # argument errors come before the closures, which may take seconds
+        if not args.algebra:
+            raise FormatError("--emit-template requires --algebra")
+        field = field_from_text(args.field) if args.field else None
+        algebra = load_algebra(args.algebra, field=field)
     partition = actions_mod.sweep_closure(space)
     payload = partition.to_report()
     lines = [f"space: {space.name}", f"slots ({len(partition.slots)}):"]
@@ -155,10 +161,6 @@ def cmd_actions(args) -> int:
             + ("agrees with the generator scan" if agrees else "DISAGREES")
         )
     if args.emit_template:
-        if not args.algebra:
-            raise FormatError("--emit-template requires --algebra")
-        field = field_from_text(args.field) if args.field else None
-        algebra = load_algebra(args.algebra, field=field)
         module = multiplication_module(
             algebra, {cid: None for cid in partition.class_ids}
         )

@@ -5,8 +5,11 @@ import pytest
 from helpers import (
     BROKEN_AT_BASEPOINT_DOC,
     BROKEN_AWAY_FROM_BASEPOINT_DOC,
+    BROKEN_DOCS,
     BROKEN_VIA_I_ONLY_DOC,
     SCAN_LIKE_DOC,
+    ground_field,
+    identity_module,
 )
 from hhx.actions import (
     PARANOID_LIMIT,
@@ -17,10 +20,18 @@ from hhx.actions import (
     partition_from_pairs,
     reduce_slot,
     scan_size,
+    slot_pairs,
     sweep_closure,
 )
+from hhx.cochain import CochainSetup
 from hhx.errors import InternalError
-from hhx.simplicial import Simplex, builtin_space, parse_space, validate_space
+from hhx.simplicial import (
+    Simplex,
+    SimplicialSpace,
+    builtin_space,
+    parse_space,
+    validate_space,
+)
 
 BUILTINS = ("circle", "sphere2", "sphere3", "sphere4", "torus", "pinched-torus")
 
@@ -45,6 +56,16 @@ def slow_reduce_slot(space, s, i):
     if not space.is_basepoint(space.face(Simplex((), s.base), k)):
         raise ValueError(f"{slot!r} does not point at the basepoint")
     return slot
+
+
+def slow_paranoid_closure(space, dim_cap):
+    """paranoid_closure without the face table: one space.face call per pair."""
+    pairs = []
+    for n in range(2, dim_cap + 1):
+        for s in space.simplices(n):
+            if not space.is_basepoint(s):
+                pairs.extend(pair[2:] for pair in slot_pairs(space, s, space.face))
+    return partition_from_pairs(enumerate_slots(space), pairs)
 
 
 def ids(slots):
@@ -207,6 +228,102 @@ def test_paranoid_matches_generator_scan(name):
     reference = sweep_closure(space)
     for cap in range(space.max_dim + 1, 6):
         assert paranoid_closure(space, cap).same_classes(reference)
+
+
+@pytest.mark.parametrize("name", ("scan-like",) + BUILTINS)
+def test_paranoid_matches_slow_reference(name):
+    space = parse_space(SCAN_LIKE_DOC) if name == "scan-like" else builtin_space(name)
+    # the scan-like space's cells reach dimension 6, so its caps are 7 and 8
+    for cap in (space.max_dim + 1, space.max_dim + 2):
+        expected = slow_paranoid_closure(space, cap).to_report()
+        assert paranoid_closure(space, cap).to_report() == expected
+
+
+@pytest.mark.parametrize("doc", BROKEN_DOCS, ids=[d["name"] for d in BROKEN_DOCS])
+def test_paranoid_and_slow_reference_raise_the_same_internal_error(doc):
+    space = parse_space(doc, validate=False)
+    for cap in (3, 4):
+        with pytest.raises(InternalError) as slow:
+            slow_paranoid_closure(space, cap)
+        with pytest.raises(InternalError) as fast:
+            paranoid_closure(space, cap)
+        assert str(fast.value) == str(slow.value)
+
+
+def _one_vertex_doc(data, st):
+    """A one-vertex space drawn by hypothesis, valid by construction.
+
+    Edges are loops; each triangle face is an edge or s0 pt. A higher cell
+    has every face at the degenerate basepoint, or the faces of s_k x for
+    a drawn cell x of dimension >= 2, which satisfy the identities as s_k x
+    does.
+    """
+    edges = [f"e{k}" for k in range(data.draw(st.integers(1, 3)))]
+    simplices = [{"name": "pt", "dim": 0}]
+    loop = [["pt", []], ["pt", []]]
+    simplices += [{"name": e, "dim": 1, "faces": loop} for e in edges]
+    face = st.sampled_from([[e, []] for e in edges] + [["pt", [0]]])
+    for k in range(data.draw(st.integers(0, 4))):
+        faces = data.draw(st.lists(face, min_size=3, max_size=3))
+        simplices.append({"name": f"t{k}", "dim": 2, "faces": faces})
+    for k in range(data.draw(st.integers(0, 3))):
+        space = parse_space({"name": "x", "basepoint": "pt", "simplices": simplices})
+        cells = [g for g in space.generators if g.dim >= 2]
+        if cells and data.draw(st.booleans()):
+            g = data.draw(st.sampled_from(cells))
+            s = space.degeneracy(Simplex((), g), data.draw(st.integers(0, g.dim)))
+            faces = [space.face(s, i) for i in range(s.dim + 1)]
+            faces = [[f.base.name, list(f.word)] for f in faces]
+            dim = g.dim + 1
+        else:
+            dim = data.draw(st.integers(3, 4))
+            faces = [["pt", list(range(dim - 2, -1, -1))]] * (dim + 1)
+        simplices.append({"name": f"c{k}", "dim": dim, "faces": faces})
+    return {"name": "drawn", "basepoint": "pt", "simplices": simplices}
+
+
+def test_paranoid_matches_slow_reference_and_sweep_on_drawn_spaces():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        space = parse_space(_one_vertex_doc(data, st))
+        cap = space.max_dim + data.draw(st.integers(1, 2))
+        fast = paranoid_closure(space, cap)
+        assert fast.to_report() == slow_paranoid_closure(space, cap).to_report()
+        assert fast.same_classes(sweep_closure(space))
+
+    check()
+
+
+def test_paranoid_scan_computes_each_face_once(monkeypatch):
+    space = parse_space(SCAN_LIKE_DOC)
+    expected = sum(
+        (n + 1) * sum(1 for s in space.simplices(n) if not space.is_basepoint(s))
+        for n in range(1, 9)
+    )
+    calls = []
+    face = SimplicialSpace.face
+
+    def counting(self, s, i):
+        calls.append((s, i))
+        return face(self, s, i)
+
+    monkeypatch.setattr(SimplicialSpace, "face", counting)
+    paranoid_closure(space, 8)
+    assert len(calls) == len(set(calls)) == expected
+    # the point space has no non-basepoint simplex, so nothing to look up
+    calls.clear()
+    point = parse_space(
+        {"name": "point", "basepoint": "pt", "simplices": [{"name": "pt", "dim": 0}]}
+    )
+    alg = ground_field()
+    partition = partition_from_pairs(enumerate_slots(point), ())
+    setup = CochainSetup(point, alg, identity_module(alg.field, 1, ()), partition, 50)
+    assert setup.check_cosimplicial_identities() == []
+    assert calls == []
 
 
 def test_paranoid_cap_precondition():

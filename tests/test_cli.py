@@ -175,6 +175,25 @@ def test_actions_emit_template_requires_algebra(tmp_path, capsys):
     assert "--algebra" in err
 
 
+def test_actions_template_argument_errors_come_before_the_scans(tmp_path, capsys):
+    # the scan-like space's paranoid scan to dimension 14 takes seconds
+    space_path = write_json(tmp_path / "scan.json", SCAN_LIKE_DOC)
+    alg_path = write_json(tmp_path / "alg.json", DUAL_DOC)
+    scan = ("actions", "--space", space_path, "--paranoid", "14")
+    template = ("--emit-template", str(tmp_path / "m.json"))
+    for extra, message in (
+        ((), "--emit-template requires --algebra"),
+        (("--algebra", alg_path, "--field", "F4x"), "bad field 'F4x'"),
+    ):
+        start = time.perf_counter()
+        status, out, err = run_cli(capsys, *scan, *template, *extra)
+        assert time.perf_counter() - start < 1.0
+        assert status == 2
+        assert out == ""
+        assert message in err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_cohomology_circle_regular(tmp_path, capsys):
     alg_path = write_json(tmp_path / "dual.json", DUAL_DOC)
     mod_path = write_json(

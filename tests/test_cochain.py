@@ -18,7 +18,7 @@ from helpers import (
     random_f5_bimodules,
     space_and_partition,
 )
-from hhx import CochainSetup, classical_hochschild_dims, cochain, multiplication_module
+from hhx import CochainSetup, actions, classical_hochschild_dims, multiplication_module
 from hhx.actions import enumerate_slots, partition_from_pairs
 from hhx.cochain import identity_visits
 from hhx.errors import BudgetError, InternalError, ValidationError
@@ -298,11 +298,11 @@ def test_identity_check_forms_no_matrix_product(monkeypatch, space_name, top):
 def test_identity_visits_closed_form_matches_check(monkeypatch, space_name, top):
     setup = make_setup(space_name, dual_numbers(), "regular", top)
     assert setup.t == [len(setup.basis(n)) for n in range(top + 2)]
-    # the check hands each simplex it visits to slot_pairs, which walks its
-    # C(dim + 1, 2) pairs of face indices
-    visited = record_calls(monkeypatch, cochain, "slot_pairs")
+    # the check's level scan (actions.level_pairs) hands each simplex it
+    # visits to slot_pairs, which walks its C(dim + 1, 2) pairs of face indices
+    visited = record_calls(monkeypatch, actions, "slot_pairs")
     assert setup.check_cosimplicial_identities() == []
-    visits = sum(comb(s.dim + 1, 2) for _, s in visited)
+    visits = sum(comb(s.dim + 1, 2) for _, s, _ in visited)
     assert visits == identity_visits(setup.t, top) > 0
 
 
