@@ -138,6 +138,8 @@ def cmd_actions(args) -> int:
             raise FormatError("--emit-template requires --algebra")
         field = field_from_text(args.field) if args.field else None
         algebra = load_algebra(args.algebra, field=field)
+    elif args.algebra is not None or args.field is not None:
+        raise FormatError("--algebra and --field require --emit-template")
     partition = actions_mod.sweep_closure(space)
     payload = partition.to_report()
     lines = [f"space: {space.name}", f"slots ({len(partition.slots)}):"]

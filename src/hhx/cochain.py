@@ -19,7 +19,10 @@ products are extended one position at a time, forming each shared prefix
 once. The differential δ_n = Σ (-1)^i d^i is expanded face by face into one
 dict of sparse columns, which goes straight into the exact elimination for
 its rank and is then dropped: cohomology dimensions need only the ranks, so
-no coface or differential matrix is formed or kept for them.
+no coface or differential matrix is formed or kept for them. Clearing: δ_n
+leaves out its columns at δ_{n-1}'s pivots P, as the popped vectors lie in
+im δ_{n-1} and are triangular on P, so C^n = im δ_{n-1} ⊕ span{e_j : j ∉ P},
+and δ_n, which kills im δ_{n-1} (given δδ = 0), has the rank of the rest.
 
 The cosimplicial identities are checked on simplices, not on matrices:
 d_i d_j = d_{j-1} d_i holds exactly when the module acts equally on the two
@@ -170,12 +173,12 @@ class CochainSetup:
             {(r, c): v for c, column in columns.items() for r, v in column.items()},
         )
 
-    def _delta_columns(self, n: int) -> dict:
-        """The columns {col: {row: value}} of δ_n = Σ (-1)^i d^i, nonzero only."""
+    def _delta_columns(self, n: int, skip=frozenset()) -> dict:
+        """The nonzero columns {col: {row: value}} of δ_n = Σ (-1)^i d^i not in skip."""
         columns = {}
         if self.module.dim:
             for i in range(n + 2):
-                self._expand(columns, -1 if i % 2 else 1, *self._coface_terms(n, i))
+                self._expand(columns, (-1) ** i, *self._coface_terms(n, i), skip)
         return columns
 
     def _coface_terms(self, n: int, i: int):
@@ -235,15 +238,16 @@ class CochainSetup:
             ])
         return blocks, factors
 
-    def _expand(self, columns, sign, blocks, factors):
+    def _expand(self, columns, sign, blocks, factors, skip=frozenset()):
         """Add sign times the Kronecker product of factors and blocks into columns.
 
         A factor is a list of nonzero terms (row offset, column offset,
-        coefficient) with offsets in assignment values; a block is (row
-        offset, module entries (r, c, v)). Each choice of terms sums its
-        offsets to (row, col) and multiplies its coefficients to coeff, then
-        adds sign * coeff * v to columns[col * m + c][(row + block offset) *
-        m + r], deleting entries that cancel. The work is the product's nnz.
+        coefficient) with offsets in assignment values; a block is (row offset,
+        module entries (r, c, v)). Each choice of terms, built one factor at a
+        time, sums its offsets to (row, col) and multiplies its coefficients to
+        coeff, then adds sign * coeff * v to columns[col * m + c][(row + block
+        offset) * m + r] unless col * m + c is in skip, deleting entries that
+        cancel. The work is the product's nnz.
         """
         p = self.algebra.field.p
         m = self.module.dim
@@ -252,16 +256,21 @@ class CochainSetup:
         for block_row, items in blocks:
             for r, c, v in items:
                 by_col.setdefault(c, []).append((block_row * m + r, v))
-        for chosen in itertools.product(*factors):
-            row = col = 0
-            coeff = sign
-            for r, c, v in chosen:
-                row += r
-                col += c
-                coeff *= v
-            row *= m
-            col *= m
+        *head, last = factors or [[(0, 0, 1)]]
+        prefixes = [(0, 0, sign)]
+        for factor in head:
+            prefixes = [
+                (row + r, col + c, coeff * v % p if p else coeff * v)
+                for row, col, coeff in prefixes
+                for r, c, v in factor
+            ]
+        for (row, col, coeff), (r, c, v) in itertools.product(prefixes, last):
+            row = (row + r) * m
+            col = (col + c) * m
+            coeff *= v
             for c, items in by_col.items():
+                if col + c in skip:
+                    continue
                 column = columns.get(col + c)
                 if column is None:
                     column = columns[col + c] = {}
@@ -321,10 +330,13 @@ class CochainSetup:
         ]
 
     def cohomology_dims(self) -> list[int]:
-        """[HH^0 .. HH^N]; each δ_n's columns go into the elimination, then away."""
-        p = self.algebra.field.p
-        degrees = range(self.max_degree + 1)
-        ranks = [_eliminate(self._delta_columns(n), p) for n in degrees]
+        """[HH^0 .. HH^N]; each δ_n's columns, cleared of δ_{n-1}'s pivots (exact
+        as δδ = 0, which report checks first), go into the elimination, then away."""
+        ranks = []
+        pivots = frozenset()
+        for n in range(self.max_degree + 1):
+            pivots = _eliminate(self._delta_columns(n, pivots), self.algebra.field.p)
+            ranks.append(len(pivots))
         return _dims_from_ranks(ranks, self.hom_dims)
 
     def report(self, *, with_cohomology: bool = True) -> dict:

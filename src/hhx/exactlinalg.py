@@ -5,11 +5,11 @@ whenever it is integral and a fractions.Fraction otherwise (the two mix
 exactly and compare/hash equal); over F_p an element is an int in [0, p).
 No floating point is used anywhere.
 
-Rank over either field comes from one sparse elimination driver,
-_eliminate, on a dict of sparse vectors: the shorter side of a Matrix, or
-the columns of a differential as the cochain engine assembles them. Only the
-combination step depends on the field: mod p over F_p, fraction-free integer
-combination with gcd reduction over Q.
+Rank over either field is the number of pivots that one sparse elimination
+driver, _eliminate, returns for a dict of sparse vectors: the shorter side of
+a Matrix, or the columns of a differential as the cochain engine assembles
+them. Only the combination step depends on the field: mod p over F_p,
+fraction-free integer combination with gcd reduction over Q.
 """
 
 from __future__ import annotations
@@ -316,7 +316,7 @@ class Matrix:
             vectors = {}
             for (r, c), v in self.entries.items():
                 vectors.setdefault(c if tall else r, {})[r if tall else c] = v
-            self._rank = _eliminate(vectors, self.field.p)
+            self._rank = len(_eliminate(vectors, self.field.p))
         return self._rank
 
 
@@ -331,8 +331,8 @@ def _clear_denominators(row: dict) -> dict:
     return {c: int(v * mult) for c, v in row.items()}
 
 
-def _eliminate(rows: dict, p: int) -> int:
-    """Rank over F_p (Q if p = 0) of the sparse vectors {key: {coord: value}}.
+def _eliminate(rows: dict, p: int) -> set:
+    """Pivots of the sparse vectors {key: {coord: value}} over F_p (Q if p = 0).
 
     Empty vectors are allowed; rows is consumed (over Q each vector is
     replaced by an integer multiple as it is read, so none is held twice).
@@ -340,6 +340,7 @@ def _eliminate(rows: dict, p: int) -> int:
     vectors, and only those are eliminated: over F_p r becomes r - (a/piv)
     prow mod p; over Q r becomes (piv/g) r - (a/g) prow, g = gcd(piv, a),
     then is divided by the gcd of its entries, exactly, so no Fraction arises.
+    The popped vectors span the input and are zero at all earlier pivots.
     """
     where = {}
     for r in list(rows):
@@ -351,14 +352,14 @@ def _eliminate(rows: dict, p: int) -> int:
             rows[r] = row = _clear_denominators(row)
         for c in row:
             where.setdefault(c, set()).add(r)
-    rk = 0
+    pivots = set()
     while rows:
         pr, prow = rows.popitem()
         for c in prow:
             where[c].discard(pr)
         col = min(prow, key=lambda c: len(where[c]))
         piv = prow.pop(col)
-        rk += 1
+        pivots.add(col)
         if p:
             pinv = pow(piv, -1, p)
         for r in where.pop(col):
@@ -391,4 +392,4 @@ def _eliminate(rows: dict, p: int) -> int:
                 if g != 1:
                     for c in row:
                         row[c] //= g
-    return rk
+    return pivots

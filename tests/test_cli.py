@@ -5,6 +5,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from helpers import (
     DUAL_DOC,
     GROUND_DOC,
@@ -12,6 +14,7 @@ from helpers import (
     dual_numbers,
     multiplication_module,
 )
+from hhx import actions
 from hhx.cli import main
 
 
@@ -192,6 +195,19 @@ def test_actions_template_argument_errors_come_before_the_scans(tmp_path, capsys
         assert out == ""
         assert message in err
     assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--algebra", "missing.json"), ("--field", "F4x")])
+def test_actions_algebra_and_field_need_emit_template(flag, value, capsys, monkeypatch):
+    # refused before any closure runs, whatever the value
+    monkeypatch.setattr(actions, "sweep_closure", None)
+    monkeypatch.setattr(actions, "paranoid_closure", None)
+    status, out, err = run_cli(
+        capsys, "actions", "--builtin", "circle", "--paranoid", "3", flag, value
+    )
+    assert status == 2
+    assert out == ""
+    assert "--algebra and --field require --emit-template" in err
 
 
 def test_cohomology_circle_regular(tmp_path, capsys):

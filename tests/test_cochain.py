@@ -10,6 +10,8 @@ import pytest
 from helpers import (
     BROKEN_AT_BASEPOINT_DOC,
     BROKEN_AWAY_FROM_BASEPOINT_DOC,
+    CUBIC_DOC,
+    DUAL_DOC,
     coefficient_module,
     cubic_truncation,
     dual_numbers,
@@ -18,7 +20,15 @@ from helpers import (
     random_f5_bimodules,
     space_and_partition,
 )
-from hhx import CochainSetup, actions, classical_hochschild_dims, multiplication_module
+from hhx import (
+    CochainSetup,
+    MultiModule,
+    actions,
+    classical_hochschild_dims,
+    multiplication_module,
+    parse_algebra,
+    validate_module,
+)
 from hhx.actions import enumerate_slots, partition_from_pairs
 from hhx.cochain import identity_visits
 from hhx.errors import BudgetError, InternalError, ValidationError
@@ -320,8 +330,8 @@ def test_report_assembles_each_delta_once_and_keeps_none(monkeypatch):
     built = []
     original_columns = CochainSetup._delta_columns
 
-    def recording_columns(self, n):
-        columns = original_columns(self, n)
+    def recording_columns(self, n, skip):
+        columns = original_columns(self, n, skip)
         built.append((n, columns))
         return columns
 
@@ -511,4 +521,47 @@ def test_torus_delta2_rank_pinned(field_doc, kind, shape, rank):
     # the engine's path: the columns of δ_2 straight into the elimination
     columns = setup._delta_columns(2)
     assert len(columns) <= shape[1]
-    assert _eliminate(columns, setup.algebra.field.p) == rank
+    assert len(_eliminate(columns, setup.algebra.field.p)) == rank
+
+
+# top degree per space in the δδ = 0 draws, kept small for the cubic algebra
+SQUARE_ZERO_TOPS = {"circle": 3, "sphere2": 2, "torus": 1}
+
+
+def test_differential_squares_to_zero_on_random_commuting_fp_modules():
+    """δ_{n+1} δ_n = 0, the condition under which cohomology_dims may clear."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=25, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        name = data.draw(st.sampled_from(sorted(SQUARE_ZERO_TOPS)))
+        p = data.draw(st.sampled_from([2, 3, 5, 7]))
+        cubic = data.draw(st.booleans())
+        algebra = parse_algebra(dict(CUBIC_DOC if cubic else DUAL_DOC, field={"Fp": p}))
+        F = algebra.field
+        space, partition = space_and_partition(name)
+        m = data.draw(st.integers(1, 3))
+        scalar = st.integers(0, p - 1)
+        shift = Matrix(F, m, m, {(r, r + 1): 1 for r in range(m - 1)})
+        half = m // 2
+        actions_by_class = {}
+        for cid in partition.class_ids:
+            if cubic:
+                # a polynomial in the shift J (J^3 = 0): all such commute
+                x = shift.scale(data.draw(scalar)) + (shift @ shift).scale(data.draw(scalar))
+                actions_by_class[cid] = (Matrix.identity(F, m), x, x @ x)
+            else:
+                # nonzero only from the last m - half coordinates to the
+                # first half: any product of two such is 0
+                block = {(r, c): data.draw(scalar) for r in range(half) for c in range(half, m)}
+                actions_by_class[cid] = (Matrix.identity(F, m), Matrix(F, m, m, block))
+        module = MultiModule(m, actions_by_class)
+        validate_module(module, algebra, partition.class_ids)
+        setup = CochainSetup(space, algebra, module, partition, SQUARE_ZERO_TOPS[name])
+        for n in range(setup.max_degree):
+            product = setup.differential(n + 1) @ setup.differential(n)
+            assert not product.entries, (name, p, n)
+
+    check()

@@ -222,7 +222,7 @@ def slow_differential(setup, n):
 
 def engine_rank(setup, n):
     """rank δ_n as cohomology_dims takes it: from the assembled columns."""
-    return _eliminate(setup._delta_columns(n), setup.algebra.field.p)
+    return len(_eliminate(setup._delta_columns(n), setup.algebra.field.p))
 
 
 def check_differentials(setup, degrees):
@@ -353,6 +353,40 @@ def test_differentials_match_reference_on_golden_setups(name, override):
     ]
     assert degrees
     check_differentials(setup, degrees)
+
+
+def check_clearing(setup):
+    """rank δ_n from its columns outside δ_{n-1}'s pivots, as cohomology_dims
+    takes it, against the rank from all its columns, for n >= 1. Returns the
+    number of left-out columns that hold nonzeros."""
+    p = setup.algebra.field.p
+    dropped = 0
+    for n in range(1, setup.max_degree + 1):
+        pivots = _eliminate(setup._delta_columns(n - 1), p)
+        full = setup._delta_columns(n)
+        dropped += sum(1 for j in pivots if full.get(j))
+        cleared = setup._delta_columns(n, pivots)
+        assert not pivots & cleared.keys(), n
+        assert len(_eliminate(cleared, p)) == len(_eliminate(full, p)), n
+    return dropped
+
+
+def test_clearing_keeps_every_rank():
+    setups = {}
+    for name, alg_fn, kind, top in REFERENCE_SETUPS:
+        algebra = alg_fn()
+        space, partition = space_and_partition(name)
+        module = coefficient_module(algebra, partition, kind)
+        setups[name, alg_fn.__name__, kind] = CochainSetup(
+            space, algebra, module, partition, top
+        )
+    # clearing needs δδ = 0; the override goldens fail the identities, so
+    # only the class-keyed golden setups join
+    for name in BUILTINS:
+        setups["golden", name] = golden_setup(name, False)
+    dropped = {label: check_clearing(setup) for label, setup in setups.items()}
+    # some left-out columns are nonzero, so leaving out the wrong ones shows
+    assert sum(dropped.values()) > 0, dropped
 
 
 # top degree of each space in the per-slot module draws

@@ -292,9 +292,14 @@ def test_elimination_core_from_columns_and_rows(field):
         by_row = {r: {} for r in range(rows)}
         for (r, c), v in entries.items():
             by_row[r][c] = v
-        from_columns = _eliminate(columns, field.p)
+        pivots = _eliminate(columns, field.p)
         assert columns == {}  # consumed
-        assert from_columns == _eliminate(by_row, field.p) == m.rank() == naive_rank(m)
+        rank = naive_rank(m)
+        assert len(pivots) == len(_eliminate(by_row, field.p)) == m.rank() == rank
+        # the input vectors restricted to their pivot coordinates keep the
+        # rank: what clearing a cochain differential relies on
+        on_pivots = {(r, c): v for (r, c), v in entries.items() if r in pivots}
+        assert naive_rank(Matrix(field, rows, cols, on_pivots)) == rank
     assert empty_seen
 
 
