@@ -22,12 +22,13 @@ its rank and is then dropped: cohomology dimensions need only the ranks, so
 no coface or differential matrix is formed or kept for them. Clearing: δ_n
 leaves out its columns at δ_{n-1}'s pivots P, as the popped vectors lie in
 im δ_{n-1} and are triangular on P, so C^n = im δ_{n-1} ⊕ span{e_j : j ∉ P},
-and δ_n, which kills im δ_{n-1} (given δδ = 0), has the rank of the rest.
+and δ_n, which kills im δ_{n-1} (given δδ = 0, which cohomology_dims
+checks first), has the rank of the rest.
 
 The cosimplicial identities are checked on simplices, not on matrices:
 d_i d_j = d_{j-1} d_i holds exactly when the module acts equally on the two
 slots through which each basepoint face d_i d_j s is reached
-(actions.slot_pairs), and the relations with codegeneracies hold by
+(actions.level_pairs), and the relations with codegeneracies hold by
 construction (check_cosimplicial_identities). No matrix is built for it.
 """
 
@@ -45,9 +46,9 @@ from .simplicial import SimplicialSpace
 DEFAULT_BUDGET = 200_000
 
 # most simplex-pair visits check_cosimplicial_identities may make: at the
-# limit about 1 s on circle, sphere2, sphere3 or torus over k (0.5-0.7
-# microseconds a visit), 3.5 s on sphere12 (-N 16), where most pairs reach
-# the basepoint; 2-vCPU host, Python 3.11
+# limit 0.45-0.8 s on circle, sphere2, sphere3 or torus over k (0.23-0.49
+# microseconds a visit), 1.4 s on sphere12 (-N 16, 1,259,700 visits), where
+# most pairs reach the basepoint; 2-vCPU host, Python 3.11
 IDENTITY_LIMIT = 2_000_000
 
 
@@ -103,6 +104,7 @@ class CochainSetup:
             n: tuple(s for s in space.simplices(n) if not space.is_basepoint(s))
             for n in range(max_degree + 2)
         }
+        self._failures = None  # the identity verdict, once scanned
 
     def basis(self, n: int):
         """The non-basepoint n-simplices indexing the tensor factors."""
@@ -291,13 +293,14 @@ class CochainSetup:
 
         Returns the failing instances (n, i, j), i < j, as {"relation": "a",
         "n", "i", "j"} sorted by (n, j, i); empty means the cosimplicial
-        structure is consistent. No coface or codegeneracy matrix is built.
+        structure is consistent. No coface or codegeneracy matrix is built,
+        and the scan runs once per setup: later calls return its verdict.
 
         Both composites carry the factor on a simplex s of degree n + 2 to
         the same face d_i d_j s = d_{j-1} d_i s. Away from the basepoint
         that face joins the argument either way; at the basepoint the first
         composite applies the action of the slot reached via j and the
-        second that of the slot reached via i (actions.slot_pairs). So an
+        second that of the slot reached via i (actions.level_pairs). So an
         instance holds exactly when the module acts equally on every such
         pair of slots. This is exact for a validated module (unital,
         multiplicative, with commuting actions) over a commutative algebra:
@@ -305,9 +308,9 @@ class CochainSetup:
         simplex, and the unit on every other simplex isolates one action.
         A space that breaks d_i d_j = d_{j-1} d_i raises InternalError.
 
-        Degrees 2..N + 1 are scanned level by level from a face table
-        (actions.level_pairs) with no entry for basepoint simplices, so
-        each face is computed once and the point space computes none.
+        Degrees 2..N + 1 are scanned level by level from integer face rows
+        (actions.level_pairs) with no row for basepoint simplices, so each
+        face is found once and the point space finds none.
 
         The other relations hold by construction. s_i s_j x = s_j s_{i-1} x
         is an identity of degeneracy words alone. d_i s_j x is x when i is
@@ -316,22 +319,33 @@ class CochainSetup:
         the two sides could disagree on; the test suite checks both on
         simplices.
         """
-        class_of = self.partition.class_of
-        same = {}
-        failing = set()
-        for n, i, j, via_j, via_i in level_pairs(self.space, self.max_degree + 1):
-            key = (class_of(via_j), class_of(via_i))
-            if key not in same:
-                same[key] = self._action(key[0]) == self._action(key[1])
-            if not same[key]:
-                failing.add((n - 2, j, i))
-        return [
-            {"relation": "a", "n": n, "i": i, "j": j} for n, j, i in sorted(failing)
-        ]
+        if self._failures is None:
+            class_of = self.partition.class_of
+            same = {}  # (via_j, via_i) -> whether their classes act alike
+            failing = set()
+            for n, i, j, via_j, via_i in level_pairs(self.space, self.max_degree + 1):
+                equal = same.get((via_j, via_i))
+                if equal is None:
+                    equal = same[via_j, via_i] = (
+                        self._action(class_of(via_j)) == self._action(class_of(via_i))
+                    )
+                if not equal:
+                    failing.add((n - 2, j, i))
+            self._failures = tuple(
+                {"relation": "a", "n": n, "i": i, "j": j}
+                for n, j, i in sorted(failing)
+            )
+        return list(self._failures)
 
     def cohomology_dims(self) -> list[int]:
-        """[HH^0 .. HH^N]; each δ_n's columns, cleared of δ_{n-1}'s pivots (exact
-        as δδ = 0, which report checks first), go into the elimination, then away."""
+        """[HH^0 .. HH^N]; each δ_n's columns, cleared of δ_{n-1}'s pivots, go
+        into the elimination, then away. Clearing is exact as δδ = 0, so a
+        setup whose cosimplicial identities fail raises ValidationError."""
+        if self.check_cosimplicial_identities():
+            raise ValidationError(
+                "the cosimplicial identities fail, so δδ ≠ 0 and there is "
+                "no cohomology"
+            )
         ranks = []
         pivots = frozenset()
         for n in range(self.max_degree + 1):

@@ -76,6 +76,42 @@ def word_is_valid(word: tuple[int, ...], base_dim: int) -> bool:
     return True
 
 
+def _walk(word: tuple[int, ...], i: int):
+    """Push d_i through word, outermost index first: (kept, k) or (word', None).
+
+    The face index k (initially i) keeps j - 1 when k < j, keeps j and drops
+    to k - 1 when k > j + 1, and cancels s_j when k is j or j + 1; then the
+    kept indices followed by the rest of the word, word', are the whole
+    normal form over the same generator (k None). Otherwise d_k of the
+    generator is left, with the kept indices to merge over it.
+    """
+    kept = []
+    k = i
+    for t, j in enumerate(word):
+        if k < j:
+            kept.append(j - 1)
+        elif k > j + 1:
+            kept.append(j)
+            k -= 1
+        else:
+            return tuple(kept) + word[t + 1:], None
+    return tuple(kept), k
+
+
+def _face_of(base: Generator, walked):
+    """(word, base) of the face that _walk left: walked = (kept, k) or (word', None).
+
+    Plain pairs compare and hash like the Simplex of the same fields.
+    """
+    word, k = walked
+    if k is None:
+        return word, base
+    f = base.faces[k]
+    if not word:
+        return f
+    return _merge(word, f.word), f.base
+
+
 def _merge(outer, word: tuple[int, ...]) -> tuple[int, ...]:
     """Normal form of s_{outer[0]} ... s_{outer[-1]} applied over word.
 
@@ -123,13 +159,10 @@ class SimplicialSpace:
         return s.base is self.basepoint
 
     def face(self, s: Simplex, i: int) -> Simplex:
-        """d_i(s) in normal form, in one pass over the word of s.
+        """d_i(s) in normal form, in one pass over the word of s (_walk).
 
-        Walking the word outermost first, the face index k (initially i)
-        keeps j - 1 when k < j, keeps j and drops to k - 1 when k > j + 1,
-        and cancels s_j when k is j or j + 1: the kept indices followed by
-        the rest of the word are then the normal form. Without a
-        cancellation the kept indices are merged into base.faces[k].
+        Without a cancellation the kept indices are merged into
+        base.faces[k] (_face_of).
         """
         word, base = s
         n = base.dim + len(word)
@@ -137,20 +170,7 @@ class SimplicialSpace:
             raise ValueError(f"{s!r} has no faces")
         if not 0 <= i <= n:
             raise ValueError(f"face index {i} out of range for dim {n}")
-        kept = []
-        k = i
-        for t, j in enumerate(word):
-            if k < j:
-                kept.append(j - 1)
-            elif k > j + 1:
-                kept.append(j)
-                k -= 1
-            else:
-                return Simplex(tuple(kept) + word[t + 1:], base)
-        f = base.faces[k]
-        if not kept:
-            return f
-        return Simplex(_merge(kept, f.word), f.base)
+        return Simplex._make(_face_of(base, _walk(word, i)))
 
     def degeneracy(self, s: Simplex, i: int) -> Simplex:
         """s_i(s) in normal form: i merged into the word, one pass.

@@ -1,6 +1,7 @@
 """Shared fixtures-in-code: algebra documents, module builders, oracles."""
 
 import random
+from math import comb
 
 from hhx import (
     MultiModule,
@@ -119,6 +120,17 @@ BROKEN_DOCS = (
     BROKEN_VIA_I_ONLY_DOC,
     BROKEN_AWAY_FROM_BASEPOINT_DOC,
 )
+
+
+def scan_size(space, dim_cap):
+    """Number of simplices of dimensions 2..dim_cap, basepoint ones included.
+
+    A generator of dim d has C(n, d) n-simplices, and the sum of C(n, d)
+    over n = 2..dim_cap is C(dim_cap + 1, d + 1) - C(2, d + 1).
+    """
+    return sum(
+        comb(dim_cap + 1, g.dim + 1) - comb(2, g.dim + 1) for g in space.generators
+    )
 
 
 def dual_numbers(field_doc="Q"):

@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 
@@ -10,17 +11,20 @@ from helpers import (
     SCAN_LIKE_DOC,
     ground_field,
     identity_module,
+    scan_size,
 )
+from hhx import actions
 from hhx.actions import (
     PARANOID_LIMIT,
     ActionSlot,
     closure_pairs,
     enumerate_slots,
+    level_pairs,
     paranoid_closure,
+    paranoid_visits,
     partition_from_pairs,
     reduce_slot,
-    scan_size,
-    slot_pairs,
+    slot_at,
     sweep_closure,
 )
 from hhx.cochain import CochainSetup
@@ -58,14 +62,92 @@ def slow_reduce_slot(space, s, i):
     return slot
 
 
-def slow_paranoid_closure(space, dim_cap):
-    """paranoid_closure without the face table: one space.face call per pair."""
-    pairs = []
-    for n in range(2, dim_cap + 1):
+def slot_pairs(space, s):
+    """(i, j, via_j, via_i) for each basepoint face d_i d_j s, s of dim >= 2.
+
+    The pair rules of actions._pairs on Simplex values: space.face asked of
+    s and its non-basepoint faces, and each slot found with slot_at where a
+    pair reaches the basepoint.
+    """
+    n = s.dim
+    both_ways = not s.word
+    is_basepoint = space.is_basepoint
+    face = space.face
+    faces = [face(s, i) for i in range(n + 1)]
+    star = [is_basepoint(f) for f in faces]
+    for j in range(1, n + 1):
+        for i in range(j):
+            if star[j]:
+                via_j = slot_at(s, j)
+            elif is_basepoint(by_j := face(faces[j], i)):
+                via_j = slot_at(faces[j], i)
+            elif star[i] or both_ways:
+                via_j = None
+            else:
+                continue
+            if star[i]:
+                via_i = slot_at(s, i)
+            elif is_basepoint(by_i := face(faces[i], j - 1)):
+                via_i = slot_at(faces[i], j - 1)
+            else:
+                via_i = None
+            if via_j is None and via_i is None and by_j == by_i:
+                continue
+            if via_j is None or via_i is None:
+                raise InternalError(
+                    f"faces {i},{j} of {s!r} break the simplicial identity"
+                )
+            yield i, j, via_j, via_i
+
+
+def slow_level_pairs(space, top):
+    """level_pairs from slot_pairs: one space.face call per face and pair."""
+    for n in range(2, top + 1):
         for s in space.simplices(n):
             if not space.is_basepoint(s):
-                pairs.extend(pair[2:] for pair in slot_pairs(space, s, space.face))
+                for pair in slot_pairs(space, s):
+                    yield (n, *pair)
+
+
+def slow_paranoid_closure(space, dim_cap):
+    """paranoid_closure without the face rows."""
+    pairs = [pair[3:] for pair in slow_level_pairs(space, dim_cap)]
     return partition_from_pairs(enumerate_slots(space), pairs)
+
+
+def record_face_rows(monkeypatch):
+    """(simplices, position, slots, rows) of every later _face_rows call."""
+    calls = []
+    original = actions._face_rows
+
+    def recording(space, simplices, position, slots):
+        rows = original(space, simplices, position, slots)
+        calls.append((list(simplices), dict(position), slots, rows))
+        return rows
+
+    monkeypatch.setattr(actions, "_face_rows", recording)
+    return calls
+
+
+def check_face_rows(space, calls):
+    """Every recorded row entry against space.face and slot_at; the count."""
+    entries = 0
+    for simplices, position, slots, rows in calls:
+        faces = list(position)
+        by_position = list(slots)
+        assert len(rows) == len(simplices)
+        for s, row in zip(simplices, rows):
+            assert len(row) == s.dim + 1
+            for k, entry in enumerate(row):
+                face = space.face(s, k)
+                if entry < 0:
+                    assert space.is_basepoint(face)
+                    assert by_position[~entry] == slot_at(s, k)
+                else:
+                    assert not space.is_basepoint(face)
+                    assert faces[entry] == face
+                entries += 1
+    return entries
 
 
 def ids(slots):
@@ -312,10 +394,17 @@ def test_paranoid_scan_computes_each_face_once(monkeypatch):
         return face(self, s, i)
 
     monkeypatch.setattr(SimplicialSpace, "face", counting)
+    tables = record_face_rows(monkeypatch)
     paranoid_closure(space, 8)
-    assert len(calls) == len(set(calls)) == expected
+    # the level scan calls no face; it builds one row entry per (simplex,
+    # face index), each level once
+    assert calls == []
+    built = [(s, k) for simplices, _, _, _ in tables for s in simplices
+             for k in range(s.dim + 1)]
+    assert len(built) == len(set(built)) == expected
+    assert sum(len(row) for _, _, _, rows in tables for row in rows) == expected
     # the point space has no non-basepoint simplex, so nothing to look up
-    calls.clear()
+    tables.clear()
     point = parse_space(
         {"name": "point", "basepoint": "pt", "simplices": [{"name": "pt", "dim": 0}]}
     )
@@ -324,6 +413,43 @@ def test_paranoid_scan_computes_each_face_once(monkeypatch):
     setup = CochainSetup(point, alg, identity_module(alg.field, 1, ()), partition, 50)
     assert setup.check_cosimplicial_identities() == []
     assert calls == []
+    assert [row for _, _, _, rows in tables for row in rows] == []
+
+
+@pytest.mark.parametrize("name", ("scan-like",) + BUILTINS)
+def test_face_rows_match_face_and_level_pairs_match_slot_pairs(monkeypatch, name):
+    space = parse_space(SCAN_LIKE_DOC) if name == "scan-like" else builtin_space(name)
+    top = space.max_dim + 2
+    tables = record_face_rows(monkeypatch)
+    assert list(level_pairs(space, top)) == list(slow_level_pairs(space, top))
+    assert check_face_rows(space, tables) == sum(
+        (n + 1) * sum(1 for s in space.simplices(n) if not space.is_basepoint(s))
+        for n in range(1, top + 1)
+    )
+    # the sweep's rows: the generators', then their faces' in order of use
+    tables.clear()
+    sweep_closure(space)
+    assert (check_face_rows(space, tables) > 0) == (space.max_dim >= 2)
+
+
+def test_face_rows_match_face_on_drawn_spaces():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        space = parse_space(_one_vertex_doc(data, st))
+        top = space.max_dim + data.draw(st.integers(1, 2))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            tables = record_face_rows(monkeypatch)
+            assert list(level_pairs(space, top)) == list(slow_level_pairs(space, top))
+            assert check_face_rows(space, tables) > 0
+            tables.clear()
+            closure_pairs(space)
+            check_face_rows(space, tables)
+
+    check()
 
 
 def test_paranoid_cap_precondition():
@@ -338,14 +464,37 @@ def test_scan_size_counts_every_simplex(name, cap):
     assert scan_size(space, cap) == sum(len(space.simplices(n)) for n in range(2, cap + 1))
 
 
+@pytest.mark.parametrize("name", ("scan-like", "broken") + BUILTINS)
+def test_paranoid_visits_closed_form_matches_pair_count(name):
+    if name == "scan-like":
+        space = parse_space(SCAN_LIKE_DOC)
+    elif name == "broken":  # a non-basepoint vertex counts as a generator too
+        space = parse_space(BROKEN_AWAY_FROM_BASEPOINT_DOC, validate=False)
+    else:
+        space = builtin_space(name)
+    for cap in range(space.max_dim + 1, 12):
+        pairs = sum(
+            comb(s.dim + 1, 2)
+            for n in range(2, cap + 1)
+            for s in space.simplices(n)
+            if not space.is_basepoint(s)
+        )
+        assert paranoid_visits(space, cap) == pairs, cap
+
+
 def test_paranoid_scan_above_limit_is_refused():
     space = builtin_space("circle")
     # circle: one n-simplex over pt and n over e, for n = 2..100000
     assert scan_size(space, 100000) == 99999 + 100000 * 100001 // 2 - 1
-    with pytest.raises(ValueError, match="would visit 5000149998 simplices"):
+    # the n n-simplices over e make C(n + 1, 2) visits each
+    visits = sum(comb(n + 1, 2) * n for n in range(2, 100001))
+    assert paranoid_visits(space, 100000) == visits == 12500416670416674999
+    with pytest.raises(
+        ValueError, match=f"would make {visits} face-pair visits, more than the limit"
+    ):
         paranoid_closure(space, 100000)
     scan_like = parse_space(SCAN_LIKE_DOC)
-    assert scan_size(scan_like, 8) < PARANOID_LIMIT
+    assert paranoid_visits(scan_like, 8) < PARANOID_LIMIT
     assert paranoid_closure(scan_like, 8).same_classes(sweep_closure(scan_like))
 
 

@@ -179,10 +179,10 @@ def test_actions_emit_template_requires_algebra(tmp_path, capsys):
 
 
 def test_actions_template_argument_errors_come_before_the_scans(tmp_path, capsys):
-    # the scan-like space's paranoid scan to dimension 14 takes seconds
+    # the scan-like space's paranoid scan to dimension 15 takes seconds
     space_path = write_json(tmp_path / "scan.json", SCAN_LIKE_DOC)
     alg_path = write_json(tmp_path / "alg.json", DUAL_DOC)
-    scan = ("actions", "--space", space_path, "--paranoid", "14")
+    scan = ("actions", "--space", space_path, "--paranoid", "15")
     template = ("--emit-template", str(tmp_path / "m.json"))
     for extra, message in (
         ((), "--emit-template requires --algebra"),
@@ -363,7 +363,8 @@ def test_paranoid_cap_too_small_is_parse_error(capsys):
 
 
 def test_paranoid_cap_above_scan_limit_is_usage_error(capsys):
-    # circle to dimension 100000: sum of (n + 1) simplices for n = 2..100000
+    # circle to dimension 100000: C(n + 1, 2) visits on each of the n
+    # non-basepoint n-simplices, for n = 2..100000
     start = time.perf_counter()
     status, out, err = run_cli(
         capsys, "actions", "--builtin", "circle", "--paranoid", "100000"
@@ -371,7 +372,20 @@ def test_paranoid_cap_above_scan_limit_is_usage_error(capsys):
     assert time.perf_counter() - start < 1.0
     assert status == 2
     assert out == ""
-    assert "would visit 5000149998 simplices" in err
+    assert "would make 12500416670416674999 face-pair visits" in err
+
+
+def test_paranoid_limit_counts_face_pairs_not_simplices(capsys):
+    # the scan to dimension 1000 lists 501,498 simplices, within a bound of
+    # 1,000,000 simplices, but makes C(n + 1, 2) face-pair visits on each
+    start = time.perf_counter()
+    status, out, err = run_cli(
+        capsys, "actions", "--builtin", "circle", "--paranoid", "1000"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert status == 2
+    assert out == ""
+    assert "would make 125417041749 face-pair visits" in err
 
 
 def test_sphere_above_limit_is_usage_error(capsys):

@@ -308,11 +308,12 @@ def test_identity_check_forms_no_matrix_product(monkeypatch, space_name, top):
 def test_identity_visits_closed_form_matches_check(monkeypatch, space_name, top):
     setup = make_setup(space_name, dual_numbers(), "regular", top)
     assert setup.t == [len(setup.basis(n)) for n in range(top + 2)]
-    # the check's level scan (actions.level_pairs) hands each simplex it
-    # visits to slot_pairs, which walks its C(dim + 1, 2) pairs of face indices
-    visited = record_calls(monkeypatch, actions, "slot_pairs")
+    # the check's level scan (actions.level_pairs) hands the face rows of
+    # each level to _pairs, which walks the C(dim + 1, 2) pairs of face
+    # indices of every row
+    visited = record_calls(monkeypatch, actions, "_pairs")
     assert setup.check_cosimplicial_identities() == []
-    visits = sum(comb(s.dim + 1, 2) for _, s, _ in visited)
+    visits = sum(comb(len(row), 2) for _, rows, _ in visited for row in rows)
     assert visits == identity_visits(setup.t, top) > 0
 
 

@@ -32,8 +32,10 @@ from hhx import (
     multiplication_module,
     validate_module,
 )
+from hhx import cochain
 from hhx.actions import enumerate_slots, partition_from_pairs, sweep_closure
 from hhx.coeffalg import load_algebra, load_module
+from hhx.errors import ValidationError
 from hhx.exactlinalg import Matrix, _eliminate
 from hhx.simplicial import parse_space
 from test_actions import slow_reduce_slot
@@ -353,6 +355,36 @@ def test_differentials_match_reference_on_golden_setups(name, override):
     ]
     assert degrees
     check_differentials(setup, degrees)
+
+
+@pytest.mark.parametrize(
+    "name,override",
+    [(name, False) for name in BUILTINS] + [(name, True) for name in OVERRIDES],
+)
+def test_identity_verdict_is_scanned_once_and_guards_cohomology(
+    monkeypatch, name, override
+):
+    setup = golden_setup(name, override)
+    scans = []
+    original = cochain.level_pairs
+
+    def recording(space, top):
+        scans.append(top)
+        return original(space, top)
+
+    monkeypatch.setattr(cochain, "level_pairs", recording)
+    report = setup.report()
+    assert scans == [setup.max_degree + 1]
+    assert (report["identities"] != "pass") == override
+    assert ("hh_dims" in report) != override
+    if override:
+        # δδ ≠ 0 here, so a cleared rank would be meaningless
+        with pytest.raises(ValidationError, match="cosimplicial identities fail"):
+            setup.cohomology_dims()
+        assert setup.check_cosimplicial_identities() == report["identities"]
+    else:
+        assert setup.cohomology_dims() == report["hh_dims"]
+    assert len(scans) == 1
 
 
 def check_clearing(setup):

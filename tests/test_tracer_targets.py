@@ -15,8 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import SCAN_LIKE_DOC
-from hhx.actions import scan_size
+from helpers import SCAN_LIKE_DOC, scan_size
 from hhx.cli import main
 from hhx.simplicial import parse_space
 
