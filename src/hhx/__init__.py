@@ -12,7 +12,6 @@ from .actions import (
     ActionSlot,
     enumerate_slots,
     paranoid_closure,
-    reduce_slot,
     sweep_closure,
 )
 from .coeffalg import (
@@ -77,7 +76,6 @@ __all__ = [
     "parse_algebra",
     "parse_module",
     "parse_space",
-    "reduce_slot",
     "sweep_closure",
     "validate_algebra",
     "validate_module",

@@ -26,6 +26,7 @@ table (2-vCPU host, Python 3.11).
 
 from __future__ import annotations
 
+import itertools
 from math import comb
 from typing import NamedTuple
 
@@ -176,15 +177,6 @@ def slot_at(s, i: int) -> ActionSlot:
     return ActionSlot(base, i - sum(1 for j in word if j < i))
 
 
-def reduce_slot(space: SimplicialSpace, s: Simplex, i: int) -> ActionSlot:
-    """The slot on the underlying generator carrying the same action."""
-    if space.is_basepoint(s):
-        raise ValueError(f"{s!r} is the basepoint and carries no actions")
-    if not space.is_basepoint(space.face(s, i)):
-        raise ValueError(f"face {i} of {s!r} is not the basepoint")
-    return slot_at(s, i)
-
-
 class _Positions(dict):
     """Each key's position in order of first lookup; a missing key is added."""
 
@@ -287,25 +279,28 @@ def closure_pairs(space: SimplicialSpace) -> list[tuple[ActionSlot, ActionSlot]]
     ]
 
 
-def level_pairs(space: SimplicialSpace, top: int):
+def level_pairs(space: SimplicialSpace, top: int, slots: list):
     """(n, i, j, via_j, via_i) of _pairs on every non-basepoint n-simplex.
 
-    Levels n = 2..top, each in space.simplices order. The face rows of the
-    non-basepoint simplices of dims 1..top are built one level at a time and
-    kept for two levels, with entries that point into the level below's
-    list; basepoint simplices, whose faces _pairs never asks for, get none.
+    Levels n = 2..top, each in space.simplices order. via_j and via_i are
+    positions in slots, a list the scan extends by each slot it meets
+    before it yields a pair on it, so a caller maps positions to slots only
+    where it needs them. The face rows of the non-basepoint simplices of
+    dims 1..top are built one level at a time and kept for two levels, with
+    entries that point into the level below's list; basepoint simplices,
+    whose faces _pairs never asks for, get none.
     """
-    slots = _Positions()
+    positions = _Positions()
     level = [s for s in space.simplices(0) if not space.is_basepoint(s)]
     rows = ()
     for n in range(1, top + 1):
         position = {s: p for p, s in enumerate(level)}
         level = [s for s in space.simplices(n) if not space.is_basepoint(s)]
-        lower, rows = rows, _face_rows(space, level, position, slots)
+        lower, rows = rows, _face_rows(space, level, position, positions)
         if n >= 2:
-            by_position = list(slots)
+            slots.extend(itertools.islice(positions, len(slots), None))
             for i, j, a, b in _pairs(level, rows, lower):
-                yield n, i, j, by_position[a], by_position[b]
+                yield n, i, j, a, b
 
 
 def partition_from_pairs(slots, pairs) -> ActionPartition:
@@ -358,5 +353,8 @@ def paranoid_closure(space: SimplicialSpace, dim_cap: int) -> ActionPartition:
             f"paranoid scan to dimension {dim_cap} would make {visits} face-pair "
             f"visits, more than the limit of {PARANOID_LIMIT}"
         )
-    pairs = {pair[3:] for pair in level_pairs(space, dim_cap)}
-    return partition_from_pairs(enumerate_slots(space), pairs)
+    slots = []
+    pairs = {pair[3:] for pair in level_pairs(space, dim_cap, slots)}
+    return partition_from_pairs(
+        enumerate_slots(space), [(slots[a], slots[b]) for a, b in pairs]
+    )

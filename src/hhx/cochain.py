@@ -16,14 +16,22 @@ identity at each degeneracy image) tensored with module blocks (the nonzero
 composite star actions; the identity), expanded by one routine (_expand)
 whose work is the nnz of the result; the star actions and the grouped
 products are extended one position at a time, forming each shared prefix
-once. The differential δ_n = Σ (-1)^i d^i is expanded face by face into one
-dict of sparse columns, which goes straight into the exact elimination for
-its rank and is then dropped: cohomology dimensions need only the ranks, so
-no coface or differential matrix is formed or kept for them. Clearing: δ_n
-leaves out its columns at δ_{n-1}'s pivots P, as the popped vectors lie in
-im δ_{n-1} and are triangular on P, so C^n = im δ_{n-1} ⊕ span{e_j : j ∉ P},
-and δ_n, which kills im δ_{n-1} (given δδ = 0, which cohomology_dims
-checks first), has the rank of the rest.
+once.
+
+Internal weight: the finest grading of algebra and module (_grading) gives
+a hom basis element (assignment, c) the weight w_M(c) - Σ w(digits), and
+every coface and codegeneracy preserves it, so each is block diagonal. An
+expansion is split by weight once (_expansion), and then each block is
+formed on its own (_expand) with every entry formed exactly once; an
+ungraded input has one block. The differential δ_n = Σ (-1)^i d^i is
+streamed one block at a time (_delta_blocks): each block's dict of sparse
+columns goes straight into the exact elimination for its rank and is
+dropped before the next is built. Cohomology dimensions need only the
+ranks, so no coface or differential matrix is formed or kept for them.
+Clearing: δ_n leaves out its columns at δ_{n-1}'s pivots P, as the popped
+vectors lie in im δ_{n-1} and are triangular on P, so C^n = im δ_{n-1} ⊕
+span{e_j : j ∉ P}, and δ_n, which kills im δ_{n-1} (given δδ = 0, which
+cohomology_dims checks first), has the rank of the rest.
 
 The cosimplicial identities are checked on simplices, not on matrices:
 d_i d_j = d_{j-1} d_i holds exactly when the module acts equally on the two
@@ -35,7 +43,8 @@ construction (check_cosimplicial_identities). No matrix is built for it.
 from __future__ import annotations
 
 import itertools
-from math import comb
+from fractions import Fraction
+from math import comb, lcm
 
 from .actions import ActionPartition, level_pairs, slot_at
 from .coeffalg import Algebra, MultiModule, _unit_vector
@@ -51,6 +60,12 @@ DEFAULT_BUDGET = 200_000
 # most pairs reach the basepoint; 2-vCPU host, Python 3.11
 IDENTITY_LIMIT = 2_000_000
 
+# most cofaces the differentials δ_0..δ_N may expand, (N + 1)(N + 4) / 2,
+# which refuses -N >= 445 whatever the space: even where every hom space is
+# 1-dimensional (the point space over k) the run took 1.4 s at -N 444, and
+# 51 s at -N 3000 without the limit; 2-vCPU host, Python 3.11
+FACE_LIMIT = 100_000
+
 
 class CochainSetup:
     """Space + algebra + multi-module + degree cap.
@@ -58,8 +73,13 @@ class CochainSetup:
     Coface, codegeneracy and differential matrices are built on every call
     and not kept; cohomology_dims forms none of them. Construction fails
     fast with BudgetError, before any simplex is listed, if a hom space
-    within the cap exceeds the column budget or the identity check would
-    make more than IDENTITY_LIMIT simplex-pair visits.
+    within the cap exceeds the column budget (which counts all columns of
+    C^n, not those of its largest weight block), the identity check would
+    make more than IDENTITY_LIMIT simplex-pair visits, or the differentials
+    would expand more than FACE_LIMIT cofaces. It then solves for the
+    finest internal grading of the algebra and the module (_grading): the
+    null space over Q of the linear equations every nonzero structure
+    constant and action entry imposes on the weights.
     """
 
     def __init__(
@@ -100,6 +120,15 @@ class CochainSetup:
                 f"the cosimplicial identity check would visit {visits} "
                 f"simplices, exceeding the limit of {IDENTITY_LIMIT}"
             )
+        # δ_n expands its n + 2 cofaces even where t is 0 throughout
+        faces = (max_degree + 1) * (max_degree + 4) // 2
+        if faces > FACE_LIMIT:
+            raise BudgetError(
+                f"the differentials would expand {faces} cofaces, "
+                f"exceeding the limit of {FACE_LIMIT}"
+            )
+        # (algebra basis weights, module basis weights)
+        self._weights = _grading(algebra, module, self.t[-1])
         self._basis = {
             n: tuple(s for s in space.simplices(n) if not space.is_basepoint(s))
             for n in range(max_degree + 2)
@@ -135,10 +164,10 @@ class CochainSetup:
         self._check_degree(n + 1)
         if not 0 <= i <= n + 1:
             raise ValueError(f"coface index {i} out of range 0..{n + 1}")
-        columns = {}
+        expansions = []
         if self.module.dim:
-            self._expand(columns, 1, *self._coface_terms(n, i))
-        return self._matrix(n + 1, n, columns)
+            expansions.append(self._expansion(1, *self._coface_terms(n, i)))
+        return self._matrix(n + 1, n, _merged(self._blocks(expansions)))
 
     def codegeneracy(self, n: int, i: int) -> Matrix:
         self._check_degree(n + 1)
@@ -147,9 +176,9 @@ class CochainSetup:
         space = self.space
         d = self.algebra.dim
         m = self.module.dim
-        columns = {}
         if m == 0:
-            return self._matrix(n, n + 1, columns)
+            return self._matrix(n, n + 1, {})
+        weight = self._weights[0]
         src = self._basis[n]
         up = self._basis[n + 1]
         up_pos = {s: p for p, s in enumerate(up)}
@@ -162,10 +191,12 @@ class CochainSetup:
             seen.add(p)
             row_place = d ** (len(src) - 1 - q)
             col_place = d ** (len(up) - 1 - p)
-            factors.append([(t * row_place, t * col_place, 1) for t in range(d)])
+            factors.append(
+                [(t * row_place, t * col_place, 1, weight[t]) for t in range(d)]
+            )
         identity = [(u, u, 1) for u in range(m)]
-        self._expand(columns, 1, [(0, identity)], factors)
-        return self._matrix(n, n + 1, columns)
+        expansion = self._expansion(1, [(0, identity)], factors)
+        return self._matrix(n, n + 1, _merged(self._blocks([expansion])))
 
     def _matrix(self, row_degree, col_degree, columns) -> Matrix:
         return Matrix(
@@ -176,20 +207,48 @@ class CochainSetup:
         )
 
     def _delta_columns(self, n: int, skip=frozenset()) -> dict:
-        """The nonzero columns {col: {row: value}} of δ_n = Σ (-1)^i d^i not in skip."""
-        columns = {}
+        """All nonzero columns {col: {row: value}} of δ_n not in skip."""
+        return _merged(self._delta_blocks(n, skip))
+
+    def _delta_blocks(self, n: int, skip=frozenset()):
+        """(weight, columns) for each weight block of δ_n = Σ (-1)^i d^i.
+
+        The n + 2 cofaces are expanded and split by weight now, once; each
+        block's nonzero columns not in skip are assembled only when the
+        returned generator reaches it.
+        """
+        expansions = []
         if self.module.dim:
-            for i in range(n + 2):
-                self._expand(columns, (-1) ** i, *self._coface_terms(n, i), skip)
-        return columns
+            expansions = [
+                self._expansion((-1) ** i, *self._coface_terms(n, i))
+                for i in range(n + 2)
+            ]
+        return self._blocks(expansions, skip)
+
+    def _blocks(self, expansions, skip=frozenset()):
+        """(weight, columns) for each weight some choice of terms reaches, in
+        order: the sum of the expansions' entries in that block (_expand)."""
+        weights = sorted({
+            group - head - tail
+            for groups, heads, tails in expansions
+            for group in groups
+            for head in heads
+            for tail in tails
+        })
+        for weight in weights:
+            columns = {}
+            for expansion in expansions:
+                self._expand(columns, expansion, weight, skip)
+            yield weight, columns
 
     def _coface_terms(self, n: int, i: int):
-        """(blocks, factors) of d^i out of degree n for _expand; needs m > 0."""
+        """(blocks, factors) of d^i out of degree n for _expansion; needs m > 0."""
         space = self.space
         alg = self.algebra
         F = alg.field
         d = alg.dim
         m = self.module.dim
+        weight = self._weights[0]
         src = self._basis[n]
         tgt = self._basis[n + 1]
         src_pos = {s: q for q, s in enumerate(src)}
@@ -233,58 +292,80 @@ class CochainSetup:
                 alg.unit, ((place, units) for place in places), alg.multiply, any
             )
             factors.append([
-                (row, t * col_place, c)
+                (row, t * col_place, c, weight[t])
                 for row, coords in products
                 for t, c in enumerate(coords)
                 if c != 0
             ])
         return blocks, factors
 
-    def _expand(self, columns, sign, blocks, factors, skip=frozenset()):
-        """Add sign times the Kronecker product of factors and blocks into columns.
+    def _expansion(self, sign, blocks, factors):
+        """sign times the Kronecker product of factors and blocks, split by weight.
 
         A factor is a list of nonzero terms (row offset, column offset,
-        coefficient) with offsets in assignment values; a block is (row offset,
-        module entries (r, c, v)). Each choice of terms, built one factor at a
-        time, sums its offsets to (row, col) and multiplies its coefficients to
-        coeff, then adds sign * coeff * v to columns[col * m + c][(row + block
-        offset) * m + r] unless col * m + c is in skip, deleting entries that
-        cancel. The work is the product's nnz.
+        coefficient, weight of the column digit) with offsets in assignment
+        values; a block is (row offset, module entries (r, c, v)). Returns
+        (groups, heads, tails) for _expand: groups maps w_M(c) to the block
+        entries by module column c, as (row offset * m + r, v); heads and
+        tails map a weight to the choices of one term from each factor of
+        the first and of the second half, summed to (row, col, coeff) with
+        sign in the heads' coeff, whose column digits have that weight. So
+        the halves hold about the square root of the product's choices.
         """
         p = self.algebra.field.p
         m = self.module.dim
-        # the block entries by module column c, as (row offset * m + r, v)
-        by_col = {}
+        module_weight = self._weights[1]
+        groups = {}
         for block_row, items in blocks:
             for r, c, v in items:
-                by_col.setdefault(c, []).append((block_row * m + r, v))
-        *head, last = factors or [[(0, 0, 1)]]
-        prefixes = [(0, 0, sign)]
-        for factor in head:
-            prefixes = [
-                (row + r, col + c, coeff * v % p if p else coeff * v)
-                for row, col, coeff in prefixes
-                for r, c, v in factor
-            ]
-        for (row, col, coeff), (r, c, v) in itertools.product(prefixes, last):
-            row = (row + r) * m
-            col = (col + c) * m
-            coeff *= v
-            for c, items in by_col.items():
-                if col + c in skip:
+                groups.setdefault(module_weight[c], {}).setdefault(c, []).append(
+                    (block_row * m + r, v)
+                )
+        half = len(factors) // 2
+        return (
+            groups,
+            _choices(sign, factors[:half], p),
+            _choices(1, factors[half:], p),
+        )
+
+    def _expand(self, columns, expansion, weight, skip=frozenset()):
+        """Add the entries of an _expansion in the block of this weight to columns.
+
+        Each pair of a head and a tail whose weights sum to w_M(c) - weight
+        sums its offsets to (row, col) and multiplies its coefficients to
+        coeff, then adds coeff * v to columns[col * m + c][(row + block
+        offset) * m + r] unless col * m + c is in skip, deleting entries that
+        cancel. Each entry of the product lies in one block, so over all
+        blocks the work is the product's nnz.
+        """
+        p = self.algebra.field.p
+        m = self.module.dim
+        groups, heads, tails = expansion
+        for group, by_col in groups.items():
+            digits = group - weight
+            for head, prefixes in heads.items():
+                terms = tails.get(digits - head)
+                if terms is None:
                     continue
-                column = columns.get(col + c)
-                if column is None:
-                    column = columns[col + c] = {}
-                for r, v in items:
-                    r += row
-                    v = coeff * v + column.get(r, 0)
-                    if p:
-                        v %= p
-                    if v:
-                        column[r] = v
-                    else:
-                        del column[r]
+                for (row, col, coeff), (r, c, v) in itertools.product(prefixes, terms):
+                    row = (row + r) * m
+                    col = (col + c) * m
+                    coeff *= v
+                    for c, items in by_col.items():
+                        if col + c in skip:
+                            continue
+                        column = columns.get(col + c)
+                        if column is None:
+                            column = columns[col + c] = {}
+                        for r, v in items:
+                            r += row
+                            v = coeff * v + column.get(r, 0)
+                            if p:
+                                v %= p
+                            if v:
+                                column[r] = v
+                            else:
+                                del column[r]
 
     # -- checks and cohomology --------------------------------------------
 
@@ -321,13 +402,16 @@ class CochainSetup:
         """
         if self._failures is None:
             class_of = self.partition.class_of
-            same = {}  # (via_j, via_i) -> whether their classes act alike
+            slots = []
+            same = {}  # (via_j, via_i) positions -> whether their classes act alike
             failing = set()
-            for n, i, j, via_j, via_i in level_pairs(self.space, self.max_degree + 1):
+            top = self.max_degree + 1
+            for n, i, j, via_j, via_i in level_pairs(self.space, top, slots):
                 equal = same.get((via_j, via_i))
                 if equal is None:
                     equal = same[via_j, via_i] = (
-                        self._action(class_of(via_j)) == self._action(class_of(via_i))
+                        self._action(class_of(slots[via_j]))
+                        == self._action(class_of(slots[via_i]))
                     )
                 if not equal:
                     failing.add((n - 2, j, i))
@@ -338,18 +422,28 @@ class CochainSetup:
         return list(self._failures)
 
     def cohomology_dims(self) -> list[int]:
-        """[HH^0 .. HH^N]; each δ_n's columns, cleared of δ_{n-1}'s pivots, go
-        into the elimination, then away. Clearing is exact as δδ = 0, so a
-        setup whose cosimplicial identities fail raises ValidationError."""
+        """[HH^0 .. HH^N] from the ranks of the differentials.
+
+        δ_n is streamed one internal-weight block at a time (_delta_blocks):
+        each block's columns, cleared of δ_{n-1}'s pivots, go into the
+        elimination and away before the next block is assembled, so at most
+        one block is held. rank δ_n is the number of pivots over all blocks.
+        Clearing is exact as δδ = 0, so a setup whose cosimplicial
+        identities fail raises ValidationError.
+        """
         if self.check_cosimplicial_identities():
             raise ValidationError(
                 "the cosimplicial identities fail, so δδ ≠ 0 and there is "
                 "no cohomology"
             )
+        p = self.algebra.field.p
         ranks = []
         pivots = frozenset()
         for n in range(self.max_degree + 1):
-            pivots = _eliminate(self._delta_columns(n, pivots), self.algebra.field.p)
+            found = set()
+            for _, columns in self._delta_blocks(n, pivots):
+                found |= _eliminate(columns, p)
+            pivots = found
             ranks.append(len(pivots))
         return _dims_from_ranks(ranks, self.hom_dims)
 
@@ -373,6 +467,87 @@ def identity_visits(t, max_degree: int) -> int:
     i < j of its C(n + 3, 2) pairs of face indices.
     """
     return sum(comb(n + 3, 2) * t[n + 2] for n in range(max_degree))
+
+
+def _grading(algebra: Algebra, module: MultiModule, most: int) -> tuple[list, list]:
+    """The finest internal grading: (w on the algebra basis, w_M on the module's).
+
+    The weights solve w(c) = w(a) + w(b) wherever a b has a nonzero
+    coordinate at c, and w_M(r) = w(a) + w_M(c) wherever some class's action
+    of a has a nonzero (r, c) entry; then every coface and codegeneracy
+    keeps the weight w_M(c) - Σ w(digits) of a hom basis element. The
+    solutions are the null space over Q of these equations (_eliminate, then
+    back-substitution through its echelon vectors), and each basis
+    element's weight is its tuple of coordinates in the basis of that space
+    that sets one free unknown to 1, so no grading is finer and each module
+    component gets its own offset. The tuples are scaled to integers and
+    read as numbers in a base B so large that weights summing at most
+    `most` algebra weights and one module weight keep distinct numbers.
+    """
+    d = algebra.dim
+    equations = []
+
+    def equation(plus, *minus):
+        vector = {plus: 1}
+        for u in minus:
+            vector[u] = vector.get(u, 0) - 1
+        equations.append({u: v for u, v in vector.items() if v})
+
+    for a in range(d):
+        for b in range(a, d):
+            for c, v in enumerate(algebra.mul[a][b]):
+                if v != 0:
+                    equation(c, a, b)
+    for mats in module.actions.values():
+        for a, mat in enumerate(mats):
+            for r, c in mat.entries:
+                equation(d + r, a, d + c)
+    echelon = []
+    pivots = _eliminate(dict(enumerate(equations)), 0, echelon)
+    free = [u for u in range(d + module.dim) if u not in pivots]
+    # each unknown as a combination of the free ones; an echelon vector is
+    # zero at the pivots popped before it, so solve the last popped first
+    solved = {u: {u: 1} for u in free}
+    for col, piv, rest in reversed(echelon):
+        value = {}
+        for u, v in rest.items():
+            for f, x in solved[u].items():
+                value[f] = value.get(f, 0) - Fraction(v, piv) * x
+        solved[col] = value
+    scale = lcm(*(Fraction(x).denominator for v in solved.values() for x in v.values()))
+    vectors = [
+        [int(solved[u].get(f, 0) * scale) for f in free] for u in range(d + module.dim)
+    ]
+    base = 2 * (most + 1) * max((abs(x) for v in vectors for x in v), default=0) + 1
+    weights = [sum(x * base**k for k, x in enumerate(v)) for v in vectors]
+    return weights[:d], weights[d:]
+
+
+def _choices(start, factors, p) -> dict:
+    """{weight: [(row, col, coeff)]}: each choice of one term per factor.
+
+    Built one factor at a time in lexicographic order, summing offsets and
+    weights and multiplying coefficients (mod p over F_p) from start.
+    """
+    choices = [(0, 0, start, 0)]
+    for factor in factors:
+        choices = [
+            (row + r, col + c, coeff * v % p if p else coeff * v, w + u)
+            for row, col, coeff, w in choices
+            for r, c, v, u in factor
+        ]
+    out = {}
+    for row, col, coeff, weight in choices:
+        out.setdefault(weight, []).append((row, col, coeff))
+    return out
+
+
+def _merged(blocks) -> dict:
+    """The columns of all (weight, columns) blocks in one dict."""
+    columns = {}
+    for _, block in blocks:
+        columns.update(block)
+    return columns
 
 
 def _by_position(start, positions, step, nonzero):

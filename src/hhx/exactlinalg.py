@@ -331,7 +331,7 @@ def _clear_denominators(row: dict) -> dict:
     return {c: int(v * mult) for c, v in row.items()}
 
 
-def _eliminate(rows: dict, p: int) -> set:
+def _eliminate(rows: dict, p: int, echelon: list | None = None) -> set:
     """Pivots of the sparse vectors {key: {coord: value}} over F_p (Q if p = 0).
 
     Empty vectors are allowed; rows is consumed (over Q each vector is
@@ -340,7 +340,9 @@ def _eliminate(rows: dict, p: int) -> set:
     vectors, and only those are eliminated: over F_p r becomes r - (a/piv)
     prow mod p; over Q r becomes (piv/g) r - (a/g) prow, g = gcd(piv, a),
     then is divided by the gcd of its entries, exactly, so no Fraction arises.
-    The popped vectors span the input and are zero at all earlier pivots.
+    The popped vectors span the input and are zero at all earlier pivots;
+    given a list as echelon, each is appended to it as (pivot coordinate,
+    pivot value, the other entries), in the order popped.
     """
     where = {}
     for r in list(rows):
@@ -360,6 +362,8 @@ def _eliminate(rows: dict, p: int) -> set:
         col = min(prow, key=lambda c: len(where[c]))
         piv = prow.pop(col)
         pivots.add(col)
+        if echelon is not None:
+            echelon.append((col, piv, prow))
         if p:
             pinv = pow(piv, -1, p)
         for r in where.pop(col):

@@ -23,7 +23,6 @@ from hhx.actions import (
     paranoid_closure,
     paranoid_visits,
     partition_from_pairs,
-    reduce_slot,
     slot_at,
     sweep_closure,
 )
@@ -38,6 +37,19 @@ from hhx.simplicial import (
 )
 
 BUILTINS = ("circle", "sphere2", "sphere3", "sphere4", "torus", "pinched-torus")
+
+
+def reduce_slot(space, s, i):
+    """The slot on the underlying generator carrying the same action.
+
+    slot_at with the checks it leaves to its caller: s is not the basepoint
+    and its face i is.
+    """
+    if space.is_basepoint(s):
+        raise ValueError(f"{s!r} is the basepoint and carries no actions")
+    if not space.is_basepoint(space.face(s, i)):
+        raise ValueError(f"face {i} of {s!r} is not the basepoint")
+    return slot_at(s, i)
 
 
 def slow_reduce_slot(space, s, i):
@@ -98,6 +110,13 @@ def slot_pairs(space, s):
                     f"faces {i},{j} of {s!r} break the simplicial identity"
                 )
             yield i, j, via_j, via_i
+
+
+def mapped_level_pairs(space, top):
+    """level_pairs with its slot positions mapped to the slots."""
+    slots = []
+    pairs = list(level_pairs(space, top, slots))
+    return [(n, i, j, slots[a], slots[b]) for n, i, j, a, b in pairs]
 
 
 def slow_level_pairs(space, top):
@@ -421,7 +440,7 @@ def test_face_rows_match_face_and_level_pairs_match_slot_pairs(monkeypatch, name
     space = parse_space(SCAN_LIKE_DOC) if name == "scan-like" else builtin_space(name)
     top = space.max_dim + 2
     tables = record_face_rows(monkeypatch)
-    assert list(level_pairs(space, top)) == list(slow_level_pairs(space, top))
+    assert mapped_level_pairs(space, top) == list(slow_level_pairs(space, top))
     assert check_face_rows(space, tables) == sum(
         (n + 1) * sum(1 for s in space.simplices(n) if not space.is_basepoint(s))
         for n in range(1, top + 1)
@@ -443,7 +462,7 @@ def test_face_rows_match_face_on_drawn_spaces():
         top = space.max_dim + data.draw(st.integers(1, 2))
         with pytest.MonkeyPatch.context() as monkeypatch:
             tables = record_face_rows(monkeypatch)
-            assert list(level_pairs(space, top)) == list(slow_level_pairs(space, top))
+            assert mapped_level_pairs(space, top) == list(slow_level_pairs(space, top))
             assert check_face_rows(space, tables) > 0
             tables.clear()
             closure_pairs(space)

@@ -421,6 +421,27 @@ def test_identity_check_above_visit_limit_is_budget_error(tmp_path, capsys):
     assert "would visit 5604740 simplices" in err
 
 
+def test_face_limit_refuses_a_deep_point_space_at_once(tmp_path, capsys):
+    # over k every hom space of the point space is 1-dimensional and it has
+    # no simplex to visit, so only the count of coface expansions,
+    # (N + 1)(N + 4) / 2, bounds the run
+    space = write_json(tmp_path / "point.json", {
+        "name": "point", "basepoint": "pt", "simplices": [{"name": "pt", "dim": 0}],
+    })
+    alg_path = write_json(tmp_path / "ground.json", GROUND_DOC)
+    mod_path = write_json(tmp_path / "module.json", {"dim": 1, "actions": {}})
+    argv = ("cohomology", "--space", space, "--algebra", alg_path, "--module", mod_path)
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, *argv, "-N", "3000")
+    assert time.perf_counter() - start < 1.0
+    assert status == 3
+    assert out == ""
+    assert "would expand 4507502 cofaces" in err
+    status, out, _ = run_cli(capsys, *argv, "-N", "250", "--format", "json")
+    assert status == 0
+    assert json.loads(out)["hh_dims"] == [1] + [0] * 250
+
+
 TWO_EDGE_CIRCLE = {
     "name": "two-edge-circle",
     "basepoint": "pt",

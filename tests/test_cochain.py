@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from math import comb
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from hhx import (
     validate_module,
 )
 from hhx.actions import enumerate_slots, partition_from_pairs
-from hhx.cochain import identity_visits
+from hhx.cochain import FACE_LIMIT, _grading, identity_visits
 from hhx.errors import BudgetError, InternalError, ValidationError
 from hhx.exactlinalg import Matrix, QQ, _eliminate
 from hhx.simplicial import parse_space
@@ -329,29 +330,61 @@ def test_report_assembles_each_delta_once_and_keeps_none(monkeypatch):
 
     monkeypatch.setattr(Matrix, "__init__", recording_init)
     built = []
-    original_columns = CochainSetup._delta_columns
+    original_blocks = CochainSetup._delta_blocks
 
-    def recording_columns(self, n, skip):
-        columns = original_columns(self, n, skip)
-        built.append((n, columns))
-        return columns
+    def recording_blocks(self, n, skip):
+        for weight, columns in original_blocks(self, n, skip):
+            built.append((n, weight, columns))
+            yield weight, columns
 
-    monkeypatch.setattr(CochainSetup, "_delta_columns", recording_columns)
+    monkeypatch.setattr(CochainSetup, "_delta_blocks", recording_blocks)
+    terms = record_calls(monkeypatch, CochainSetup, "_coface_terms")
+    expanded = record_calls(monkeypatch, CochainSetup, "_expand")
     matrices = [
         record_calls(monkeypatch, CochainSetup, name)
-        for name in ("coface", "codegeneracy", "differential")
+        for name in ("coface", "codegeneracy", "differential", "_delta_columns")
     ]
     assert setup.report()["hh_dims"] == [2, 2, 4]
-    # no coface, codegeneracy or differential Matrix: only module-sized
-    # products of star actions
-    assert matrices == [[], [], []]
+    # no coface, codegeneracy or differential Matrix and no whole δ_n: only
+    # module-sized products of star actions
+    assert matrices == [[], [], [], []]
     assert shapes and set(shapes) == {(m, m)}
-    assert [n for n, _ in built] == [0, 1, 2]
-    # the setup keeps no differential once its rank is taken
+    # each coface is expanded once per degree, and each block of each δ_n
+    # is assembled once, from each expansion once
+    assert [call[1:] for call in terms] == [
+        (n, i) for n in range(3) for i in range(n + 2)
+    ]
+    assert [n for n, _, _ in built] == sorted(n for n, _, _ in built)
+    assert sorted({n for n, _, _ in built}) == [0, 1, 2]
+    blocks = [(n, weight) for n, weight, _ in built]
+    assert len(set(blocks)) == len(blocks) > 3
+    pairs = [(id(call[2]), call[3]) for call in expanded]
+    assert len(set(pairs)) == len(pairs) == sum(
+        n + 2 for n, _, _ in built
+    )
+    # every block went into the elimination, and the setup keeps none
+    assert all(columns == {} for _, _, columns in built)
     held = list(vars(setup).values())
     held += [v for h in held if isinstance(h, dict) for v in h.values()]
     assert not any(isinstance(h, Matrix) for h in held)
-    assert not any(h is columns for h in held for _, columns in built)
+    assert not any(h is columns for h in held for _, _, columns in built)
+
+
+def test_streamed_blocks_peak_below_half_of_the_whole_delta():
+    # tracemalloc counts only this process's Python allocations
+    setup = make_setup("torus", dual_numbers({"Fp": 5}), "end", 2)
+    assert setup.check_cosimplicial_identities() == []
+    tracemalloc.start()
+    try:
+        assert setup.cohomology_dims() == [4, 4, 8]
+        streamed = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        assert len(_eliminate(setup._delta_columns(2), setup.algebra.field.p)) == 988
+        whole = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert streamed < whole / 2, (streamed, whole)
 
 
 def test_star_products_share_prefixes(monkeypatch):
@@ -420,6 +453,148 @@ def test_identity_check_on_broken_space_is_internal_error_under_optimize():
     assert proc.stdout.startswith(
         "InternalError faces 0,1 of Simplex(t) break the simplicial identity"
     )
+
+
+# -- internal weight ------------------------------------------------------------
+
+
+def hom_weight(setup, n, index):
+    """w_M(c) - Σ w(digits) of basis element index of C^n, read off its digits."""
+    weight, module_weight = setup._weights
+    value, c = divmod(index, setup.module.dim)
+    total = module_weight[c]
+    for _ in range(setup.t[n]):
+        value, digit = divmod(value, setup.algebra.dim)
+        total -= weight[digit]
+    assert value == 0
+    return total
+
+
+def check_blocks(setup, n):
+    """Every entry of each block of δ_n joins basis elements of the block's
+    weight; the blocks' ranks sum to the whole δ_n's. Returns the count of
+    nonempty blocks."""
+    p = setup.algebra.field.p
+    rank = 0
+    nonempty = 0
+    weights = []
+    for weight, columns in setup._delta_blocks(n):
+        weights.append(weight)
+        for col, column in columns.items():
+            assert hom_weight(setup, n, col) == weight, (n, col)
+            for row in column:
+                assert hom_weight(setup, n + 1, row) == weight, (n, row)
+        nonempty += any(columns.values())
+        rank += len(_eliminate(columns, p))
+    assert weights == sorted(set(weights))
+    assert rank == len(_eliminate(setup._delta_columns(n), p)), n
+    return nonempty
+
+
+@pytest.mark.parametrize("kind", ["regular", "end"])
+def test_grading_of_the_dual_numbers(kind):
+    algebra = dual_numbers()
+    _, partition = space_and_partition("torus")
+    module = coefficient_module(algebra, partition, kind)
+    weight, module_weight = _grading(algebra, module, 10)
+    assert weight[0] == 0 and weight[1] != 0
+    assert len(module_weight) == module.dim
+    # x raises the weight of every module basis element it hits by w(x)
+    for mats in module.actions.values():
+        for (r, c) in mats[1].entries:
+            assert module_weight[r] == weight[1] + module_weight[c]
+    setup = make_setup("torus", algebra, kind, 2)
+    assert sum(check_blocks(setup, n) for n in range(3)) > 3
+
+
+def test_grading_of_a_bimodule_with_no_zero_entry_is_one_block():
+    # x acts as X = v w^T with w.v = 0 and k X, every entry nonzero, as in
+    # the circle-deep benchmark workload: w_M(r) = w(x) + w_M(c) for every
+    # r, c, so w(x) = 0 and there is a single weight
+    algebra = dual_numbers({"Fp": 5})
+    F = algebra.field
+    x = Matrix.from_rows(F, [[1, 2], [2, 4]])  # v = (1, 2), w = (1, 2)
+    space, partition = space_and_partition("circle")
+    ident = Matrix.identity(F, 2)
+    module = MultiModule(2, {"e.0": (ident, x), "e.1": (ident, x.scale(3))})
+    validate_module(module, algebra, partition.class_ids)
+    weight, module_weight = _grading(algebra, module, 10)
+    assert weight == [0, 0] and module_weight[0] == module_weight[1]
+    setup = CochainSetup(space, algebra, module, partition, 4)
+    for n in range(5):
+        assert len(list(setup._delta_blocks(n))) == 1
+        assert check_blocks(setup, n) <= 1
+    assert setup.cohomology_dims() == classical_hochschild_dims(
+        algebra, module, "e.0", "e.1", 4
+    )
+
+
+# top degree per space in the graded module draws
+GRADED_TOPS = {"circle": 3, "sphere2": 2, "torus": 1}
+
+
+def test_blocks_keep_the_weight_on_random_graded_fp_modules():
+    """No entry of δ_n crosses blocks, and δ_{n+1} δ_n = 0 still holds."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=25, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        name = data.draw(st.sampled_from(sorted(GRADED_TOPS)))
+        p = data.draw(st.sampled_from([2, 3, 5, 7]))
+        cubic = data.draw(st.booleans())
+        algebra = parse_algebra(dict(CUBIC_DOC if cubic else DUAL_DOC, field={"Fp": p}))
+        F = algebra.field
+        space, partition = space_and_partition(name)
+        m = data.draw(st.integers(1, 4))
+        # x maps degree k to degree k + 1 of the module; dual numbers: the
+        # degrees are 0 and 1, so any two such maps multiply to 0
+        degree = data.draw(st.lists(st.integers(0, 2 if cubic else 1), min_size=m, max_size=m))
+        scalar = st.integers(0, p - 1)
+
+        def raising():
+            return Matrix(F, m, m, {
+                (r, c): data.draw(scalar)
+                for r in range(m) for c in range(m) if degree[r] == degree[c] + 1
+            })
+
+        ident = Matrix.identity(F, m)
+        shift = raising()
+        actions_by_class = {}
+        for cid in partition.class_ids:
+            if cubic:
+                # a polynomial in one raising map J, so the classes commute;
+                # a J^2 term breaks the grading by degree
+                x = shift.scale(data.draw(scalar)) + (shift @ shift).scale(data.draw(scalar))
+                actions_by_class[cid] = (ident, x, x @ x)
+            else:
+                actions_by_class[cid] = (ident, raising())
+        module = MultiModule(m, actions_by_class)
+        validate_module(module, algebra, partition.class_ids)
+        setup = CochainSetup(space, algebra, module, partition, GRADED_TOPS[name])
+        for n in range(setup.max_degree + 1):
+            check_blocks(setup, n)
+        for n in range(setup.max_degree):
+            product = setup.differential(n + 1) @ setup.differential(n)
+            assert not product.entries, (name, p, n)
+
+    check()
+
+
+def test_face_limit_counts_every_coface_expansion():
+    point = parse_space(
+        {"name": "point", "basepoint": "pt", "simplices": [{"name": "pt", "dim": 0}]}
+    )
+    alg = ground_field()
+    partition = partition_from_pairs(enumerate_slots(point), ())
+    module = identity_module(alg.field, 1, ())
+    # δ_0..δ_N expand Σ (n + 2) = (N + 1)(N + 4) / 2 cofaces
+    assert sum(n + 2 for n in range(445)) == 99_680 <= FACE_LIMIT
+    assert sum(n + 2 for n in range(446)) == 100_127 > FACE_LIMIT
+    CochainSetup(point, alg, module, partition, 444)
+    with pytest.raises(BudgetError, match="would expand 100127 cofaces"):
+        CochainSetup(point, alg, module, partition, 445)
 
 
 # -- cohomology ----------------------------------------------------------------

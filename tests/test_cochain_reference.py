@@ -368,9 +368,9 @@ def test_identity_verdict_is_scanned_once_and_guards_cohomology(
     scans = []
     original = cochain.level_pairs
 
-    def recording(space, top):
+    def recording(space, top, slots):
         scans.append(top)
-        return original(space, top)
+        return original(space, top, slots)
 
     monkeypatch.setattr(cochain, "level_pairs", recording)
     report = setup.report()
@@ -419,6 +419,34 @@ def test_clearing_keeps_every_rank():
     dropped = {label: check_clearing(setup) for label, setup in setups.items()}
     # some left-out columns are nonzero, so leaving out the wrong ones shows
     assert sum(dropped.values()) > 0, dropped
+
+
+def reference_setup(name, alg_fn, kind, top):
+    algebra = alg_fn()
+    space, partition = space_and_partition(name)
+    module = coefficient_module(algebra, partition, kind)
+    return CochainSetup(space, algebra, module, partition, top)
+
+
+@pytest.mark.parametrize(
+    "make,args",
+    [(reference_setup, args) for args in REFERENCE_SETUPS]
+    + [(golden_setup, (name, False)) for name in BUILTINS],
+    ids=[f"{name}-{kind}-{alg_fn.__name__}" for name, alg_fn, kind, _ in REFERENCE_SETUPS]
+    + [f"golden-{name}" for name in BUILTINS],
+)
+def test_blockwise_ranks_match_the_whole_delta(make, args):
+    setup = make(*args)
+    p = setup.algebra.field.p
+    for n in range(setup.max_degree + 1):
+        whole = setup._delta_columns(n)
+        blocks = list(setup._delta_blocks(n))
+        # the blocks split the columns of δ_n and share no row
+        rows = [{r for column in columns.values() for r in column} for _, columns in blocks]
+        assert sum(len(columns) for _, columns in blocks) == len(whole), n
+        assert sum(map(len, rows)) == len(set().union(*rows)), n
+        blockwise = sum(len(_eliminate(columns, p)) for _, columns in blocks)
+        assert blockwise == len(_eliminate(whole, p)), n
 
 
 # top degree of each space in the per-slot module draws
