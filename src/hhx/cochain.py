@@ -28,10 +28,13 @@ streamed one block at a time (_delta_blocks): each block's dict of sparse
 columns goes straight into the exact elimination for its rank and is
 dropped before the next is built. Cohomology dimensions need only the
 ranks, so no coface or differential matrix is formed or kept for them.
-Clearing: δ_n leaves out its columns at δ_{n-1}'s pivots P, as the popped
-vectors lie in im δ_{n-1} and are triangular on P, so C^n = im δ_{n-1} ⊕
-span{e_j : j ∉ P}, and δ_n, which kills im δ_{n-1} (given δδ = 0, which
-cohomology_dims checks first), has the rank of the rest.
+Clearing: δ_n leaves out its columns at δ_{n-1}'s pivots P. The vectors
+the elimination pops lie in im δ_{n-1}, and each is zero at the pivots
+popped before it: the peeled ones, which come first, are the only vectors
+nonzero at their private pivots, and the rest are reduced against earlier
+pivots. So they are triangular on P, C^n = im δ_{n-1} ⊕ span{e_j : j ∉ P},
+and δ_n, which kills im δ_{n-1} (given δδ = 0, which cohomology_dims checks
+first), has the rank of the rest.
 
 The cosimplicial identities are checked on simplices, not on matrices:
 d_i d_j = d_{j-1} d_i holds exactly when the module acts equally on the two

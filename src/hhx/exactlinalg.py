@@ -8,14 +8,19 @@ No floating point is used anywhere.
 Rank over either field is the number of pivots that one sparse elimination
 driver, _eliminate, returns for a dict of sparse vectors: the shorter side of
 a Matrix, or the columns of a differential as the cochain engine assembles
-them. Only the combination step depends on the field: mod p over F_p,
-fraction-free integer combination with gcd reduction over Q.
+them. Vectors that hold a coordinate no other vector holds pivot first, on
+that private coordinate, with no work; the rest go through an index of the
+vectors holding each coordinate. Only the combination step depends on the
+field: mod p over F_p, fraction-free integer combination with gcd reduction
+over Q.
 """
 
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 from .errors import FormatError
@@ -334,16 +339,34 @@ def _clear_denominators(row: dict) -> dict:
 def _eliminate(rows: dict, p: int, echelon: list | None = None) -> set:
     """Pivots of the sparse vectors {key: {coord: value}} over F_p (Q if p = 0).
 
-    Empty vectors are allowed; rows is consumed (over Q each vector is
-    replaced by an integer multiple as it is read, so none is held twice).
-    Each popped vector pivots on its coordinate held by the fewest remaining
-    vectors, and only those are eliminated: over F_p r becomes r - (a/piv)
-    prow mod p; over Q r becomes (piv/g) r - (a/g) prow, g = gcd(piv, a),
-    then is divided by the gcd of its entries, exactly, so no Fraction arises.
-    The popped vectors span the input and are zero at all earlier pivots;
-    given a list as echelon, each is appended to it as (pivot coordinate,
-    pivot value, the other entries), in the order popped.
+    Empty vectors are allowed; rows is consumed. First each coordinate is
+    counted once over all vectors, and every vector holding a coordinate no
+    other vector holds is peeled off: it pivots as it stands on its first
+    such private coordinate, with no row operation and no index entry. The
+    rest go through the index (over Q each is replaced by an integer
+    multiple as it is read, so none is held twice): each popped vector
+    pivots on its coordinate held by the fewest remaining vectors, and only
+    those are eliminated: over F_p r becomes r - (a/piv) prow mod p; over Q
+    r becomes (piv/g) r - (a/g) prow, g = gcd(piv, a), then is divided by
+    the gcd of its entries, exactly, so no Fraction arises. A private
+    coordinate stays private in every subset, so the peeled vectors are
+    independent and the rest, and every combination of it, is zero at their
+    pivots. Hence the popped vectors, peeled ones first, span the input and
+    are zero at all earlier pivots; given a list as echelon, each is
+    appended to it as (pivot coordinate, pivot value, the other entries),
+    in the order popped.
     """
+    counts = Counter(chain.from_iterable(rows.values()))
+    pivots = set()
+    for r, row in list(rows.items()):
+        if 1 in map(counts.__getitem__, row):
+            del rows[r]
+            col = next(c for c in row if counts[c] == 1)
+            pivots.add(col)
+            piv = row.pop(col)
+            if echelon is not None:
+                echelon.append((col, piv, row))
+    del counts
     where = {}
     for r in list(rows):
         row = rows[r]
@@ -354,7 +377,6 @@ def _eliminate(rows: dict, p: int, echelon: list | None = None) -> set:
             rows[r] = row = _clear_denominators(row)
         for c in row:
             where.setdefault(c, set()).add(r)
-    pivots = set()
     while rows:
         pr, prow = rows.popitem()
         for c in prow:

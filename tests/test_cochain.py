@@ -700,6 +700,15 @@ def test_torus_delta2_rank_pinned(field_doc, kind, shape, rank):
     assert len(_eliminate(columns, setup.algebra.field.p)) == rank
 
 
+def test_pinched_torus_degree_3_frontier_answer():
+    # δ_3 is 2,097,152 x 8,192 with 836,016 nonzeros and rank 8,070; 5,785
+    # of the 8,073 nonzero columns left after clearing hold a row no other
+    # column holds, so the elimination peels them off before it indexes the rest
+    setup = make_setup("pinched-torus", dual_numbers(), "regular", 3, budget=3_000_000)
+    assert setup.hom_dims[-1] == 2_097_152
+    assert setup.report()["hh_dims"] == [2, 1, 2, 3]
+
+
 # top degree per space in the δδ = 0 draws, kept small for the cubic algebra
 SQUARE_ZERO_TOPS = {"circle": 3, "sphere2": 2, "torus": 1}
 

@@ -303,6 +303,74 @@ def test_elimination_core_from_columns_and_rows(field):
     assert empty_seen
 
 
+@pytest.mark.parametrize(
+    "field", [QQ, PrimeField(2), PrimeField(5)], ids=["Q", "F2", "F5"]
+)
+def test_elimination_peels_vectors_with_a_private_coordinate(field):
+    """Tall sparse columns shaped like a top differential: many more rows
+    than columns, 1-3 nonzeros per column, and some columns sums of others.
+    Vectors holding a coordinate no other vector holds pivot on one; the
+    pivots, echelon and rank are those of the whole elimination."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    if field.p:
+        scalar = st.integers(1, field.p - 1)
+    else:
+        numerator = st.sampled_from((-3, -2, -1, 1, 2, 3))
+        scalar = st.builds(Fraction, numerator, st.integers(1, 4))
+    seen = {"peeled": 0, "indexed": 0}
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        base = data.draw(st.integers(1, 10))
+        rows = data.draw(st.integers(4 * base, 12 * base))
+        coords = st.sets(st.integers(0, rows - 1), min_size=1, max_size=3)
+        columns = [{r: data.draw(scalar) for r in data.draw(coords)} for _ in range(base)]
+        for _ in range(data.draw(st.integers(0, 4))):
+            total = {}
+            summands = st.sets(st.integers(0, len(columns) - 1), min_size=1, max_size=3)
+            for k in data.draw(summands):
+                t = data.draw(scalar)
+                for r, v in columns[k].items():
+                    new = field.add(total.get(r, field.zero), field.mul(t, v))
+                    if new:
+                        total[r] = new
+                    else:
+                        total.pop(r, None)
+            columns.append(total)
+        entries = {(r, c): v for c, column in enumerate(columns) for r, v in column.items()}
+        m = Matrix(field, rows, len(columns), entries)
+        holders = {}
+        for column in columns:
+            for r in column:
+                holders[r] = holders.get(r, 0) + 1
+        private = [{r for r in column if holders[r] == 1} for column in columns]
+        seen["peeled"] += sum(map(bool, private))
+        seen["indexed"] += sum(bool(c) and not own for c, own in zip(columns, private))
+
+        vectors = {c: dict(column) for c, column in enumerate(columns)}
+        echelon = []
+        pivots = _eliminate(vectors, field.p, echelon)
+        assert vectors == {}  # consumed
+        rank = naive_rank(m)
+        assert len(pivots) == rank
+        on_pivots = {(r, c): v for (r, c), v in entries.items() if r in pivots}
+        assert naive_rank(Matrix(field, rows, len(columns), on_pivots)) == rank
+        # triangular: each vector is zero at the pivots appended before it
+        earlier = set()
+        for col, piv, rest in echelon:
+            assert piv != 0 and col not in rest
+            assert not earlier & rest.keys()
+            earlier.add(col)
+        assert earlier == pivots
+        for own in private:
+            assert not own or own & pivots
+
+    check()
+    assert seen["peeled"] and seen["indexed"]
+
+
 def test_add_scale_neg():
     a = Matrix.from_rows(QQ, [[1, 2], [3, 4]])
     assert a.scale(2) == a + a
