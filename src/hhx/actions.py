@@ -15,13 +15,13 @@ Faces are read from integer rows, one per simplex (_face_rows): entry k is
 the position of d_k s among the faces below, or ~p where d_k s is the
 basepoint and p positions slot_at(s, k) among the slots met so far. One
 pair routine on those rows (_pairs) serves the sweep, the paranoid scan and
-the cosimplicial identity check. The paranoid scan and the identity check
-tabulate every non-basepoint simplex level by level, two levels at a time
-(level_pairs), so each face and each slot is found once and no face is
-built as a Simplex. The paranoid scan of the benchmark's actions-scan
+the cosimplicial identity check. Every non-basepoint simplex is tabulated
+level by level (level_rows), so each face and each slot is found once and
+no face is built as a Simplex; the paranoid scan holds two levels at a
+time, and a cochain setup keeps the rows of every level for its cofaces
+and its identity check. The paranoid scan of the benchmark's actions-scan
 space (seed 1) to dimension 8 takes 0.07-0.14 s in a fresh process (median
-0.10 s of 8), against 0.19-0.29 s (median 0.26 s) with a Simplex face
-table (2-vCPU host, Python 3.11).
+0.10 s of 8; 2-vCPU host, Python 3.11).
 """
 
 from __future__ import annotations
@@ -279,28 +279,25 @@ def closure_pairs(space: SimplicialSpace) -> list[tuple[ActionSlot, ActionSlot]]
     ]
 
 
-def level_pairs(space: SimplicialSpace, top: int, slots: list):
-    """(n, i, j, via_j, via_i) of _pairs on every non-basepoint n-simplex.
+def level_rows(space: SimplicialSpace, top: int, slots: list):
+    """(simplices, rows) for the non-basepoint n-simplices, n = 0..top.
 
-    Levels n = 2..top, each in space.simplices order. via_j and via_i are
-    positions in slots, a list the scan extends by each slot it meets
-    before it yields a pair on it, so a caller maps positions to slots only
-    where it needs them. The face rows of the non-basepoint simplices of
-    dims 1..top are built one level at a time and kept for two levels, with
-    entries that point into the level below's list; basepoint simplices,
-    whose faces _pairs never asks for, get none.
+    Each level is in space.simplices order, with its _face_rows (an empty
+    row per vertex): entries point into the level below's tuple or at
+    slots, a list the scan extends by each slot a level meets before it
+    yields that level, so a caller maps positions to slots only where it
+    needs them. Only the level below is held to build a level; basepoint
+    simplices, whose faces _pairs never asks for, get no row.
     """
     positions = _Positions()
-    level = [s for s in space.simplices(0) if not space.is_basepoint(s)]
-    rows = ()
+    level = tuple(s for s in space.simplices(0) if not space.is_basepoint(s))
+    yield level, [()] * len(level)
     for n in range(1, top + 1):
         position = {s: p for p, s in enumerate(level)}
-        level = [s for s in space.simplices(n) if not space.is_basepoint(s)]
-        lower, rows = rows, _face_rows(space, level, position, positions)
-        if n >= 2:
-            slots.extend(itertools.islice(positions, len(slots), None))
-            for i, j, a, b in _pairs(level, rows, lower):
-                yield n, i, j, a, b
+        level = tuple(s for s in space.simplices(n) if not space.is_basepoint(s))
+        rows = _face_rows(space, level, position, positions)
+        slots.extend(itertools.islice(positions, len(slots), None))
+        yield level, rows
 
 
 def partition_from_pairs(slots, pairs) -> ActionPartition:
@@ -354,7 +351,11 @@ def paranoid_closure(space: SimplicialSpace, dim_cap: int) -> ActionPartition:
             f"visits, more than the limit of {PARANOID_LIMIT}"
         )
     slots = []
-    pairs = {pair[3:] for pair in level_pairs(space, dim_cap, slots)}
+    pairs = set()
+    for n, (level, rows) in enumerate(level_rows(space, dim_cap, slots)):
+        if n >= 2:
+            pairs.update(pair[2:] for pair in _pairs(level, rows, lower))
+        lower = rows
     return partition_from_pairs(
         enumerate_slots(space), [(slots[a], slots[b]) for a, b in pairs]
     )

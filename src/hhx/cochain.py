@@ -36,11 +36,18 @@ pivots. So they are triangular on P, C^n = im δ_{n-1} ⊕ span{e_j : j ∉ P},
 and δ_n, which kills im δ_{n-1} (given δδ = 0, which cohomology_dims checks
 first), has the rank of the rest.
 
+Faces come from one table: a setup keeps the integer face rows of the
+non-basepoint simplices of every level 0..N + 1 (actions.level_rows), built
+once. A coface d^i reads entry i of each row of the level above: a position
+in the level below, or a slot carrying the star action where the face is
+the basepoint.
+
 The cosimplicial identities are checked on simplices, not on matrices:
 d_i d_j = d_{j-1} d_i holds exactly when the module acts equally on the two
-slots through which each basepoint face d_i d_j s is reached
-(actions.level_pairs), and the relations with codegeneracies hold by
-construction (check_cosimplicial_identities). No matrix is built for it.
+slots through which each basepoint face d_i d_j s is reached (actions._pairs
+on the same rows the cofaces read), and the relations with codegeneracies
+hold by construction (check_cosimplicial_identities). No matrix is built for
+it.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ import itertools
 from fractions import Fraction
 from math import comb, lcm
 
-from .actions import ActionPartition, level_pairs, slot_at
+from .actions import ActionPartition, _pairs, level_rows, paranoid_visits
 from .coeffalg import Algebra, MultiModule, _unit_vector
 from .errors import BudgetError, ColumnBudgetError, InternalError, ValidationError
 from .exactlinalg import Matrix, _eliminate
@@ -57,7 +64,8 @@ from .simplicial import SimplicialSpace
 
 DEFAULT_BUDGET = 200_000
 
-# most simplex-pair visits check_cosimplicial_identities may make: at the
+# most simplex-pair visits check_cosimplicial_identities may make, counted
+# as for a paranoid scan to dimension N + 1 (actions.paranoid_visits): at the
 # limit 0.45-0.8 s on circle, sphere2, sphere3 or torus over k (0.23-0.49
 # microseconds a visit), 1.4 s on sphere12 (-N 16, 1,259,700 visits), where
 # most pairs reach the basepoint; 2-vCPU host, Python 3.11
@@ -82,7 +90,9 @@ class CochainSetup:
     would expand more than FACE_LIMIT cofaces. It then solves for the
     finest internal grading of the algebra and the module (_grading): the
     null space over Q of the linear equations every nonzero structure
-    constant and action entry imposes on the weights.
+    constant and action entry imposes on the weights. Last it builds the
+    face rows of levels 0..N + 1 (actions.level_rows), which the cofaces
+    and the identity check read.
     """
 
     def __init__(
@@ -117,7 +127,7 @@ class CochainSetup:
             self.t.append(t)
             self.hom_dims.append(dim)
         # with d = 1 or m = 0 the hom dims never grow, so bound the check too
-        visits = identity_visits(self.t, max_degree)
+        visits = paranoid_visits(space, max_degree + 1)
         if visits > IDENTITY_LIMIT:
             raise BudgetError(
                 f"the cosimplicial identity check would visit {visits} "
@@ -132,16 +142,15 @@ class CochainSetup:
             )
         # (algebra basis weights, module basis weights)
         self._weights = _grading(algebra, module, self.t[-1])
-        self._basis = {
-            n: tuple(s for s in space.simplices(n) if not space.is_basepoint(s))
-            for n in range(max_degree + 2)
-        }
+        self._slots = []  # the slots the face rows point at, by position
+        # (non-basepoint simplices, face rows) of each level 0..N + 1
+        self._levels = list(level_rows(space, max_degree + 1, self._slots))
         self._failures = None  # the identity verdict, once scanned
 
     def basis(self, n: int):
         """The non-basepoint n-simplices indexing the tensor factors."""
         self._check_degree(n)
-        return self._basis[n]
+        return self._levels[n][0]
 
     def _check_degree(self, n: int):
         if not 0 <= n <= self.max_degree + 1:
@@ -161,7 +170,7 @@ class CochainSetup:
     def differential(self, n: int) -> Matrix:
         """Alternating sum of the cofaces out of degree n, as a Matrix."""
         self._check_degree(n)
-        return self._matrix(n + 1, n, self._delta_columns(n))
+        return self._matrix(n + 1, n, _merged(self._delta_blocks(n)))
 
     def coface(self, n: int, i: int) -> Matrix:
         self._check_degree(n + 1)
@@ -182,8 +191,8 @@ class CochainSetup:
         if m == 0:
             return self._matrix(n, n + 1, {})
         weight = self._weights[0]
-        src = self._basis[n]
-        up = self._basis[n + 1]
+        src = self._levels[n][0]
+        up = self._levels[n + 1][0]
         up_pos = {s: p for p, s in enumerate(up)}
         seen = set()
         factors = []
@@ -208,10 +217,6 @@ class CochainSetup:
             self.hom_dims[col_degree],
             {(r, c): v for c, column in columns.items() for r, v in column.items()},
         )
-
-    def _delta_columns(self, n: int, skip=frozenset()) -> dict:
-        """All nonzero columns {col: {row: value}} of δ_n not in skip."""
-        return _merged(self._delta_blocks(n, skip))
 
     def _delta_blocks(self, n: int, skip=frozenset()):
         """(weight, columns) for each weight block of δ_n = Σ (-1)^i d^i.
@@ -246,26 +251,24 @@ class CochainSetup:
 
     def _coface_terms(self, n: int, i: int):
         """(blocks, factors) of d^i out of degree n for _expansion; needs m > 0."""
-        space = self.space
         alg = self.algebra
         F = alg.field
         d = alg.dim
         m = self.module.dim
         weight = self._weights[0]
-        src = self._basis[n]
-        tgt = self._basis[n + 1]
-        src_pos = {s: q for q, s in enumerate(src)}
+        src = self._levels[n][0]
+        rows = self._levels[n + 1][1]
         star_places = []
         star_mats = []
         groups = [[] for _ in src]
-        for p, s in enumerate(tgt):
-            place = d ** (len(tgt) - 1 - p)
-            f = space.face(s, i)
-            if space.is_basepoint(f):
+        for p, row in enumerate(rows):
+            place = d ** (len(rows) - 1 - p)
+            f = row[i]  # position of d_i s in src, or ~k: the basepoint, slot k
+            if f < 0:
                 star_places.append(place)
-                star_mats.append(self._action(self.partition.class_of(slot_at(s, i))))
+                star_mats.append(self._action(self.partition.class_of(self._slots[~f])))
             else:
-                groups[src_pos[f]].append(place)
+                groups[f].append(place)
 
         # the composite action for each choice of basis elements on the star
         # positions, kept where it is nonzero (None: no star position)
@@ -384,7 +387,7 @@ class CochainSetup:
         the same face d_i d_j s = d_{j-1} d_i s. Away from the basepoint
         that face joins the argument either way; at the basepoint the first
         composite applies the action of the slot reached via j and the
-        second that of the slot reached via i (actions.level_pairs). So an
+        second that of the slot reached via i (actions._pairs). So an
         instance holds exactly when the module acts equally on every such
         pair of slots. This is exact for a validated module (unital,
         multiplicative, with commuting actions) over a commutative algebra:
@@ -392,9 +395,10 @@ class CochainSetup:
         simplex, and the unit on every other simplex isolates one action.
         A space that breaks d_i d_j = d_{j-1} d_i raises InternalError.
 
-        Degrees 2..N + 1 are scanned level by level from integer face rows
-        (actions.level_pairs) with no row for basepoint simplices, so each
-        face is found once and the point space finds none.
+        Degrees 2..N + 1 are scanned from the setup's face rows
+        (actions.level_rows), the same rows the cofaces read, with no row for
+        basepoint simplices, so each face is found once per setup and the
+        point space finds none.
 
         The other relations hold by construction. s_i s_j x = s_j s_{i-1} x
         is an identity of degeneracy words alone. d_i s_j x is x when i is
@@ -405,19 +409,21 @@ class CochainSetup:
         """
         if self._failures is None:
             class_of = self.partition.class_of
-            slots = []
+            slots = self._slots
+            levels = self._levels
             same = {}  # (via_j, via_i) positions -> whether their classes act alike
             failing = set()
-            top = self.max_degree + 1
-            for n, i, j, via_j, via_i in level_pairs(self.space, top, slots):
-                equal = same.get((via_j, via_i))
-                if equal is None:
-                    equal = same[via_j, via_i] = (
-                        self._action(class_of(slots[via_j]))
-                        == self._action(class_of(slots[via_i]))
-                    )
-                if not equal:
-                    failing.add((n - 2, j, i))
+            for n in range(2, len(levels)):
+                (level, rows), lower = levels[n], levels[n - 1][1]
+                for i, j, via_j, via_i in _pairs(level, rows, lower):
+                    equal = same.get((via_j, via_i))
+                    if equal is None:
+                        equal = same[via_j, via_i] = (
+                            self._action(class_of(slots[via_j]))
+                            == self._action(class_of(slots[via_i]))
+                        )
+                    if not equal:
+                        failing.add((n - 2, j, i))
             self._failures = tuple(
                 {"relation": "a", "n": n, "i": i, "j": j}
                 for n, j, i in sorted(failing)
@@ -450,7 +456,7 @@ class CochainSetup:
             ranks.append(len(pivots))
         return _dims_from_ranks(ranks, self.hom_dims)
 
-    def report(self, *, with_cohomology: bool = True) -> dict:
+    def report(self) -> dict:
         failures = self.check_cosimplicial_identities()
         out = {
             "space": self.space.name,
@@ -458,18 +464,9 @@ class CochainSetup:
             "hom_dims": list(self.hom_dims),
             "identities": "pass" if not failures else failures,
         }
-        if with_cohomology and not failures:
+        if not failures:
             out["hh_dims"] = self.cohomology_dims()
         return out
-
-
-def identity_visits(t, max_degree: int) -> int:
-    """Simplex-pair visits of check_cosimplicial_identities, from t.
-
-    Each of the t[n + 2] simplices of degree n + 2 is visited once per pair
-    i < j of its C(n + 3, 2) pairs of face indices.
-    """
-    return sum(comb(n + 3, 2) * t[n + 2] for n in range(max_degree))
 
 
 def _grading(algebra: Algebra, module: MultiModule, most: int) -> tuple[list, list]:

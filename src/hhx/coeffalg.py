@@ -48,18 +48,12 @@ class Algebra:
         return tuple(out)
 
     def multiplication_matrix(self, coords) -> Matrix:
-        """The matrix of multiplication by the element with these coords."""
+        """The matrix of multiplication by the element with these coords:
+        column j is its product with basis element j."""
         entries = {}
         F = self.field
         for j in range(self.dim):
-            col = [F.zero] * self.dim
-            for i, a in enumerate(coords):
-                if a == 0:
-                    continue
-                for t, c in enumerate(self.mul[i][j]):
-                    if c != 0:
-                        col[t] = F.add(col[t], F.mul(a, c))
-            for r, v in enumerate(col):
+            for r, v in enumerate(self.multiply(coords, _unit_vector(F, self.dim, j))):
                 if v != 0:
                     entries[(r, j)] = v
         return Matrix(F, self.dim, self.dim, entries)

@@ -19,7 +19,7 @@ from hhx.actions import (
     ActionSlot,
     closure_pairs,
     enumerate_slots,
-    level_pairs,
+    level_rows,
     paranoid_closure,
     paranoid_visits,
     partition_from_pairs,
@@ -113,14 +113,20 @@ def slot_pairs(space, s):
 
 
 def mapped_level_pairs(space, top):
-    """level_pairs with its slot positions mapped to the slots."""
+    """(n, i, j, via_j, via_i) of _pairs on each level n = 2..top of
+    level_rows, with its slot positions mapped to the slots."""
     slots = []
-    pairs = list(level_pairs(space, top, slots))
+    pairs = []
+    for n, (level, rows) in enumerate(level_rows(space, top, slots)):
+        if n >= 2:
+            pairs += [(n, *pair) for pair in actions._pairs(level, rows, lower)]
+        lower = rows
     return [(n, i, j, slots[a], slots[b]) for n, i, j, a, b in pairs]
 
 
 def slow_level_pairs(space, top):
-    """level_pairs from slot_pairs: one space.face call per face and pair."""
+    """mapped_level_pairs from slot_pairs: one space.face call per face and
+    pair."""
     for n in range(2, top + 1):
         for s in space.simplices(n):
             if not space.is_basepoint(s):

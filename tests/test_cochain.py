@@ -24,14 +24,14 @@ from helpers import (
 from hhx import (
     CochainSetup,
     MultiModule,
-    actions,
     classical_hochschild_dims,
+    cochain,
     multiplication_module,
     parse_algebra,
     validate_module,
 )
-from hhx.actions import enumerate_slots, partition_from_pairs
-from hhx.cochain import FACE_LIMIT, _grading, identity_visits
+from hhx.actions import enumerate_slots, paranoid_visits, partition_from_pairs
+from hhx.cochain import FACE_LIMIT, _grading
 from hhx.errors import BudgetError, InternalError, ValidationError
 from hhx.exactlinalg import Matrix, QQ, _eliminate
 from hhx.simplicial import parse_space
@@ -309,13 +309,13 @@ def test_identity_check_forms_no_matrix_product(monkeypatch, space_name, top):
 def test_identity_visits_closed_form_matches_check(monkeypatch, space_name, top):
     setup = make_setup(space_name, dual_numbers(), "regular", top)
     assert setup.t == [len(setup.basis(n)) for n in range(top + 2)]
-    # the check's level scan (actions.level_pairs) hands the face rows of
-    # each level to _pairs, which walks the C(dim + 1, 2) pairs of face
-    # indices of every row
-    visited = record_calls(monkeypatch, actions, "_pairs")
+    # the check hands the setup's face rows of each level 2..N + 1 to
+    # _pairs, which walks the C(dim + 1, 2) pairs of face indices of every
+    # row; the limit counts them as a paranoid scan to dimension N + 1
+    visited = record_calls(monkeypatch, cochain, "_pairs")
     assert setup.check_cosimplicial_identities() == []
     visits = sum(comb(len(row), 2) for _, rows, _ in visited for row in rows)
-    assert visits == identity_visits(setup.t, top) > 0
+    assert visits == paranoid_visits(setup.space, top + 1) > 0
 
 
 def test_report_assembles_each_delta_once_and_keeps_none(monkeypatch):
@@ -342,12 +342,13 @@ def test_report_assembles_each_delta_once_and_keeps_none(monkeypatch):
     expanded = record_calls(monkeypatch, CochainSetup, "_expand")
     matrices = [
         record_calls(monkeypatch, CochainSetup, name)
-        for name in ("coface", "codegeneracy", "differential", "_delta_columns")
+        for name in ("coface", "codegeneracy", "differential")
     ]
+    merged = record_calls(monkeypatch, cochain, "_merged")
     assert setup.report()["hh_dims"] == [2, 2, 4]
     # no coface, codegeneracy or differential Matrix and no whole δ_n: only
     # module-sized products of star actions
-    assert matrices == [[], [], [], []]
+    assert matrices == [[], [], []] and merged == []
     assert shapes and set(shapes) == {(m, m)}
     # each coface is expanded once per degree, and each block of each δ_n
     # is assembled once, from each expansion once
@@ -380,7 +381,8 @@ def test_streamed_blocks_peak_below_half_of_the_whole_delta():
         streamed = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        assert len(_eliminate(setup._delta_columns(2), setup.algebra.field.p)) == 988
+        whole_delta = cochain._merged(setup._delta_blocks(2))
+        assert len(_eliminate(whole_delta, setup.algebra.field.p)) == 988
         whole = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -487,7 +489,7 @@ def check_blocks(setup, n):
         nonempty += any(columns.values())
         rank += len(_eliminate(columns, p))
     assert weights == sorted(set(weights))
-    assert rank == len(_eliminate(setup._delta_columns(n), p)), n
+    assert rank == len(_eliminate(cochain._merged(setup._delta_blocks(n)), p)), n
     return nonempty
 
 
@@ -695,7 +697,7 @@ def test_torus_delta2_rank_pinned(field_doc, kind, shape, rank):
     assert (delta.rows, delta.cols) == shape
     assert delta.rank() == rank
     # the engine's path: the columns of δ_2 straight into the elimination
-    columns = setup._delta_columns(2)
+    columns = cochain._merged(setup._delta_blocks(2))
     assert len(columns) <= shape[1]
     assert len(_eliminate(columns, setup.algebra.field.p)) == rank
 

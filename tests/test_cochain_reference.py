@@ -12,6 +12,7 @@ and codegeneracy matrices, against the engine's check on simplices.
 """
 
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -37,8 +38,8 @@ from hhx.actions import enumerate_slots, partition_from_pairs, sweep_closure
 from hhx.coeffalg import load_algebra, load_module
 from hhx.errors import ValidationError
 from hhx.exactlinalg import Matrix, _eliminate
-from hhx.simplicial import parse_space
-from test_actions import slow_reduce_slot
+from hhx.simplicial import SimplicialSpace, parse_space
+from test_actions import record_face_rows, slow_reduce_slot
 from test_golden import BUILTINS, GOLDEN, OVERRIDES
 
 
@@ -224,7 +225,8 @@ def slow_differential(setup, n):
 
 def engine_rank(setup, n):
     """rank δ_n as cohomology_dims takes it: from the assembled columns."""
-    return len(_eliminate(setup._delta_columns(n), setup.algebra.field.p))
+    columns = cochain._merged(setup._delta_blocks(n))
+    return len(_eliminate(columns, setup.algebra.field.p))
 
 
 def check_differentials(setup, degrees):
@@ -319,6 +321,11 @@ def test_identity_check_matches_matrix_products(name, alg_fn, kind, top):
 
 def golden_setup(name, override):
     """The setup behind a golden cohomology case (see test_golden.py)."""
+    return CochainSetup(*golden_inputs(name, override))
+
+
+def golden_inputs(name, override):
+    """(space, algebra, module, partition, top) of a golden cohomology case."""
     space = builtin_space(name)
     algebra = load_algebra(str(GOLDEN / "dual-q.json"))
     if override:
@@ -328,7 +335,7 @@ def golden_setup(name, override):
         partition = sweep_closure(space)
         module_path, top = GOLDEN / f"regular-{name}.json", BUILTINS[name]
     module = load_module(str(module_path), algebra, partition)
-    return CochainSetup(space, algebra, module, partition, top)
+    return space, algebra, module, partition, top
 
 
 @pytest.mark.parametrize(
@@ -361,20 +368,34 @@ def test_differentials_match_reference_on_golden_setups(name, override):
     "name,override",
     [(name, False) for name in BUILTINS] + [(name, True) for name in OVERRIDES],
 )
+def test_golden_report_reads_faces_only_from_the_setup_rows(monkeypatch, name, override):
+    setup = golden_setup(name, override)
+
+    def no_face(space, s, i):
+        raise AssertionError(f"face {i} of {s!r} asked for after construction")
+
+    # the cofaces and the identity check read the rows construction built
+    monkeypatch.setattr(SimplicialSpace, "face", no_face)
+    case = f"cohomology-{name}{'-override' if override else ''}-json"
+    assert setup.report() == json.loads((GOLDEN / f"{case}.out").read_text())
+
+
+@pytest.mark.parametrize(
+    "name,override",
+    [(name, False) for name in BUILTINS] + [(name, True) for name in OVERRIDES],
+)
 def test_identity_verdict_is_scanned_once_and_guards_cohomology(
     monkeypatch, name, override
 ):
-    setup = golden_setup(name, override)
-    scans = []
-    original = cochain.level_pairs
-
-    def recording(space, top, slots):
-        scans.append(top)
-        return original(space, top, slots)
-
-    monkeypatch.setattr(cochain, "level_pairs", recording)
+    inputs = golden_inputs(name, override)
+    tables = record_face_rows(monkeypatch)
+    setup = CochainSetup(*inputs)
     report = setup.report()
-    assert scans == [setup.max_degree + 1]
+    # construction builds the face rows of each level 1..N + 1 once, in
+    # order, and report() builds none: the check reads the cofaces' rows
+    scans = [simplices for simplices, _, _, _ in tables]
+    assert [len(simplices) for simplices in scans] == setup.t[1:]
+    assert all(s.dim == n for n, level in enumerate(scans, 1) for s in level)
     assert (report["identities"] != "pass") == override
     assert ("hh_dims" in report) != override
     if override:
@@ -384,7 +405,7 @@ def test_identity_verdict_is_scanned_once_and_guards_cohomology(
         assert setup.check_cosimplicial_identities() == report["identities"]
     else:
         assert setup.cohomology_dims() == report["hh_dims"]
-    assert len(scans) == 1
+    assert len(tables) == len(scans) == setup.max_degree + 1
 
 
 def check_clearing(setup):
@@ -394,10 +415,10 @@ def check_clearing(setup):
     p = setup.algebra.field.p
     dropped = 0
     for n in range(1, setup.max_degree + 1):
-        pivots = _eliminate(setup._delta_columns(n - 1), p)
-        full = setup._delta_columns(n)
+        pivots = _eliminate(cochain._merged(setup._delta_blocks(n - 1)), p)
+        full = cochain._merged(setup._delta_blocks(n))
         dropped += sum(1 for j in pivots if full.get(j))
-        cleared = setup._delta_columns(n, pivots)
+        cleared = cochain._merged(setup._delta_blocks(n, pivots))
         assert not pivots & cleared.keys(), n
         assert len(_eliminate(cleared, p)) == len(_eliminate(full, p)), n
     return dropped
@@ -439,7 +460,7 @@ def test_blockwise_ranks_match_the_whole_delta(make, args):
     setup = make(*args)
     p = setup.algebra.field.p
     for n in range(setup.max_degree + 1):
-        whole = setup._delta_columns(n)
+        whole = cochain._merged(setup._delta_blocks(n))
         blocks = list(setup._delta_blocks(n))
         # the blocks split the columns of δ_n and share no row
         rows = [{r for column in columns.values() for r in column} for _, columns in blocks]
