@@ -13,15 +13,18 @@ partition_from_pairs(enumerate_slots(space), ()), keys one action per slot.
 
 Faces are read from integer rows, one per simplex (_face_rows): entry k is
 the position of d_k s among the faces below, or ~p where d_k s is the
-basepoint and p positions slot_at(s, k) among the slots met so far. One
-pair routine on those rows (_pairs) serves the sweep, the paranoid scan and
-the cosimplicial identity check. Every non-basepoint simplex is tabulated
-level by level (level_rows), so each face and each slot is found once and
-no face is built as a Simplex; the paranoid scan holds two levels at a
-time, and a cochain setup keeps the rows of every level for its cofaces
-and its identity check. The paranoid scan of the benchmark's actions-scan
-space (seed 1) to dimension 8 takes 0.07-0.14 s in a fresh process (median
-0.10 s of 8; 2-vCPU host, Python 3.11).
+basepoint and p positions slot_at(s, k) among the slots met so far. This
+row format is the public interface of level_rows, which tabulates every
+non-basepoint simplex level by level, so each face and each slot is found
+once and no face is built as a Simplex; only this module decides which
+slot carries a basepoint face, and a reader of the rows only tells a
+position (f >= 0) from a slot (slots[~f]). One pair routine on the rows (row_pairs)
+serves the sweep, the paranoid scan and the cosimplicial identity check.
+The paranoid scan holds two levels at a time, and a cochain setup keeps
+the rows of every level for its cofaces and its identity check. The
+paranoid scan of the benchmark's actions-scan space (seed 1) to dimension
+8 takes 0.07-0.14 s in a fresh process (median 0.10 s of 8; 2-vCPU host,
+Python 3.11).
 """
 
 from __future__ import annotations
@@ -211,7 +214,7 @@ def _face_rows(space: SimplicialSpace, simplices, position, slots) -> list[tuple
     return rows
 
 
-def _pairs(simplices, rows, lower):
+def row_pairs(simplices, rows, lower):
     """(i, j, via_j, via_i) for each basepoint face d_i d_j s, s of dim >= 2.
 
     rows are the simplices' _face_rows and lower the rows of the faces they
@@ -275,19 +278,21 @@ def closure_pairs(space: SimplicialSpace) -> list[tuple[ActionSlot, ActionSlot]]
     lower = _face_rows(space, list(faces), _Positions(), slots)
     by_position = list(slots)
     return [
-        (by_position[a], by_position[b]) for _, _, a, b in _pairs(cells, rows, lower)
+        (by_position[a], by_position[b]) for _, _, a, b in row_pairs(cells, rows, lower)
     ]
 
 
 def level_rows(space: SimplicialSpace, top: int, slots: list):
     """(simplices, rows) for the non-basepoint n-simplices, n = 0..top.
 
-    Each level is in space.simplices order, with its _face_rows (an empty
-    row per vertex): entries point into the level below's tuple or at
-    slots, a list the scan extends by each slot a level meets before it
-    yields that level, so a caller maps positions to slots only where it
-    needs them. Only the level below is held to build a level; basepoint
-    simplices, whose faces _pairs never asks for, get no row.
+    Each level is in space.simplices order, with one row per simplex (an
+    empty row per vertex). Entry k of the row of s is an int f: f >= 0 is
+    the position of d_k s in the level below's tuple, and f < 0 says d_k s
+    is the basepoint, carried by the slot slots[~f]. slots is a list the
+    scan extends by each slot a level meets before it yields that level,
+    so a caller maps positions to slots only where it needs them. Only the
+    level below is held to build a level; basepoint simplices, whose faces
+    row_pairs never asks for, get no row.
     """
     positions = _Positions()
     level = tuple(s for s in space.simplices(0) if not space.is_basepoint(s))
@@ -354,7 +359,7 @@ def paranoid_closure(space: SimplicialSpace, dim_cap: int) -> ActionPartition:
     pairs = set()
     for n, (level, rows) in enumerate(level_rows(space, dim_cap, slots)):
         if n >= 2:
-            pairs.update(pair[2:] for pair in _pairs(level, rows, lower))
+            pairs.update(pair[2:] for pair in row_pairs(level, rows, lower))
         lower = rows
     return partition_from_pairs(
         enumerate_slots(space), [(slots[a], slots[b]) for a, b in pairs]

@@ -44,7 +44,7 @@ the basepoint.
 
 The cosimplicial identities are checked on simplices, not on matrices:
 d_i d_j = d_{j-1} d_i holds exactly when the module acts equally on the two
-slots through which each basepoint face d_i d_j s is reached (actions._pairs
+slots through which each basepoint face d_i d_j s is reached (actions.row_pairs
 on the same rows the cofaces read), and the relations with codegeneracies
 hold by construction (check_cosimplicial_identities). No matrix is built for
 it.
@@ -56,7 +56,7 @@ import itertools
 from fractions import Fraction
 from math import comb, lcm
 
-from .actions import ActionPartition, _pairs, level_rows, paranoid_visits
+from .actions import ActionPartition, row_pairs, level_rows, paranoid_visits
 from .coeffalg import Algebra, MultiModule, _unit_vector
 from .errors import BudgetError, ColumnBudgetError, InternalError, ValidationError
 from .exactlinalg import Matrix, _eliminate
@@ -263,7 +263,7 @@ class CochainSetup:
         groups = [[] for _ in src]
         for p, row in enumerate(rows):
             place = d ** (len(rows) - 1 - p)
-            f = row[i]  # position of d_i s in src, or ~k: the basepoint, slot k
+            f = row[i]  # level_rows: d_i s is src[f], or the basepoint via slots[~f]
             if f < 0:
                 star_places.append(place)
                 star_mats.append(self._action(self.partition.class_of(self._slots[~f])))
@@ -387,7 +387,7 @@ class CochainSetup:
         the same face d_i d_j s = d_{j-1} d_i s. Away from the basepoint
         that face joins the argument either way; at the basepoint the first
         composite applies the action of the slot reached via j and the
-        second that of the slot reached via i (actions._pairs). So an
+        second that of the slot reached via i (actions.row_pairs). So an
         instance holds exactly when the module acts equally on every such
         pair of slots. This is exact for a validated module (unital,
         multiplicative, with commuting actions) over a commutative algebra:
@@ -415,7 +415,7 @@ class CochainSetup:
             failing = set()
             for n in range(2, len(levels)):
                 (level, rows), lower = levels[n], levels[n - 1][1]
-                for i, j, via_j, via_i in _pairs(level, rows, lower):
+                for i, j, via_j, via_i in row_pairs(level, rows, lower):
                     equal = same.get((via_j, via_i))
                     if equal is None:
                         equal = same[via_j, via_i] = (

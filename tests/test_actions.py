@@ -77,7 +77,7 @@ def slow_reduce_slot(space, s, i):
 def slot_pairs(space, s):
     """(i, j, via_j, via_i) for each basepoint face d_i d_j s, s of dim >= 2.
 
-    The pair rules of actions._pairs on Simplex values: space.face asked of
+    The pair rules of actions.row_pairs on Simplex values: space.face asked of
     s and its non-basepoint faces, and each slot found with slot_at where a
     pair reaches the basepoint.
     """
@@ -113,13 +113,13 @@ def slot_pairs(space, s):
 
 
 def mapped_level_pairs(space, top):
-    """(n, i, j, via_j, via_i) of _pairs on each level n = 2..top of
+    """(n, i, j, via_j, via_i) of row_pairs on each level n = 2..top of
     level_rows, with its slot positions mapped to the slots."""
     slots = []
     pairs = []
     for n, (level, rows) in enumerate(level_rows(space, top, slots)):
         if n >= 2:
-            pairs += [(n, *pair) for pair in actions._pairs(level, rows, lower)]
+            pairs += [(n, *pair) for pair in actions.row_pairs(level, rows, lower)]
         lower = rows
     return [(n, i, j, slots[a], slots[b]) for n, i, j, a, b in pairs]
 

@@ -310,9 +310,9 @@ def test_identity_visits_closed_form_matches_check(monkeypatch, space_name, top)
     setup = make_setup(space_name, dual_numbers(), "regular", top)
     assert setup.t == [len(setup.basis(n)) for n in range(top + 2)]
     # the check hands the setup's face rows of each level 2..N + 1 to
-    # _pairs, which walks the C(dim + 1, 2) pairs of face indices of every
+    # row_pairs, which walks the C(dim + 1, 2) pairs of face indices of every
     # row; the limit counts them as a paranoid scan to dimension N + 1
-    visited = record_calls(monkeypatch, cochain, "_pairs")
+    visited = record_calls(monkeypatch, cochain, "row_pairs")
     assert setup.check_cosimplicial_identities() == []
     visits = sum(comb(len(row), 2) for _, rows, _ in visited for row in rows)
     assert visits == paranoid_visits(setup.space, top + 1) > 0

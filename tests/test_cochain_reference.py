@@ -40,6 +40,7 @@ from hhx.errors import ValidationError
 from hhx.exactlinalg import Matrix, _eliminate
 from hhx.simplicial import SimplicialSpace, parse_space
 from test_actions import record_face_rows, slow_reduce_slot
+from test_cochain import record_calls
 from test_golden import BUILTINS, GOLDEN, OVERRIDES
 
 
@@ -389,6 +390,7 @@ def test_identity_verdict_is_scanned_once_and_guards_cohomology(
 ):
     inputs = golden_inputs(name, override)
     tables = record_face_rows(monkeypatch)
+    scanned = record_calls(monkeypatch, cochain, "row_pairs")
     setup = CochainSetup(*inputs)
     report = setup.report()
     # construction builds the face rows of each level 1..N + 1 once, in
@@ -406,6 +408,10 @@ def test_identity_verdict_is_scanned_once_and_guards_cohomology(
     else:
         assert setup.cohomology_dims() == report["hh_dims"]
     assert len(tables) == len(scans) == setup.max_degree + 1
+    # the identity verdict is scanned once: one row_pairs call per level
+    # 2..N + 1, through report(), cohomology_dims() and the repeated check
+    assert [len(rows) for _, rows, _ in scanned] == setup.t[2:]
+    assert len(scanned) == setup.max_degree
 
 
 def check_clearing(setup):
