@@ -31,7 +31,6 @@ from .exactlinalg import (
     Matrix,
     PrimeField,
     QQ,
-    Rationals,
     field_from_json,
     field_from_text,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "MultiModule",
     "PrimeField",
     "QQ",
-    "Rationals",
     "Simplex",
     "SimplicialSpace",
     "ValidationError",

@@ -83,11 +83,12 @@ class CochainSetup:
 
     Coface, codegeneracy and differential matrices are built on every call
     and not kept; cohomology_dims forms none of them. Construction fails
-    fast with BudgetError, before any simplex is listed, if a hom space
-    within the cap exceeds the column budget (which counts all columns of
-    C^n, not those of its largest weight block), the identity check would
-    make more than IDENTITY_LIMIT simplex-pair visits, or the differentials
-    would expand more than FACE_LIMIT cofaces. It then solves for the
+    fast with BudgetError, before any simplex is listed, if the
+    differentials would expand more than FACE_LIMIT cofaces (checked first,
+    as it depends on N alone), a hom space within the cap exceeds the column
+    budget (which counts all columns of C^n, not those of its largest weight
+    block), or the identity check would make more than IDENTITY_LIMIT
+    simplex-pair visits. It then solves for the
     finest internal grading of the algebra and the module (_grading): the
     null space over Q of the linear equations every nonzero structure
     constant and action entry imposes on the weights. Last it builds the
@@ -113,6 +114,14 @@ class CochainSetup:
         self.partition = partition
         self.max_degree = max_degree
         self.budget = budget
+        # δ_n expands its n + 2 cofaces even where t is 0 throughout, so
+        # this bound, which depends on N alone, comes before any loop over N
+        faces = (max_degree + 1) * (max_degree + 4) // 2
+        if faces > FACE_LIMIT:
+            raise BudgetError(
+                f"the differentials would expand {faces} cofaces, "
+                f"exceeding the limit of {FACE_LIMIT}"
+            )
         d = algebra.dim
         m = module.dim
         generators = [g for g in space.generators if g is not space.basepoint]
@@ -132,13 +141,6 @@ class CochainSetup:
             raise BudgetError(
                 f"the cosimplicial identity check would visit {visits} "
                 f"simplices, exceeding the limit of {IDENTITY_LIMIT}"
-            )
-        # δ_n expands its n + 2 cofaces even where t is 0 throughout
-        faces = (max_degree + 1) * (max_degree + 4) // 2
-        if faces > FACE_LIMIT:
-            raise BudgetError(
-                f"the differentials would expand {faces} cofaces, "
-                f"exceeding the limit of {FACE_LIMIT}"
             )
         # (algebra basis weights, module basis weights)
         self._weights = _grading(algebra, module, self.t[-1])
@@ -252,7 +254,6 @@ class CochainSetup:
     def _coface_terms(self, n: int, i: int):
         """(blocks, factors) of d^i out of degree n for _expansion; needs m > 0."""
         alg = self.algebra
-        F = alg.field
         d = alg.dim
         m = self.module.dim
         weight = self._weights[0]
@@ -278,7 +279,7 @@ class CochainSetup:
             lambda prev, act: act if prev is None else prev @ act,
             Matrix.nnz,
         )
-        identity = [(u, u, F.one) for u in range(m)]
+        identity = [(u, u, 1) for u in range(m)]
         blocks = [
             (row, identity if mat is None
              else [(r, c, v) for (r, c), v in sorted(mat.entries.items())])
@@ -288,7 +289,7 @@ class CochainSetup:
         # per source simplex that some face hits: the nonzero coordinates of
         # the product of each choice of basis elements on its group; the
         # others keep the unit index 0
-        units = [_unit_vector(F, d, t) for t in range(d)]
+        units = [_unit_vector(d, t) for t in range(d)]
         factors = []
         for q, places in enumerate(groups):
             if not places:
@@ -581,18 +582,13 @@ def classical_hochschild_dims(
     the right action on the last factor. Coded independently of the
     cosimplicial assembly above so the two can check each other.
     """
-    F = algebra.field
     d = algebra.dim
     m = module.dim
     left = module.actions[left_key]
     right = module.actions[right_key]
-    add = F.add
-    mul = F.mul
-    neg = F.neg
 
     def put(acc, key, val):
-        cur = acc.get(key)
-        acc[key] = val if cur is None else add(cur, val)
+        acc[key] = acc.get(key, 0) + val
 
     def diff(n):
         rows = m * d ** (n + 1)
@@ -611,7 +607,6 @@ def classical_hochschild_dims(
                 put(acc, (row_base + r, col_value * m + c), v)
             # contract neighbors k-1, k
             for k in range(1, n + 1):
-                sign = k % 2 == 1
                 coords = algebra.mul[b[k - 1]][b[k]]
                 for t, cval in enumerate(coords):
                     if cval == 0:
@@ -619,7 +614,7 @@ def classical_hochschild_dims(
                     col_value = 0
                     for digit in b[: k - 1] + (t,) + b[k + 1:]:
                         col_value = col_value * d + digit
-                    val = neg(cval) if sign else cval
+                    val = (-1) ** k * cval
                     col_base = col_value * m
                     for u in range(m):
                         put(acc, (row_base + u, col_base + u), val)
@@ -627,10 +622,9 @@ def classical_hochschild_dims(
             col_value = 0
             for digit in b[:-1]:
                 col_value = col_value * d + digit
-            last_sign = (n + 1) % 2 == 1
             for (r, c), v in right[b[n]].entries.items():
-                put(acc, (row_base + r, col_value * m + c), neg(v) if last_sign else v)
-        return Matrix(F, rows, cols, acc)
+                put(acc, (row_base + r, col_value * m + c), (-1) ** (n + 1) * v)
+        return Matrix(algebra.field, rows, cols, acc)
 
     ranks = [diff(n).rank() for n in range(max_degree + 1)]
     return _dims_from_ranks(ranks, [m * d**n for n in range(max_degree + 1)])

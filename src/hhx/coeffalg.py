@@ -27,36 +27,30 @@ class Algebra:
     @property
     def unit(self) -> tuple:
         """Coordinates of 1 (always the first basis vector)."""
-        return tuple(
-            self.field.one if t == 0 else self.field.zero for t in range(self.dim)
-        )
+        return _unit_vector(self.dim, 0)
 
     def multiply(self, u, v):
-        """Product of two coordinate vectors."""
-        F = self.field
-        out = [F.zero] * self.dim
+        """Product of two coordinate vectors (reduced mod p over F_p)."""
+        out = [0] * self.dim
         for i, a in enumerate(u):
-            if a == 0:
-                continue
-            for j, b in enumerate(v):
-                if b == 0:
-                    continue
-                ab = F.mul(a, b)
-                for t, c in enumerate(self.mul[i][j]):
-                    if c != 0:
-                        out[t] = F.add(out[t], F.mul(ab, c))
-        return tuple(out)
+            if a:
+                for j, b in enumerate(v):
+                    if b:
+                        ab = a * b
+                        for t, c in enumerate(self.mul[i][j]):
+                            if c:
+                                out[t] += ab * c
+        p = self.field.p
+        return tuple(x % p for x in out) if p else tuple(out)
 
     def multiplication_matrix(self, coords) -> Matrix:
         """The matrix of multiplication by the element with these coords:
         column j is its product with basis element j."""
         entries = {}
-        F = self.field
         for j in range(self.dim):
-            for r, v in enumerate(self.multiply(coords, _unit_vector(F, self.dim, j))):
-                if v != 0:
-                    entries[(r, j)] = v
-        return Matrix(F, self.dim, self.dim, entries)
+            for r, v in enumerate(self.multiply(coords, _unit_vector(self.dim, j))):
+                entries[(r, j)] = v
+        return Matrix(self.field, self.dim, self.dim, entries)
 
     def __repr__(self):
         return f"Algebra({self.field.name}, basis={list(self.basis)})"
@@ -64,18 +58,9 @@ class Algebra:
 
 def validate_algebra(alg: Algebra) -> None:
     d = alg.dim
-    F = alg.field
     if d < 1:
         raise ValidationError("algebra dimension must be at least 1")
-    unit_row_ok = all(
-        alg.mul[0][j] == tuple(F.one if t == j else F.zero for t in range(d))
-        for j in range(d)
-    )
-    unit_col_ok = all(
-        alg.mul[j][0] == tuple(F.one if t == j else F.zero for t in range(d))
-        for j in range(d)
-    )
-    if not (unit_row_ok and unit_col_ok):
+    if not all(alg.mul[0][j] == alg.mul[j][0] == _unit_vector(d, j) for j in range(d)):
         raise ValidationError(
             f"basis element 0 ({alg.basis[0]!r}) must act as the unit"
         )
@@ -89,8 +74,8 @@ def validate_algebra(alg: Algebra) -> None:
     for i in range(d):
         for j in range(d):
             for l in range(d):
-                lhs = alg.multiply(alg.mul[i][j], _unit_vector(F, d, l))
-                rhs = alg.multiply(_unit_vector(F, d, i), alg.mul[j][l])
+                lhs = alg.multiply(alg.mul[i][j], _unit_vector(d, l))
+                rhs = alg.multiply(_unit_vector(d, i), alg.mul[j][l])
                 if lhs != rhs:
                     raise ValidationError(
                         f"multiplication not associative on the triple "
@@ -98,8 +83,8 @@ def validate_algebra(alg: Algebra) -> None:
                     )
 
 
-def _unit_vector(F: Field, d: int, t: int) -> tuple:
-    return tuple(F.one if s == t else F.zero for s in range(d))
+def _unit_vector(d: int, t: int) -> tuple:
+    return tuple(int(s == t) for s in range(d))
 
 
 def parse_algebra(doc, *, field: Field | None = None) -> Algebra:
@@ -279,13 +264,12 @@ def multiplication_module(algebra: Algebra, twists: dict) -> MultiModule:
     caller like any other module.
     """
     d = algebra.dim
-    F = algebra.field
     actions = {}
     for key, twist in twists.items():
         mats = []
         for t in range(d):
             coords = (
-                _unit_vector(F, d, t)
+                _unit_vector(d, t)
                 if twist is None
                 else tuple(twist[s][t] for s in range(d))
             )

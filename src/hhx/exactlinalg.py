@@ -1,9 +1,13 @@
-"""Exact fields (rationals, prime fields) and sparse matrices with rank.
+"""Exact fields (the rationals, prime fields) and sparse matrices with rank.
 
+A field is its characteristic p: 0 for the rationals, a prime for F_p.
 Scalars are plain Python numbers: over the rationals an element is an int
 whenever it is integral and a fractions.Fraction otherwise (the two mix
 exactly and compare/hash equal); over F_p an element is an int in [0, p).
-No floating point is used anywhere.
+Arithmetic on them is Python's own, and the one reduction rule is "% p if
+p": a Matrix reduces its entries mod p and drops the zeros as it is
+constructed, so its sums and products add and multiply plain numbers. No
+floating point is used anywhere.
 
 Rank over either field is the number of pivots that one sparse elimination
 driver, _eliminate, returns for a dict of sparse vectors: the shorter side of
@@ -17,7 +21,6 @@ over Q.
 
 from __future__ import annotations
 
-import operator
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
@@ -44,66 +47,40 @@ def _is_prime(p: int) -> bool:
 
 
 class Field:
-    """Common interface of the exact ground fields."""
+    """An exact ground field, given by its characteristic p: Q if p is 0,
+    else F_p (construct that through PrimeField, which checks p)."""
 
-    zero = 0
-    one = 1
-    p = 0  # the characteristic: 0 over Q, the modulus over F_p
-
-    def parse(self, value):
-        """Read a scalar from JSON: an int or a "p/q" string."""
-        raise NotImplementedError
-
-    def to_json(self, value):
-        raise NotImplementedError
-
-
-class Rationals(Field):
-    """The field of rational numbers."""
-
-    name = "Q"
-
-    # int/Fraction arithmetic is exact, so the operators are the field ops.
-    add = staticmethod(operator.add)
-    sub = staticmethod(operator.sub)
-    mul = staticmethod(operator.mul)
-    neg = staticmethod(operator.neg)
-
-    @staticmethod
-    def inv(a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        f = Fraction(1, 1) / a
-        return int(f) if f.denominator == 1 else f
+    def __init__(self, p: int):
+        self.p = p
+        self.name = f"F{p}" if p else "Q"
 
     def parse(self, value):
-        if isinstance(value, bool) or isinstance(value, float):
-            raise FormatError(f"not an exact rational: {value!r}")
-        if isinstance(value, int):
-            return value
-        if isinstance(value, str):
-            try:
-                f = Fraction(value)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise FormatError(f"bad rational literal {value!r}") from exc
+        """Read a scalar from JSON: an int or a "p/q" string, reduced mod p."""
+        if isinstance(value, bool) or not isinstance(value, (int, str)):
+            raise FormatError(f"not an exact scalar: {value!r}")
+        try:
+            f = Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise FormatError(f"bad scalar literal {value!r}") from exc
+        p = self.p
+        if not p:
             return int(f) if f.denominator == 1 else f
-        raise FormatError(f"bad rational entry {value!r}")
+        if f.denominator % p == 0:
+            raise FormatError(f"{value!r} has no meaning in F_{p}")
+        return f.numerator * pow(f.denominator, -1, p) % p
 
     def to_json(self, value):
-        if isinstance(value, Fraction):
-            if value.denominator == 1:
-                return int(value)
-            return f"{value.numerator}/{value.denominator}"
-        return value
+        """A scalar as JSON: an int, or a "p/q" string if it is not integral."""
+        return int(value) if value.denominator == 1 else str(value)
 
     def __repr__(self):
-        return "Rationals()"
+        return f"{type(self).__name__}({self.p})"
 
     def __eq__(self, other):
-        return isinstance(other, Rationals)
+        return isinstance(other, Field) and other.p == self.p
 
     def __hash__(self):
-        return hash("Q")
+        return hash(self.p)
 
 
 class PrimeField(Field):
@@ -114,55 +91,10 @@ class PrimeField(Field):
             raise FormatError(f"prime-field modulus must be prime, got {p!r}")
         if p >= 2**31:
             raise FormatError(f"prime-field modulus too large: {p}")
-        self.p = p
-        self.name = f"F{p}"
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, -1, self.p)
-
-    def parse(self, value):
-        if isinstance(value, bool) or isinstance(value, float):
-            raise FormatError(f"not an exact field element: {value!r}")
-        if isinstance(value, int):
-            return value % self.p
-        if isinstance(value, str):
-            try:
-                f = Fraction(value)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise FormatError(f"bad scalar literal {value!r}") from exc
-            if f.denominator % self.p == 0:
-                raise FormatError(f"{value!r} has no meaning in F_{self.p}")
-            return f.numerator % self.p * self.inv(f.denominator % self.p) % self.p
-        raise FormatError(f"bad scalar entry {value!r}")
-
-    def to_json(self, value):
-        return value
-
-    def __repr__(self):
-        return f"PrimeField({self.p})"
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("Fp", self.p))
+        super().__init__(p)
 
 
-QQ = Rationals()
+QQ = Field(0)
 
 
 def field_from_json(obj) -> Field:
@@ -186,12 +118,15 @@ def field_from_text(text: str) -> Field:
 class Matrix:
     """Sparse matrix over an exact field.
 
-    entries maps (row, col) to a nonzero scalar; absent means zero. Matrices
-    are immutable after construction, so they are safe to share across
-    threads; rank is cached on first use.
+    entries maps (row, col) to a nonzero scalar; absent means zero. The
+    constructor is the one place an entry is reduced: it takes each given
+    value mod p over F_p and drops the zeros, so the operations below add
+    and multiply plain numbers and leave the reduction to it. Matrices are
+    immutable after construction, so they are safe to share across threads;
+    rank is computed afresh on every call.
     """
 
-    __slots__ = ("field", "rows", "cols", "entries", "_rank", "_row_index")
+    __slots__ = ("field", "rows", "cols", "entries", "_row_index")
 
     def __init__(self, field: Field, rows: int, cols: int, entries=None):
         if rows < 0 or cols < 0:
@@ -201,22 +136,24 @@ class Matrix:
         self.cols = cols
         clean = {}
         if entries:
+            p = field.p
             for (r, c), v in entries.items():
                 if not (0 <= r < rows and 0 <= c < cols):
                     raise LinAlgError(f"entry ({r},{c}) outside {rows}x{cols}")
-                if v != 0:
+                if p:
+                    v %= p
+                if v:
                     clean[(r, c)] = v
         self.entries = clean
-        self._rank = None
         self._row_index = None
 
     @classmethod
     def identity(cls, field, n):
-        return cls(field, n, n, {(i, i): field.one for i in range(n)})
+        return cls(field, n, n, {(i, i): 1 for i in range(n)})
 
     @classmethod
     def from_rows(cls, field, rows_data, rows=None, cols=None):
-        """Build from a dense list of rows (entries already field scalars)."""
+        """Build from a dense list of rows of scalars."""
         if rows is None:
             rows = len(rows_data)
         if cols is None:
@@ -226,14 +163,13 @@ class Matrix:
             if len(row) != cols:
                 raise LinAlgError("ragged rows")
             for c, v in enumerate(row):
-                if v != 0:
-                    entries[(r, c)] = v
+                entries[(r, c)] = v
         return cls(field, rows, cols, entries)
 
     def get(self, r, c):
         if not (0 <= r < self.rows and 0 <= c < self.cols):
             raise LinAlgError(f"index ({r},{c}) outside {self.rows}x{self.cols}")
-        return self.entries.get((r, c), self.field.zero)
+        return self.entries.get((r, c), 0)
 
     def nnz(self):
         return len(self.entries)
@@ -261,20 +197,15 @@ class Matrix:
 
     def __add__(self, other):
         self._same_shape(other)
-        add = self.field.add
         out = dict(self.entries)
         for k, v in other.entries.items():
-            cur = out.get(k)
-            out[k] = v if cur is None else add(cur, v)
+            out[k] = out.get(k, 0) + v
         return Matrix(self.field, self.rows, self.cols, out)
 
     def scale(self, scalar):
-        if scalar == 0:
-            return Matrix(self.field, self.rows, self.cols)
-        mul = self.field.mul
         return Matrix(
             self.field, self.rows, self.cols,
-            {k: mul(scalar, v) for k, v in self.entries.items()},
+            {k: scalar * v for k, v in self.entries.items()},
         )
 
     def _by_row(self):
@@ -296,33 +227,23 @@ class Matrix:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         rows_of_b = other._by_row()
-        add = self.field.add
-        mul = self.field.mul
         acc = {}
         for (r, k), av in self.entries.items():
-            hits = rows_of_b.get(k)
-            if hits is None:
-                continue
-            for c, bv in hits:
-                key = (r, c)
-                cur = acc.get(key)
-                term = mul(av, bv)
-                acc[key] = term if cur is None else add(cur, term)
+            for c, bv in rows_of_b.get(k, ()):
+                acc[r, c] = acc.get((r, c), 0) + av * bv
         return Matrix(self.field, self.rows, other.cols, acc)
 
     def rank(self) -> int:
         """Rank over the field, by one exact sparse elimination (_eliminate).
 
         The shorter side of the matrix becomes the vectors (rank(M) =
-        rank(M^T)). Cached after the first call.
+        rank(M^T)).
         """
-        if self._rank is None:
-            tall = self.rows > self.cols
-            vectors = {}
-            for (r, c), v in self.entries.items():
-                vectors.setdefault(c if tall else r, {})[r if tall else c] = v
-            self._rank = len(_eliminate(vectors, self.field.p))
-        return self._rank
+        tall = self.rows > self.cols
+        vectors = {}
+        for (r, c), v in self.entries.items():
+            vectors.setdefault(c if tall else r, {})[r if tall else c] = v
+        return len(_eliminate(vectors, self.field.p))
 
 
 def _clear_denominators(row: dict) -> dict:

@@ -34,6 +34,11 @@ CUBIC_DOC = {
 GROUND_DOC = {"field": "Q", "basis": ["1"], "mul": [[[1]]]}
 
 
+def reduced(value, p):
+    """value mod p over F_p, value itself over Q (p = 0)."""
+    return value % p if p else value
+
+
 def _scan_like_doc():
     """A one-vertex space: edges, triangles on edges and s0 pt, high cells.
 

@@ -421,6 +421,27 @@ def test_identity_check_above_visit_limit_is_budget_error(tmp_path, capsys):
     assert "would visit 5604740 simplices" in err
 
 
+def test_face_limit_refuses_a_huge_degree_before_any_loop_over_it(tmp_path, capsys):
+    # over k the hom dims stay at 1 in every degree, so no column budget
+    # trips early; the coface count depends on N alone and is checked first
+    alg_path = write_json(tmp_path / "ground.json", GROUND_DOC)
+    template = str(tmp_path / "module.json")
+    status, _, _ = run_cli(
+        capsys, "actions", "--builtin", "circle",
+        "--algebra", alg_path, "--emit-template", template,
+    )
+    assert status == 0
+    start = time.perf_counter()
+    status, out, err = run_cli(
+        capsys, "cohomology", "--builtin", "circle",
+        "--algebra", alg_path, "--module", template, "-N", "10000000",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert status == 3
+    assert out == ""
+    assert "would expand 50000025000002 cofaces" in err
+
+
 def test_face_limit_refuses_a_deep_point_space_at_once(tmp_path, capsys):
     # over k every hom space of the point space is 1-dimensional and it has
     # no simplex to visit, so only the count of coface expansions,

@@ -3,7 +3,9 @@
 The reference implementations below recompute coface and codegeneracy
 matrices directly from their defining evaluation rules, one (target, source)
 basis pair at a time, with none of the engine's caching or expansion
-shortcuts. Agreement on assorted setups pins the optimized assembly: the
+shortcuts, and over plain numbers reduced mod p: they read the algebra's
+structure constants and the module's action entries, and call no Matrix or
+Algebra operation. Agreement on assorted setups pins the optimized assembly: the
 coface and codegeneracy matrices, each differential against the alternating
 sum of reference cofaces, and the rank the engine takes from the columns it
 assembles against the rank of that differential. The cosimplicial
@@ -23,6 +25,7 @@ from helpers import (
     dual_numbers,
     ground_field,
     identity_module,
+    reduced,
     space_and_partition,
 )
 from hhx import (
@@ -44,8 +47,23 @@ from test_cochain import record_calls
 from test_golden import BUILTINS, GOLDEN, OVERRIDES
 
 
-def unit_vec(F, d, t):
-    return tuple(F.one if s == t else F.zero for s in range(d))
+def dict_product(a, b, p):
+    """The product of two matrices given as {(row, col): value} dicts."""
+    out = {}
+    for (r, k), x in a.items():
+        for (l, c), y in b.items():
+            if k == l:
+                out[r, c] = reduced(out.get((r, c), 0) + x * y, p)
+    return {key: v for key, v in out.items() if v}
+
+
+def times_basis(alg, coords, t, p):
+    """coords times basis element t, from the structure constants."""
+    out = [0] * alg.dim
+    for j, a in enumerate(coords):
+        for s, c in enumerate(alg.mul[j][t]):
+            out[s] = reduced(out[s] + a * c, p)
+    return tuple(out)
 
 
 def slow_coface(setup, n, i):
@@ -53,35 +71,35 @@ def slow_coface(setup, n, i):
     alg = setup.algebra
     module = setup.module
     F = alg.field
+    p = F.p
     d = alg.dim
     m = module.dim
     src = setup.basis(n)
     tgt = setup.basis(n + 1)
     entries = {}
     for bt in itertools.product(range(d), repeat=len(tgt)):
-        composite = Matrix.identity(F, m)
-        for p, s in enumerate(tgt):
+        composite = {(u, u): 1 for u in range(m)}
+        for q, s in enumerate(tgt):
             face = space.face(s, i)
             if space.is_basepoint(face):
                 slot = slow_reduce_slot(space, s, i)
-                composite = composite @ module.act(
-                    setup.partition.class_of(slot), unit_vec(F, d, bt[p])
-                )
+                action = module.actions[setup.partition.class_of(slot)][bt[q]]
+                composite = dict_product(composite, action.entries, p)
         grouped = []
         for source_simplex in src:
-            coords = alg.unit
-            for p, s in enumerate(tgt):
+            coords = tuple(int(s == 0) for s in range(d))
+            for q, s in enumerate(tgt):
                 face = space.face(s, i)
                 if not space.is_basepoint(face) and face == source_simplex:
-                    coords = alg.multiply(coords, unit_vec(F, d, bt[p]))
+                    coords = times_basis(alg, coords, bt[q], p)
             grouped.append(coords)
         row_value = 0
         for digit in bt:
             row_value = row_value * d + digit
         for bs in itertools.product(range(d), repeat=len(src)):
-            coeff = F.one
+            coeff = 1
             for q, digit in enumerate(bs):
-                coeff = F.mul(coeff, grouped[q][digit])
+                coeff = reduced(coeff * grouped[q][digit], p)
                 if coeff == 0:
                     break
             if coeff == 0:
@@ -89,8 +107,8 @@ def slow_coface(setup, n, i):
             col_value = 0
             for digit in bs:
                 col_value = col_value * d + digit
-            for (r, u), v in composite.entries.items():
-                entries[(row_value * m + r, col_value * m + u)] = F.mul(coeff, v)
+            for (r, u), v in composite.items():
+                entries[(row_value * m + r, col_value * m + u)] = reduced(coeff * v, p)
     return Matrix(F, setup.hom_dims[n + 1], setup.hom_dims[n], entries)
 
 
@@ -119,7 +137,7 @@ def slow_codegeneracy(setup, n, i):
         for digit in argument:
             col_value = col_value * d + digit
         for u in range(m):
-            entries[(row_value * m + u, col_value * m + u)] = F.one
+            entries[(row_value * m + u, col_value * m + u)] = 1
     return Matrix(F, setup.hom_dims[n], setup.hom_dims[n + 1], entries)
 
 

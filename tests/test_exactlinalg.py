@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import reduced
 from hhx.errors import FormatError
 from hhx.exactlinalg import (
+    Field,
     Matrix,
     PrimeField,
     QQ,
@@ -15,11 +17,15 @@ from hhx.exactlinalg import (
 
 
 def naive_rank(matrix):
-    """Dense textbook Gaussian elimination, used as an independent oracle."""
-    field = matrix.field
-    rows = [[field.zero] * matrix.cols for _ in range(matrix.rows)]
+    """Dense textbook Gaussian elimination, used as an independent oracle.
+
+    It reads only the matrix's field characteristic p and entries, and
+    computes with plain numbers: Fractions over Q, ints mod p over F_p.
+    """
+    p = matrix.field.p
+    rows = [[0] * matrix.cols for _ in range(matrix.rows)]
     for (r, c), v in matrix.entries.items():
-        rows[r][c] = v
+        rows[r][c] = v if p else Fraction(v)
     rk = 0
     col = 0
     while rk < len(rows) and col < matrix.cols:
@@ -28,14 +34,12 @@ def naive_rank(matrix):
             col += 1
             continue
         rows[rk], rows[pivot] = rows[pivot], rows[rk]
-        inv = field.inv(rows[rk][col])
-        rows[rk] = [field.mul(inv, v) for v in rows[rk]]
+        inv = pow(rows[rk][col], -1, p) if p else 1 / rows[rk][col]
+        rows[rk] = [reduced(inv * v, p) for v in rows[rk]]
         for r in range(len(rows)):
             if r != rk and rows[r][col] != 0:
                 f = rows[r][col]
-                rows[r] = [
-                    field.sub(v, field.mul(f, p)) for v, p in zip(rows[r], rows[rk])
-                ]
+                rows[r] = [reduced(v - f * w, p) for v, w in zip(rows[r], rows[rk])]
         rk += 1
         col += 1
     return rk
@@ -53,13 +57,26 @@ def test_field_parsing():
         field_from_text("GF4")
 
 
+def test_characteristic_zero_is_never_reached_through_prime_field():
+    for bad in (lambda: PrimeField(0), lambda: PrimeField(1),
+                lambda: field_from_text("F0"), lambda: field_from_json({"Fp": 0})):
+        with pytest.raises(FormatError):
+            bad()
+
+
+def test_fields_compare_and_hash_by_characteristic():
+    assert QQ != PrimeField(2)
+    assert Field(0) == QQ and hash(Field(0)) == hash(QQ)
+    assert Field(5) == PrimeField(5) == field_from_text("F5")
+    assert hash(Field(5)) == hash(PrimeField(5)) == hash(field_from_json({"Fp": 5}))
+    assert PrimeField(5) != PrimeField(7)
+
+
 def test_rational_scalars_stay_exact():
     assert QQ.parse("2/4") == Fraction(1, 2)
     assert QQ.parse("6/3") == 2 and isinstance(QQ.parse("6/3"), int)
     assert QQ.to_json(Fraction(1, 2)) == "1/2"
     assert QQ.to_json(Fraction(4, 2)) == 2
-    assert QQ.inv(Fraction(2, 3)) == Fraction(3, 2)
-    assert QQ.inv(2) == Fraction(1, 2)
     with pytest.raises(FormatError):
         QQ.parse(0.5)
 
@@ -68,7 +85,6 @@ def test_prime_field_scalars():
     F5 = PrimeField(5)
     assert F5.parse(-1) == 4
     assert F5.parse("1/2") == 3  # 2 * 3 = 6 = 1 mod 5
-    assert F5.inv(3) == 2
     with pytest.raises(FormatError):
         F5.parse("1/5")
 
@@ -97,6 +113,8 @@ def test_product_shape_mismatch():
 def test_stored_entries_are_nonzero():
     a = Matrix(QQ, 2, 2, {(0, 0): 1, (0, 1): 0})
     assert (0, 1) not in a.entries
+    # construction reduces mod p, so an entry that is 0 mod p is dropped
+    assert Matrix(PrimeField(5), 1, 2, {(0, 0): 7, (0, 1): 10}).entries == {(0, 0): 2}
     b = Matrix.from_rows(QQ, [[1, -1], [0, 0]])
     c = Matrix.from_rows(QQ, [[1, 1], [0, 0]])
     assert (b + c).entries
@@ -268,10 +286,10 @@ def _summed_columns(field, rng, rows, cols):
             v = rng.randrange(1, field.p)
         else:
             v = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
-        terms = (v, field.neg(v)) if rng.random() < 0.4 else (v,)
+        terms = (v, reduced(-v, field.p)) if rng.random() < 0.4 else (v,)
         column = columns[c]
         for term in terms:
-            new = field.add(column.get(r, field.zero), term)
+            new = reduced(column.get(r, 0) + term, field.p)
             if new:
                 column[r] = new
             else:
@@ -333,7 +351,7 @@ def test_elimination_peels_vectors_with_a_private_coordinate(field):
             for k in data.draw(summands):
                 t = data.draw(scalar)
                 for r, v in columns[k].items():
-                    new = field.add(total.get(r, field.zero), field.mul(t, v))
+                    new = reduced(total.get(r, 0) + t * v, field.p)
                     if new:
                         total[r] = new
                     else:
