@@ -3,6 +3,10 @@
 Exit statuses: 0 success, 1 semantic validation failure, 2 parse/IO error,
 3 resource budget exceeded. Output is deterministic: identical inputs give
 byte-identical reports.
+
+Each command imports only what it runs: `validate` the simplicial layer,
+`actions` also the action closures, and `cohomology` and `actions
+--emit-template` also the algebra side (coeffalg, exactlinalg, cochain).
 """
 
 from __future__ import annotations
@@ -11,17 +15,48 @@ import argparse
 import json
 import sys
 
-from . import actions as actions_mod
-from . import cochain as cochain_mod
-from .coeffalg import load_algebra, load_module, multiplication_module
-from .errors import BudgetError, FormatError, ValidationError
-from .exactlinalg import field_from_text
+from .errors import DEFAULT_BUDGET, BudgetError, FormatError, ValidationError
 from .simplicial import builtin_space, load_space, validate_space
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
+
+# the names the commands use from the algebra side, bound into this
+# module's globals on first use
+_ALGEBRA_SIDE = (
+    "CochainSetup",
+    "field_from_text",
+    "load_algebra",
+    "load_module",
+    "multiplication_module",
+)
+
+
+def _bind_algebra_side():
+    """Import coeffalg, exactlinalg and cochain, and bind each _ALGEBRA_SIDE
+    name that is not yet bound here.
+
+    A name already bound is kept, and the commands call whatever is bound:
+    perfbench's tracer replaces load_algebra and load_module in this module
+    by name before any command runs.
+    """
+    from .cochain import CochainSetup
+    from .coeffalg import load_algebra, load_module, multiplication_module
+    from .exactlinalg import field_from_text
+
+    imported = locals()
+    namespace = globals()
+    for name in _ALGEBRA_SIDE:
+        namespace.setdefault(name, imported[name])
+
+
+def __getattr__(name):
+    if name not in _ALGEBRA_SIDE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_algebra_side()
+    return globals()[name]
 
 
 def _add_space_args(parser):
@@ -83,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_coh.add_argument("--field", metavar="SPEC", help="override the algebra field (Q or F<p>)")
     p_coh.add_argument(
-        "--budget", type=int, default=cochain_mod.DEFAULT_BUDGET,
+        "--budget", type=int, default=DEFAULT_BUDGET,
         help="hom-space column budget (default %(default)s)",
     )
     p_coh.add_argument(
@@ -131,16 +166,20 @@ def cmd_validate(args) -> int:
 
 
 def cmd_actions(args) -> int:
+    # read from hhx.actions on each call, so a patched closure is what runs
+    from .actions import paranoid_closure, sweep_closure
+
     space = _load_space(args)
     if args.emit_template:
         # argument errors come before the closures, which may take seconds
         if not args.algebra:
             raise FormatError("--emit-template requires --algebra")
+        _bind_algebra_side()
         field = field_from_text(args.field) if args.field else None
         algebra = load_algebra(args.algebra, field=field)
     elif args.algebra is not None or args.field is not None:
         raise FormatError("--algebra and --field require --emit-template")
-    partition = actions_mod.sweep_closure(space)
+    partition = sweep_closure(space)
     payload = partition.to_report()
     lines = [f"space: {space.name}", f"slots ({len(partition.slots)}):"]
     lines.extend(f"  {slot.describe()}" for slot in partition.slots)
@@ -150,7 +189,7 @@ def cmd_actions(args) -> int:
         lines.append(f"  {cls[0].id}: {members}")
     lines.append(f"coefficient kind: {partition.coefficient_kind()}")
     if args.paranoid is not None:
-        paranoid = actions_mod.paranoid_closure(space, args.paranoid)
+        paranoid = paranoid_closure(space, args.paranoid)
         agrees = paranoid.same_classes(partition)
         payload["paranoid"] = {
             "cap": args.paranoid,
@@ -187,6 +226,9 @@ def cmd_actions(args) -> int:
 
 
 def cmd_cohomology(args) -> int:
+    from .actions import enumerate_slots, partition_from_pairs, sweep_closure
+
+    _bind_algebra_side()
     if args.max_degree < 1:
         raise FormatError("--max-degree must be at least 1")
     if args.budget < 1:
@@ -194,15 +236,13 @@ def cmd_cohomology(args) -> int:
     space = _load_space(args)
     if args.override_slots:
         # every slot its own class: one action per slot
-        partition = actions_mod.partition_from_pairs(
-            actions_mod.enumerate_slots(space), ()
-        )
+        partition = partition_from_pairs(enumerate_slots(space), ())
     else:
-        partition = actions_mod.sweep_closure(space)
+        partition = sweep_closure(space)
     field = field_from_text(args.field) if args.field else None
     algebra = load_algebra(args.algebra, field=field)
     module = load_module(args.module, algebra, partition)
-    setup = cochain_mod.CochainSetup(
+    setup = CochainSetup(
         space, algebra, module, partition, args.max_degree, budget=args.budget
     )
     report = setup.report()

@@ -58,11 +58,15 @@ from math import comb, lcm
 
 from .actions import ActionPartition, row_pairs, level_rows, paranoid_visits
 from .coeffalg import Algebra, MultiModule, _unit_vector
-from .errors import BudgetError, ColumnBudgetError, InternalError, ValidationError
+from .errors import (
+    DEFAULT_BUDGET,
+    BudgetError,
+    ColumnBudgetError,
+    InternalError,
+    ValidationError,
+)
 from .exactlinalg import Matrix, _eliminate
 from .simplicial import SimplicialSpace
-
-DEFAULT_BUDGET = 200_000
 
 # most simplex-pair visits check_cosimplicial_identities may make, counted
 # as for a paranoid scan to dimension N + 1 (actions.paranoid_visits): at the

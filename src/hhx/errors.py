@@ -1,5 +1,6 @@
-"""Shared exception types, mapped onto CLI exit statuses, and the JSON
-document reader that turns unparseable input into FormatError."""
+"""Shared exception types, mapped onto CLI exit statuses, the default column
+budget, and the JSON document reader that turns unparseable input into
+FormatError."""
 
 import json
 
@@ -14,6 +15,12 @@ class ValidationError(ValueError):
 
 class BudgetError(RuntimeError):
     """A computation would exceed a resource limit. CLI exit 3."""
+
+
+# hom-space columns a cohomology computation may build unless told otherwise;
+# it lives here, beside ColumnBudgetError, so the CLI's --budget default
+# reads it without loading the cochain engine
+DEFAULT_BUDGET = 200_000
 
 
 class ColumnBudgetError(BudgetError):

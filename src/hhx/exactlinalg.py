@@ -87,10 +87,11 @@ class PrimeField(Field):
     """The prime field F_p; elements are ints reduced into [0, p)."""
 
     def __init__(self, p: int):
+        # size first: trial division of a prime near 2**61 takes minutes
+        if isinstance(p, int) and p >= 2**31:
+            raise FormatError(f"prime-field modulus too large: {p}")
         if not isinstance(p, int) or not _is_prime(p):
             raise FormatError(f"prime-field modulus must be prime, got {p!r}")
-        if p >= 2**31:
-            raise FormatError(f"prime-field modulus too large: {p}")
         super().__init__(p)
 
 

@@ -340,10 +340,11 @@ def _builtin_doc(name: str):
                 {"name": "e", "dim": 1, "faces": [["pt", []], ["pt", []]]},
             ],
         }
-    m = re.fullmatch(r"sphere(\d+)", name)
+    # one spelling per sphere: ASCII digits, no leading zero
+    m = re.fullmatch(r"sphere([1-9][0-9]*)", name)
     if m:
         n = int(m.group(1))
-        if not 1 <= n <= SPHERE_LIMIT:
+        if n > SPHERE_LIMIT:
             raise FormatError(
                 f"sphere dimension must be between 1 and {SPHERE_LIMIT}, got {n}"
             )
@@ -389,9 +390,6 @@ def _builtin_doc(name: str):
             ],
         }
     raise FormatError(f"unknown builtin space {name!r}")
-
-
-BUILTIN_NAMES = ("circle", "sphere<n>", "torus", "pinched-torus")
 
 
 def builtin_space(name: str) -> SimplicialSpace:

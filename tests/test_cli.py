@@ -352,6 +352,10 @@ def test_unknown_builtin_is_parse_error(capsys):
     status, _, err = run_cli(capsys, "actions", "--builtin", "moebius")
     assert status == 2
     assert "unknown builtin" in err
+    status, out, err = run_cli(capsys, "validate", "--builtin", "sphere01")
+    assert status == 2
+    assert out == ""
+    assert "unknown builtin space 'sphere01'" in err
 
 
 def test_paranoid_cap_too_small_is_parse_error(capsys):

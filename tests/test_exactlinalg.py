@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -62,6 +63,20 @@ def test_characteristic_zero_is_never_reached_through_prime_field():
                 lambda: field_from_text("F0"), lambda: field_from_json({"Fp": 0})):
         with pytest.raises(FormatError):
             bad()
+
+
+def test_prime_field_modulus_stops_below_two_to_the_31():
+    assert PrimeField(2**31 - 1).p == 2**31 - 1  # the largest prime allowed
+    # 2**31 + 11 and 2**61 - 1 are prime; trial division of the latter, were
+    # it reached, would run for minutes. --field F<p> and an algebra
+    # document's {"Fp": p} reach PrimeField through these two parsers.
+    for p in (2**31 + 11, 2**61 - 1):
+        start = time.perf_counter()
+        for parse in (lambda: field_from_text(f"F{p}"),
+                      lambda: field_from_json({"Fp": p})):
+            with pytest.raises(FormatError, match=f"modulus too large: {p}"):
+                parse()
+        assert time.perf_counter() - start < 1.0
 
 
 def test_fields_compare_and_hash_by_characteristic():

@@ -7,7 +7,9 @@ one slot twisted by x -> -x, whose cosimplicial identities fail
 (override-<space>.json), and a one-vertex space with
 degenerate triangle faces and cells up to dimension 6 for the paranoid scan
 (scan-like.json). Case <name> keeps its stdout in <name>.out and its exit
-status in status.json.
+status in status.json. One case of each command path also runs as a fresh
+`python -m hhx` process, where a name the CLI binds only on first use is
+not already loaded by another test.
 
 To re-record after an intended output change:
 
@@ -17,6 +19,9 @@ To re-record after an intended output change:
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,6 +30,7 @@ from helpers import DUAL_DOC, SCAN_LIKE_DOC, dual_numbers, multiplication_module
 from hhx.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = GOLDEN.parent.parent / "src"
 
 # builtin -> top degree of its cohomology case
 BUILTINS = {
@@ -76,22 +82,55 @@ def _cases():
 
 CASES = _cases()
 
+# one case per command path that imports a different set of modules
+FRESH_CASES = (
+    "validate-torus-text",
+    "actions-scan-like-paranoid-json",
+    "cohomology-pinched-torus-text",
+)
 
-def run_case(argv):
-    """(exit status, stdout bytes) of `hhx argv`, input names under GOLDEN."""
+
+def run_case(argv, fresh=False):
+    """(exit status, stdout bytes) of `hhx argv`, input names under GOLDEN;
+    in this process, or with fresh=True in a new `python -m hhx` process."""
     argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
+    if fresh:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hhx", *argv], capture_output=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120, check=False,
+        )
+        return proc.returncode, proc.stdout
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         status = main(argv)
     return status, out.getvalue().encode("utf-8")
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_matches_golden(name):
+def check_golden(name, fresh=False):
     expected = json.loads((GOLDEN / "status.json").read_text(encoding="utf-8"))
-    status, out = run_case(CASES[name])
+    status, out = run_case(CASES[name], fresh)
     assert status == expected[name]
     assert out == (GOLDEN / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name):
+    check_golden(name)
+
+
+@pytest.mark.parametrize("name", FRESH_CASES)
+def test_fresh_process_output_matches_golden(name):
+    check_golden(name, fresh=True)
+
+
+def test_fresh_process_template_matches_golden(tmp_path):
+    template = tmp_path / "regular-torus.json"
+    status, _ = run_case([
+        "actions", "--builtin", "torus",
+        "--algebra", "dual-q.json", "--emit-template", str(template),
+    ], fresh=True)
+    assert status == 0
+    assert template.read_bytes() == (GOLDEN / "regular-torus.json").read_bytes()
 
 
 def record():

@@ -1,10 +1,13 @@
-"""Every function, method and class defined in src/hhx has a user.
+"""Every function, method, class and module-level name defined in src/hhx
+has a user.
 
-A definition counts as used when src/hhx or perfbench/ refers to its name
-(as an ast.Name, an ast.Attribute, or a string constant: perfbench's tracer
-names the methods it wraps as strings), or when hhx.__all__ exports it.
-Dunder names are exempt, since the interpreter calls them. Tests do not
-count as users: a name only tests call is code the program does not need.
+A definition counts as used when src/hhx or perfbench/ reads its name (as
+an ast.Name that is loaded, an ast.Attribute, or a string constant:
+perfbench's tracer names the methods it wraps as strings), or when
+hhx.__all__ exports it. A module-level name is one that an assignment at
+the top level of a module binds. Dunder names are exempt, since the
+interpreter reads them. Tests do not count as users: a name only tests read
+is code the program does not need.
 """
 
 import ast
@@ -21,6 +24,21 @@ def _trees(folder):
         yield path.relative_to(ROOT), ast.parse(path.read_text(), str(path))
 
 
+def _module_level_names(tree):
+    """(name, line) for each name an assignment at the top of tree binds."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
+            targets = [stmt.target]
+        else:
+            continue
+        for target in targets:
+            for node in ast.walk(target):
+                if isinstance(node, ast.Name):
+                    yield node.id, node.lineno
+
+
 def unused_definitions() -> list[str]:
     """'path:line name' for every definition in src/hhx with no user."""
     defined = []
@@ -29,13 +47,19 @@ def unused_definitions() -> list[str]:
         for path, tree in _trees(folder):
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name):
-                    used.add(node.id)
+                    # an assignment's own target is no use of the name
+                    if not isinstance(node.ctx, ast.Store):
+                        used.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     used.add(node.attr)
                 elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                     used.add(node.value)
                 elif isinstance(node, DEFINITIONS) and folder == "src/hhx":
                     defined.append((node.name, f"{path}:{node.lineno}"))
+            if folder == "src/hhx":
+                defined.extend(
+                    (name, f"{path}:{line}") for name, line in _module_level_names(tree)
+                )
     return sorted(
         f"{where} {name}"
         for name, where in defined

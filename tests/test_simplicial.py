@@ -64,6 +64,10 @@ def test_sphere_builtin():
         assert f.dim == 1
     with pytest.raises(FormatError):
         builtin_space("sphere0")
+    # one spelling per sphere: no leading zero, ASCII digits only
+    for name in ("sphere01", "sphere002", "sphere\u0663"):
+        with pytest.raises(FormatError, match="unknown builtin space"):
+            builtin_space(name)
     with pytest.raises(FormatError):
         builtin_space("klein-bottle")
 
