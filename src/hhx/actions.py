@@ -2,18 +2,19 @@
 
 A slot is a pair (non-degenerate simplex, face index) whose indexed face is
 the basepoint; slots on degenerate simplices reduce to slots on their
-underlying generator, with the index read off the degeneracy word
-(slot_at). Scanning every generator of dimension >= 2 produces forced
-identifications between slots (closure_pairs); their union-find closure is the
-finest partition compatible with a cosimplicial structure, and its class
-count says what kind of coefficient module the space admits. Each class
-keys one action of the coefficient module (ActionPartition.class_of); the
-partition in which every slot is its own class,
-partition_from_pairs(enumerate_slots(space), ()), keys one action per slot.
+underlying generator, at the face index that pushing the face through the
+degeneracy word leaves (_face_rows). Scanning every generator of dimension
+>= 2 produces forced identifications between slots (closure_pairs); their
+union-find closure is the finest partition compatible with a cosimplicial
+structure, and its class count says what kind of coefficient module the
+space admits. Each class keys one action of the coefficient module
+(ActionPartition.class_of); the partition in which every slot is its own
+class, partition_from_pairs(enumerate_slots(space), ()), keys one action
+per slot.
 
 Faces are read from integer rows, one per simplex (_face_rows): entry k is
 the position of d_k s among the faces below, or ~p where d_k s is the
-basepoint and p positions slot_at(s, k) among the slots met so far. This
+basepoint and p positions its slot among the slots met so far. This
 row format is the public interface of level_rows, which tabulates every
 non-basepoint simplex level by level, so each face and each slot is found
 once and no face is built as a Simplex; only this module decides which
@@ -23,7 +24,7 @@ serves the sweep, the paranoid scan and the cosimplicial identity check.
 The paranoid scan holds two levels at a time, and a cochain setup keeps
 the rows of every level for its cofaces and its identity check. The
 paranoid scan of the benchmark's actions-scan space (seed 1) to dimension
-8 takes 0.07-0.14 s in a fresh process (median 0.10 s of 8; 2-vCPU host,
+8 takes 0.05-0.08 s in a fresh process (median 0.074 s of 16; 2-vCPU host,
 Python 3.11).
 """
 
@@ -31,17 +32,18 @@ from __future__ import annotations
 
 import itertools
 from math import comb
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import InternalError
-from .simplicial import Generator, Simplex, SimplicialSpace, _face_of, _walk
+from .simplicial import Generator, Simplex, SimplicialSpace, _merge, _walk
 
 
 # most face-pair visits paranoid_closure makes (paranoid_visits): at the
-# limit about 1 s on the circle or the torus (0.26-0.28 microseconds a
-# visit) and 4 s on sphere12, where most pairs reach the basepoint (1.05
-# microseconds a visit; 4,434,144 visits to dimension 18 took 4.7 s and
-# 94 MiB); 2-vCPU host, Python 3.11
+# limit about 0.7 s on the circle or the torus (0.16-0.19 microseconds a
+# visit) and 2.7 s on sphere12, where most pairs reach the basepoint (0.68
+# microseconds a visit; 4,434,144 visits to dimension 18 took 3.0 s and
+# 86 MiB); 2-vCPU host, Python 3.11
 PARANOID_LIMIT = 4_000_000
 
 
@@ -168,18 +170,6 @@ def enumerate_slots(space: SimplicialSpace) -> list[ActionSlot]:
     return slots
 
 
-def slot_at(s, i: int) -> ActionSlot:
-    """The slot on s's generator behind face i of s; no checks.
-
-    s is a Simplex or a plain (word, base) pair. The caller knows that d_i s
-    is the basepoint and s is not. Then d_i cancels no degeneracy, so
-    neither i nor i - 1 is in the word, and each word index below i drops
-    the face index by one on its way to the generator.
-    """
-    word, base = s
-    return ActionSlot(base, i - sum(1 for j in word if j < i))
-
-
 class _Positions(dict):
     """Each key's position in order of first lookup; a missing key is added."""
 
@@ -193,9 +183,19 @@ def _face_rows(space: SimplicialSpace, simplices, position, slots) -> list[tuple
 
     Entry k is position[d_k s], the face's place in the level below, looked
     up by its plain (word, base) pair; when d_k s is the basepoint it is
-    ~slots[slot_at(s, k)] instead, with slots a _Positions of the slots met
-    so far. Each (word, generator dimension) is walked once per call for
-    all its face indices (_walk), and no face is built as a Simplex.
+    ~slots[generator, index] instead, with slots a _Positions of the slots
+    met so far as plain pairs, which hash and compare like the ActionSlot
+    of the same fields. Each (word, generator dimension) is walked once per
+    call for all its face indices (_walk), and no face is built as a
+    Simplex.
+
+    A walk that cancels a degeneracy leaves a face over s's own generator,
+    never the basepoint. Otherwise it leaves the generator's face k with
+    the kept indices to merge over it; a face the generator's table already
+    holds in normal form is looked up as it stands. When that face is the
+    basepoint, no degeneracy of s cancelled, so each word index below the
+    face index dropped it by one on the way and (base, k) is the slot
+    behind it.
     """
     basepoint = space.basepoint
     walks = {}
@@ -206,10 +206,13 @@ def _face_rows(space: SimplicialSpace, simplices, position, slots) -> list[tuple
         if walked is None:
             faces = range(base.dim + len(word) + 1)
             walked = walks[word, base.dim] = [_walk(word, k) for k in faces]
+        faces = base.faces
         rows.append(tuple([
-            ~slots[slot_at(s, k)] if (f := _face_of(base, w))[1] is basepoint
+            position[kept, base] if k is None
+            else ~slots[base, k] if (f := faces[k]).base is basepoint
+            else position[_merge(kept, f.word), f.base] if kept
             else position[f]
-            for k, w in enumerate(walked)
+            for kept, k in walked
         ]))
     return rows
 
@@ -230,13 +233,21 @@ def row_pairs(simplices, rows, lower):
     round; on a degenerate simplex, with neither d_i s nor d_j s at the
     basepoint, the way via i is only followed once the way via j has
     reached it, since degenerate simplices inherit the identities through
-    their normal forms.
+    their normal forms. So on a degenerate simplex whose row holds no
+    basepoint entry, an index j whose face's row holds none either yields
+    nothing, and is passed over in one test instead of one per i; whether
+    a row holds one is found once per call.
     """
+    lower_clean = [min(row, default=0) >= 0 for row in lower]
     for s, row in zip(simplices, rows):
         both_ways = not s.word
+        clean = not both_ways and min(row, default=0) >= 0
         for j in range(1, len(row)):
             at_j = row[j]
-            below_j = lower[at_j] if at_j >= 0 else None
+            if at_j >= 0:
+                if clean and lower_clean[at_j]:
+                    continue
+                below_j = lower[at_j]
             for i in range(j):
                 at_i = row[i]
                 if at_j < 0:
@@ -276,7 +287,7 @@ def closure_pairs(space: SimplicialSpace) -> list[tuple[ActionSlot, ActionSlot]]
     faces, slots = _Positions(), _Positions()
     rows = _face_rows(space, cells, faces, slots)
     lower = _face_rows(space, list(faces), _Positions(), slots)
-    by_position = list(slots)
+    by_position = [ActionSlot._make(slot) for slot in slots]
     return [
         (by_position[a], by_position[b]) for _, _, a, b in row_pairs(cells, rows, lower)
     ]
@@ -301,7 +312,7 @@ def level_rows(space: SimplicialSpace, top: int, slots: list):
         position = {s: p for p, s in enumerate(level)}
         level = tuple(s for s in space.simplices(n) if not space.is_basepoint(s))
         rows = _face_rows(space, level, position, positions)
-        slots.extend(itertools.islice(positions, len(slots), None))
+        slots.extend(map(ActionSlot._make, itertools.islice(positions, len(slots), None)))
         yield level, rows
 
 
@@ -359,7 +370,7 @@ def paranoid_closure(space: SimplicialSpace, dim_cap: int) -> ActionPartition:
     pairs = set()
     for n, (level, rows) in enumerate(level_rows(space, dim_cap, slots)):
         if n >= 2:
-            pairs.update(pair[2:] for pair in row_pairs(level, rows, lower))
+            pairs.update(map(itemgetter(2, 3), row_pairs(level, rows, lower)))
         lower = rows
     return partition_from_pairs(
         enumerate_slots(space), [(slots[a], slots[b]) for a, b in pairs]

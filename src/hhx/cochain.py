@@ -21,9 +21,10 @@ once.
 Internal weight: the finest grading of algebra and module (_grading) gives
 a hom basis element (assignment, c) the weight w_M(c) - Σ w(digits), and
 every coface and codegeneracy preserves it, so each is block diagonal. An
-expansion is split by weight once (_expansion), and then each block is
-formed on its own (_expand) with every entry formed exactly once; an
-ungraded input has one block. The differential δ_n = Σ (-1)^i d^i is
+expansion is split by weight once (_expansion), with the second half of
+the factor choices fused with the module entries there, and then each
+block is formed on its own (_expand) with every entry formed exactly once;
+an ungraded input has one block. The differential δ_n = Σ (-1)^i d^i is
 streamed one block at a time (_delta_blocks): each block's dict of sparse
 columns goes straight into the exact elimination for its rank and is
 dropped before the next is built. Cohomology dimensions need only the
@@ -70,9 +71,10 @@ from .simplicial import SimplicialSpace
 
 # most simplex-pair visits check_cosimplicial_identities may make, counted
 # as for a paranoid scan to dimension N + 1 (actions.paranoid_visits): at the
-# limit 0.45-0.8 s on circle, sphere2, sphere3 or torus over k (0.23-0.49
-# microseconds a visit), 1.4 s on sphere12 (-N 16, 1,259,700 visits), where
-# most pairs reach the basepoint; 2-vCPU host, Python 3.11
+# limit 0.4-0.8 s on circle, sphere2, sphere3 or torus over k (0.19-0.40
+# microseconds a visit, the setup's face rows included), 0.6-0.9 s on
+# sphere12 (-N 16, 1,259,700 visits), where most pairs reach the basepoint;
+# 2-vCPU host, Python 3.11
 IDENTITY_LIMIT = 2_000_000
 
 # most cofaces the differentials δ_0..δ_N may expand, (N + 1)(N + 4) / 2,
@@ -244,10 +246,10 @@ class CochainSetup:
         order: the sum of the expansions' entries in that block (_expand)."""
         weights = sorted({
             group - head - tail
-            for groups, heads, tails in expansions
-            for group in groups
+            for fused, heads in expansions
+            for group, by_tail in fused.items()
+            for tail in by_tail
             for head in heads
-            for tail in tails
         })
         for weight in weights:
             columns = {}
@@ -315,13 +317,15 @@ class CochainSetup:
 
         A factor is a list of nonzero terms (row offset, column offset,
         coefficient, weight of the column digit) with offsets in assignment
-        values; a block is (row offset, module entries (r, c, v)). Returns
-        (groups, heads, tails) for _expand: groups maps w_M(c) to the block
-        entries by module column c, as (row offset * m + r, v); heads and
-        tails map a weight to the choices of one term from each factor of
-        the first and of the second half, summed to (row, col, coeff) with
-        sign in the heads' coeff, whose column digits have that weight. So
-        the halves hold about the square root of the product's choices.
+        values; a block is (row offset, module entries (r, c, v)). The
+        choices of one term from each factor of the first and of the second
+        half are summed to (row, col, coeff) and split by the weight of
+        their column digits: heads, with sign in coeff, and tails, so the
+        halves hold about the square root of the product's choices. Returns
+        (fused, heads) for _expand: fused maps w_M(c) and a tail weight to
+        each tail fused with each module column c of that weight, as (col *
+        m + c, [((row + block row offset) * m + r, coeff * v)]), formed once
+        here rather than once per head.
         """
         p = self.algebra.field.p
         m = self.module.dim
@@ -333,41 +337,49 @@ class CochainSetup:
                     (block_row * m + r, v)
                 )
         half = len(factors) // 2
-        return (
-            groups,
-            _choices(sign, factors[:half], p),
-            _choices(1, factors[half:], p),
-        )
+        tails = _choices(1, factors[half:], p)
+        fused = {
+            group: {
+                tail: [
+                    (col * m + c, [(row * m + r, coeff * v) for r, v in items])
+                    for row, col, coeff in terms
+                    for c, items in by_col.items()
+                ]
+                for tail, terms in tails.items()
+            }
+            for group, by_col in groups.items()
+        }
+        return fused, _choices(sign, factors[:half], p)
 
     def _expand(self, columns, expansion, weight, skip=frozenset()):
         """Add the entries of an _expansion in the block of this weight to columns.
 
-        Each pair of a head and a tail whose weights sum to w_M(c) - weight
-        sums its offsets to (row, col) and multiplies its coefficients to
-        coeff, then adds coeff * v to columns[col * m + c][(row + block
-        offset) * m + r] unless col * m + c is in skip, deleting entries that
-        cancel. Each entry of the product lies in one block, so over all
-        blocks the work is the product's nnz.
+        Each head pairs with the fused tails whose weights sum with its own
+        to w_M(c) - weight: the head's offsets, times m, shift each fused
+        column and row, and its coefficient multiplies each fused value v,
+        which is added to columns[col][row] unless col is in skip, deleting
+        entries that cancel. Each entry of the product lies in one block, so
+        over all blocks the work is the product's nnz.
         """
         p = self.algebra.field.p
         m = self.module.dim
-        groups, heads, tails = expansion
-        for group, by_col in groups.items():
+        fused, heads = expansion
+        for group, by_tail in fused.items():
             digits = group - weight
             for head, prefixes in heads.items():
-                terms = tails.get(digits - head)
-                if terms is None:
+                entries = by_tail.get(digits - head)
+                if entries is None:
                     continue
-                for (row, col, coeff), (r, c, v) in itertools.product(prefixes, terms):
-                    row = (row + r) * m
-                    col = (col + c) * m
-                    coeff *= v
-                    for c, items in by_col.items():
-                        if col + c in skip:
+                for row, col, coeff in prefixes:
+                    row *= m
+                    col *= m
+                    for c, items in entries:
+                        c += col
+                        if c in skip:
                             continue
-                        column = columns.get(col + c)
+                        column = columns.get(c)
                         if column is None:
-                            column = columns[col + c] = {}
+                            column = columns[c] = {}
                         for r, v in items:
                             r += row
                             v = coeff * v + column.get(r, 0)
@@ -408,7 +420,7 @@ class CochainSetup:
         The other relations hold by construction. s_i s_j x = s_j s_{i-1} x
         is an identity of degeneracy words alone. d_i s_j x is x when i is
         j or j + 1, and otherwise passes through s_j to the face-table entry
-        and the slot (slot_at) of d_i x or d_{i-1} x, so it reads no input
+        and the slot of d_i x or d_{i-1} x, so it reads no input
         the two sides could disagree on; the test suite checks both on
         simplices.
         """

@@ -21,6 +21,7 @@ over Q.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
@@ -108,10 +109,14 @@ def field_from_json(obj) -> Field:
 
 
 def field_from_text(text: str) -> Field:
-    """Parse a field given on the command line: "Q" or "F<p>"."""
+    """Parse a field given on the command line: "Q" or "F<p>".
+
+    One spelling per field, as for the builtin spheres: p in ASCII digits
+    with no leading zero.
+    """
     if text == "Q":
         return QQ
-    if text.startswith("F") and text[1:].isdigit():
+    if re.fullmatch(r"F[1-9][0-9]*", text):
         return PrimeField(int(text[1:]))
     raise FormatError(f"bad field {text!r} (expected Q or F<p>)")
 

@@ -4,6 +4,7 @@ import random
 from math import comb
 
 from hhx import (
+    ActionSlot,
     MultiModule,
     builtin_space,
     endomorphism_module,
@@ -27,6 +28,18 @@ CUBIC_DOC = {
     "mul": [
         [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
         [[0, 1, 0], [0, 0, 1], [0, 0, 0]],
+        [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
+    ],
+}
+
+# Q[x]/x^3 with basis 1, x, y = x^2 / 2, so x x = 2 y: a structure constant
+# other than 0 and 1, which a coefficient dropped from a product would miss
+SCALED_CUBIC_DOC = {
+    "field": "Q",
+    "basis": ["1", "x", "y"],
+    "mul": [
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[0, 1, 0], [0, 0, 2], [0, 0, 0]],
         [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
     ],
 }
@@ -127,6 +140,20 @@ BROKEN_DOCS = (
 )
 
 
+def slot_at(s, i):
+    """The slot on s's generator behind face i of s; no checks.
+
+    s is a Simplex or a plain (word, base) pair. The caller knows that d_i s
+    is the basepoint and s is not. Then d_i cancels no degeneracy, so
+    neither i nor i - 1 is in the word, and each word index below i drops
+    the face index by one on its way to the generator. This counts them
+    directly, where the face rows take the index their walk through the
+    word left, so it serves the tests as an oracle for the rows' slots.
+    """
+    word, base = s
+    return ActionSlot(base, i - sum(1 for j in word if j < i))
+
+
 def scan_size(space, dim_cap):
     """Number of simplices of dimensions 2..dim_cap, basepoint ones included.
 
@@ -146,6 +173,10 @@ def dual_numbers(field_doc="Q"):
 
 def cubic_truncation():
     return parse_algebra(CUBIC_DOC)
+
+
+def scaled_cubic(field_doc="Q"):
+    return parse_algebra(dict(SCALED_CUBIC_DOC, field=field_doc))
 
 
 def ground_field():

@@ -1,3 +1,4 @@
+import copy
 import random
 from math import comb
 
@@ -12,6 +13,7 @@ from helpers import (
     ground_field,
     identity_module,
     scan_size,
+    slot_at,
 )
 from hhx import actions
 from hhx.actions import (
@@ -23,7 +25,7 @@ from hhx.actions import (
     paranoid_closure,
     paranoid_visits,
     partition_from_pairs,
-    slot_at,
+    row_pairs,
     sweep_closure,
 )
 from hhx.cochain import CochainSetup
@@ -173,6 +175,96 @@ def check_face_rows(space, calls):
                     assert faces[entry] == face
                 entries += 1
     return entries
+
+
+def slow_row_pairs(simplices, rows, lower):
+    """row_pairs visiting every pair i < j of every row, skipping none early."""
+    for s, row in zip(simplices, rows):
+        both_ways = not s.word
+        for j in range(1, len(row)):
+            at_j = row[j]
+            below_j = lower[at_j] if at_j >= 0 else None
+            for i in range(j):
+                at_i = row[i]
+                if at_j < 0:
+                    via_j = ~at_j
+                elif (by_j := below_j[i]) < 0:
+                    via_j = ~by_j
+                elif at_i < 0 or both_ways:
+                    via_j = None
+                else:
+                    continue
+                if at_i < 0:
+                    via_i = ~at_i
+                elif (by_i := lower[at_i][j - 1]) < 0:
+                    via_i = ~by_i
+                else:
+                    via_i = None
+                if via_j is None and via_i is None and by_j == by_i:
+                    continue
+                if via_j is None or via_i is None:
+                    raise InternalError(
+                        f"faces {i},{j} of {s!r} break the simplicial identity"
+                    )
+                yield i, j, via_j, via_i
+
+
+def seeded_scan_like_doc(seed):
+    """SCAN_LIKE_DOC with every triangle face drawn afresh: an edge or s0 pt.
+
+    Every edge is a loop, so any such faces satisfy the identities.
+    """
+    rng = random.Random(seed)
+    doc = copy.deepcopy(SCAN_LIKE_DOC)
+    choices = [[f"e{k}", []] for k in range(4)] + [["pt", [0]]]
+    for simplex in doc["simplices"]:
+        if simplex["dim"] == 2:
+            simplex["faces"] = [rng.choice(choices) for _ in range(3)]
+    return doc
+
+
+def multi_vertex_doc():
+    """Three vertices, edges between them and a loop, triangles and a 3-cell.
+
+    t spans pt -> v -> w, u has the degenerate face s0 v and x the
+    degenerate basepoint s0 pt; the 3-cell q has the faces of s1 t, so
+    some of its faces and double faces are at the basepoint and some are
+    not.
+    """
+    simplices = [
+        {"name": "pt", "dim": 0},
+        {"name": "v", "dim": 0},
+        {"name": "w", "dim": 0},
+        {"name": "a", "dim": 1, "faces": [["v", []], ["pt", []]]},
+        {"name": "b", "dim": 1, "faces": [["w", []], ["v", []]]},
+        {"name": "c", "dim": 1, "faces": [["w", []], ["pt", []]]},
+        {"name": "e", "dim": 1, "faces": [["pt", []], ["pt", []]]},
+        {"name": "t", "dim": 2, "faces": [["b", []], ["c", []], ["a", []]]},
+        {"name": "u", "dim": 2, "faces": [["v", [0]], ["a", []], ["a", []]]},
+        {"name": "x", "dim": 2, "faces": [["e", []], ["pt", [0]], ["e", []]]},
+    ]
+    doc = {"name": "multi-vertex", "basepoint": "pt", "simplices": simplices}
+    space = parse_space(doc)
+    s1t = space.degeneracy(Simplex((), space.generator("t")), 1)
+    faces = [space.face(s1t, i) for i in range(4)]
+    simplices.append(
+        {"name": "q", "dim": 3, "faces": [[f.base.name, list(f.word)] for f in faces]}
+    )
+    return doc
+
+
+def row_pairs_spaces():
+    """(label, space, top) for comparing row_pairs with slow_row_pairs."""
+    out = [(f"scan-like-{seed}", parse_space(seeded_scan_like_doc(seed)), 8)
+           for seed in range(4)]
+    out.append(("scan-like", parse_space(SCAN_LIKE_DOC), 8))
+    out += [(name, builtin_space(name), top)
+            for name, top in (("sphere12", 14), ("torus", 7), ("pinched-torus", 7))]
+    out.append(("multi-vertex", parse_space(multi_vertex_doc()), 7))
+    return out
+
+
+ROW_PAIRS_SPACES = row_pairs_spaces()
 
 
 def ids(slots):
@@ -444,7 +536,7 @@ def test_paranoid_scan_computes_each_face_once(monkeypatch):
 @pytest.mark.parametrize("name", ("scan-like",) + BUILTINS)
 def test_face_rows_match_face_and_level_pairs_match_slot_pairs(monkeypatch, name):
     space = parse_space(SCAN_LIKE_DOC) if name == "scan-like" else builtin_space(name)
-    top = space.max_dim + 2
+    top = max(8, space.max_dim + 2)
     tables = record_face_rows(monkeypatch)
     assert mapped_level_pairs(space, top) == list(slow_level_pairs(space, top))
     assert check_face_rows(space, tables) == sum(
@@ -475,6 +567,56 @@ def test_face_rows_match_face_on_drawn_spaces():
             check_face_rows(space, tables)
 
     check()
+
+
+@pytest.mark.parametrize("label,space,top", ROW_PAIRS_SPACES,
+                         ids=[label for label, _, _ in ROW_PAIRS_SPACES])
+def test_row_pairs_yield_what_the_full_pair_loop_yields(label, space, top):
+    levels = list(level_rows(space, top, []))
+    yielded = 0
+    for n in range(2, top + 1):
+        (level, rows), lower = levels[n], levels[n - 1][1]
+        pairs = list(row_pairs(level, rows, lower))
+        assert pairs == list(slow_row_pairs(level, rows, lower)), n
+        yielded += len(pairs)
+    assert yielded > 0
+
+
+# d_0 t is the degenerate basepoint, but d_0 d_1 t = d_0 f = v: on the
+# degenerate s_2 t, faces 0,1 break the identity with d_0 at the basepoint
+# and d_1 s_2 t = s_1 f, whose row holds no basepoint entry
+BROKEN_AT_FACE_0_DOC = {
+    "name": "broken-at-0",
+    "basepoint": "pt",
+    "simplices": [
+        {"name": "pt", "dim": 0},
+        {"name": "v", "dim": 0},
+        {"name": "f", "dim": 1, "faces": [["v", []], ["pt", []]]},
+        {"name": "t", "dim": 2, "faces": [["pt", [0]], ["f", []], ["f", []]]},
+    ],
+}
+
+
+def outcome(pairs):
+    """The list of pairs an iterator yields, or the InternalError it raises."""
+    try:
+        return list(pairs)
+    except InternalError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("doc", BROKEN_DOCS + (BROKEN_AT_FACE_0_DOC,),
+                         ids=[d["name"] for d in BROKEN_DOCS + (BROKEN_AT_FACE_0_DOC,)])
+def test_row_pairs_raise_what_the_full_pair_loop_raises(doc):
+    space = parse_space(doc, validate=False)
+    levels = list(level_rows(space, 5, []))
+    raised = 0
+    for n in range(2, 6):
+        (level, rows), lower = levels[n], levels[n - 1][1]
+        expected = outcome(slow_row_pairs(level, rows, lower))
+        assert outcome(row_pairs(level, rows, lower)) == expected, n
+        raised += isinstance(expected, str)
+    assert raised > 0
 
 
 def test_paranoid_cap_precondition():

@@ -327,6 +327,28 @@ def test_cohomology_field_override(tmp_path, capsys):
     assert json.loads(out)["hh_dims"] == [2, 1, 1, 1]
 
 
+@pytest.mark.parametrize("value", ["F\u0663", "F\u00b2", "F05", "F0", "F+5", "F 5"])
+def test_field_override_takes_ascii_digits_without_leading_zero(value, tmp_path, capsys):
+    # an Arabic-Indic three, a superscript two, a leading zero, a sign and a
+    # space are each refused as a bad field, not read as a number
+    alg_path = write_json(tmp_path / "dual.json", DUAL_DOC)
+    mod_path = write_json(
+        tmp_path / "regular.json", regular_module_doc(["e.0", "e.1"])
+    )
+    for command in (
+        ("cohomology", "--module", mod_path),
+        ("actions", "--emit-template", str(tmp_path / "m.json")),
+    ):
+        status, out, err = run_cli(
+            capsys, command[0], "--builtin", "circle", "--algebra", alg_path,
+            *command[1:], "--field", value,
+        )
+        assert status == 2
+        assert out == ""
+        assert f"bad field {value!r} (expected Q or F<p>)" in err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_json_reports_are_deterministic(tmp_path, capsys):
     alg_path = write_json(tmp_path / "dual.json", DUAL_DOC)
     mod_path = write_json(

@@ -26,6 +26,7 @@ from helpers import (
     ground_field,
     identity_module,
     reduced,
+    scaled_cubic,
     space_and_partition,
 )
 from hhx import (
@@ -178,9 +179,15 @@ def dual_numbers_f5():
     return dual_numbers({"Fp": 5})
 
 
+def scaled_cubic_f5():
+    return scaled_cubic({"Fp": 5})
+
+
 REFERENCE_SETUPS = [
     ("circle", dual_numbers, "twisted", 2),
     ("circle", cubic_truncation, "regular", 2),
+    ("circle", scaled_cubic, "twisted", 2),
+    ("circle", scaled_cubic_f5, "regular", 2),
     ("sphere2", dual_numbers, "end", 2),
     ("pinched-torus", dual_numbers, "twisted", 1),
     ("torus", dual_numbers, "regular", 1),
@@ -262,6 +269,35 @@ def test_differentials_match_reference(name, alg_fn, kind, top):
     module = coefficient_module(algebra, partition, kind)
     setup = CochainSetup(space, algebra, module, partition, top)
     check_differentials(setup, range(top + 1))
+
+
+@pytest.mark.parametrize("name,alg_fn,kind,top", REFERENCE_SETUPS)
+def test_delta_block_columns_are_reduced_and_sum_the_reference_cofaces(
+    name, alg_fn, kind, top
+):
+    # the columns go into the elimination as they are, with no Matrix to
+    # reduce them, so every stored entry must already be a nonzero residue
+    algebra = alg_fn()
+    space, partition = space_and_partition(name)
+    module = coefficient_module(algebra, partition, kind)
+    setup = CochainSetup(space, algebra, module, partition, top)
+    p = algebra.field.p
+    stored = 0
+    for n in range(top + 1):
+        blocks = list(setup._delta_blocks(n))
+        values = [v for _, columns in blocks for column in columns.values()
+                  for v in column.values()]
+        stored += len(values)
+        if p:
+            assert all(type(v) is int and 0 < v < p for v in values), n
+        else:
+            assert all(v != 0 for v in values), n
+        entries = {
+            (r, c): v for c, column in cochain._merged(blocks).items()
+            for r, v in column.items()
+        }
+        assert entries == slow_differential(setup, n).entries, n
+    assert stored > 0
 
 
 def zero_module_setup():

@@ -58,6 +58,17 @@ def test_field_parsing():
         field_from_text("GF4")
 
 
+def test_field_text_is_q_or_f_with_ascii_digits_and_no_leading_zero():
+    assert field_from_text("F2") == PrimeField(2)
+    assert field_from_text("F101") == PrimeField(101)
+    # str.isdigit and int() accept the first two; the rest are other
+    # spellings of a number, and only one spelling per field is read
+    for text in ("F\u0663", "F\u00b2", "F05", "F00", "F0", "F+5", "F 5", "F5 ",
+                 "F5\n", "F", "f5", "q", ""):
+        with pytest.raises(FormatError, match="bad field"):
+            field_from_text(text)
+
+
 def test_characteristic_zero_is_never_reached_through_prime_field():
     for bad in (lambda: PrimeField(0), lambda: PrimeField(1),
                 lambda: field_from_text("F0"), lambda: field_from_json({"Fp": 0})):

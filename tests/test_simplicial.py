@@ -3,8 +3,7 @@ from math import comb
 
 import pytest
 
-from helpers import BROKEN_DOCS, SCAN_LIKE_DOC
-from hhx.actions import slot_at
+from helpers import BROKEN_DOCS, SCAN_LIKE_DOC, slot_at
 from hhx.errors import FormatError, ValidationError
 from hhx.simplicial import (
     Generator,
