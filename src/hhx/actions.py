@@ -207,13 +207,17 @@ def _face_rows(space: SimplicialSpace, simplices, position, slots) -> list[tuple
             faces = range(base.dim + len(word) + 1)
             walked = walks[word, base.dim] = [_walk(word, k) for k in faces]
         faces = base.faces
-        rows.append(tuple([
-            position[kept, base] if k is None
-            else ~slots[base, k] if (f := faces[k]).base is basepoint
-            else position[_merge(kept, f.word), f.base] if kept
-            else position[f]
-            for kept, k in walked
-        ]))
+        row = []
+        for kept, k in walked:
+            if k is None:
+                row.append(position[kept, base])
+            elif (f := faces[k]).base is basepoint:
+                row.append(~slots[base, k])
+            elif kept:
+                row.append(position[_merge(kept, f.word), f.base])
+            else:
+                row.append(position[f])
+        rows.append(tuple(row))
     return rows
 
 
