@@ -240,12 +240,13 @@ def row_pairs(simplices, rows, lower):
     their normal forms. So on a degenerate simplex whose row holds no
     basepoint entry, an index j whose face's row holds none either yields
     nothing, and is passed over in one test instead of one per i; whether
-    a row holds one is found once per call.
+    a row (never empty: every face has dim >= 1) holds one is found once per
+    call.
     """
-    lower_clean = [min(row, default=0) >= 0 for row in lower]
+    lower_clean = [min(row) >= 0 for row in lower]
     for s, row in zip(simplices, rows):
         both_ways = not s.word
-        clean = not both_ways and min(row, default=0) >= 0
+        clean = not both_ways and min(row) >= 0
         for j in range(1, len(row)):
             at_j = row[j]
             if at_j >= 0:
