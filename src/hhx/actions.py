@@ -24,7 +24,7 @@ serves the sweep, the paranoid scan and the cosimplicial identity check.
 The paranoid scan holds two levels at a time, and a cochain setup keeps
 the rows of every level for its cofaces and its identity check. The
 paranoid scan of the benchmark's actions-scan space (seed 1) to dimension
-8 takes 0.05-0.08 s in a fresh process (median 0.074 s of 16; 2-vCPU host,
+8 takes 0.04-0.07 s in a fresh process (median 0.066 s of 16; 2-vCPU host,
 Python 3.11).
 """
 
@@ -40,10 +40,10 @@ from .simplicial import Generator, Simplex, SimplicialSpace, _merge, _walk
 
 
 # most face-pair visits paranoid_closure makes (paranoid_visits): at the
-# limit about 0.7 s on the circle or the torus (0.16-0.19 microseconds a
-# visit) and 2.7 s on sphere12, where most pairs reach the basepoint (0.68
-# microseconds a visit; 4,434,144 visits to dimension 18 took 3.0 s and
-# 86 MiB); 2-vCPU host, Python 3.11
+# limit 0.6-0.8 s on the circle or the torus (0.15-0.19 microseconds a
+# visit) and 1.8-2.5 s on sphere12, where most pairs reach the basepoint
+# (0.45-0.62 microseconds a visit; 4,434,144 visits to dimension 18 took
+# 2.0-2.7 s and 87 MiB); 2-vCPU host, Python 3.11
 PARANOID_LIMIT = 4_000_000
 
 

@@ -71,8 +71,8 @@ from .simplicial import SimplicialSpace
 
 # most simplex-pair visits check_cosimplicial_identities may make, counted
 # as for a paranoid scan to dimension N + 1 (actions.paranoid_visits): at the
-# limit 0.4-0.8 s on circle, sphere2, sphere3 or torus over k (0.19-0.40
-# microseconds a visit, the setup's face rows included), 0.6-0.9 s on
+# limit 0.2-0.7 s on circle, sphere2, sphere3 or torus over k (0.11-0.34
+# microseconds a visit, the setup's face rows included), 0.65-0.8 s on
 # sphere12 (-N 16, 1,259,700 visits), where most pairs reach the basepoint;
 # 2-vCPU host, Python 3.11
 IDENTITY_LIMIT = 2_000_000
