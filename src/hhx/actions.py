@@ -14,23 +14,22 @@ per slot.
 
 Faces are read from integer rows, one per simplex (_face_rows): entry k is
 the position of d_k s among the faces below, or ~p where d_k s is the
-basepoint and p positions its slot among the slots met so far. This
-row format is the public interface of level_rows, which tabulates every
-non-basepoint simplex level by level, so each face and each slot is found
-once and no face is built as a Simplex; only this module decides which
-slot carries a basepoint face, and a reader of the rows only tells a
-position (f >= 0) from a slot (slots[~f]). One pair routine on the rows (row_pairs)
-serves the sweep, the paranoid scan and the cosimplicial identity check.
-The paranoid scan holds two levels at a time, and a cochain setup keeps
-the rows of every level for its cofaces and its identity check. The
-paranoid scan of the benchmark's actions-scan space (seed 1) to dimension
-8 takes 0.04-0.07 s in a fresh process (median 0.066 s of 16; 2-vCPU host,
-Python 3.11).
+basepoint and p is the number of its slot in enumerate_slots(space), the
+order of every ActionPartition.slots of the space. This row format is the
+public interface of level_rows, which tabulates every non-basepoint simplex
+level by level, so each face is found once and none is built as a Simplex;
+only this module decides which slot carries a basepoint face, and a reader
+of the rows only tells a position (f >= 0) from a slot number (f < 0). One
+pair routine on the rows (row_pairs) serves the sweep, the paranoid scan
+and the cosimplicial identity check. The paranoid scan holds two levels at
+a time, and a cochain setup keeps the rows of every level for its cofaces
+and its identity check. The paranoid scan of the benchmark's actions-scan
+space (seed 1) to dimension 8 takes 0.04-0.08 s in a fresh process (median
+0.07 s of 8; 2-vCPU host, Python 3.11).
 """
 
 from __future__ import annotations
 
-import itertools
 from math import comb
 from operator import itemgetter
 from typing import NamedTuple
@@ -48,7 +47,11 @@ PARANOID_LIMIT = 4_000_000
 
 
 class ActionSlot(NamedTuple):
-    """A generator together with a face index pointing at the basepoint."""
+    """A generator together with a face index pointing at the basepoint.
+
+    A tuple, so it hashes and compares like the plain (generator, index)
+    pair, by which _face_rows looks it up.
+    """
 
     generator: Generator
     index: int
@@ -183,11 +186,10 @@ def _face_rows(space: SimplicialSpace, simplices, position, slots) -> list[tuple
 
     Entry k is position[d_k s], the face's place in the level below, looked
     up by its plain (word, base) pair; when d_k s is the basepoint it is
-    ~slots[generator, index] instead, with slots a _Positions of the slots
-    met so far as plain pairs, which hash and compare like the ActionSlot
-    of the same fields. Each (word, generator dimension) is walked once per
-    call for all its face indices (_walk), and no face is built as a
-    Simplex.
+    ~slots[generator, index] instead, with slots mapping the k-th slot of
+    enumerate_slots(space) to k. Each (word, generator dimension) is walked
+    once per call for all its face indices (_walk), and no face is built as
+    a Simplex.
 
     A walk that cancels a degeneracy leaves a face over s's own generator,
     never the basepoint. Otherwise it leaves the generator's face k with
@@ -225,7 +227,7 @@ def row_pairs(simplices, rows, lower):
     """(i, j, via_j, via_i) for each basepoint face d_i d_j s, s of dim >= 2.
 
     rows are the simplices' _face_rows and lower the rows of the faces they
-    point at; via_j and via_i are positions in the slots the rows interned.
+    point at; via_j and via_i are slot numbers, as in the rows.
 
     For i < j the face d_i d_j s = d_{j-1} d_i s is reached two ways. When
     it is the basepoint, via_j is the slot carrying it via j (on s if d_j s
@@ -289,36 +291,31 @@ def closure_pairs(space: SimplicialSpace) -> list[tuple[ActionSlot, ActionSlot]]
         for g in sorted(space.generators, key=lambda g: g.name)
         if g.dim >= 2
     ]
-    faces, slots = _Positions(), _Positions()
-    rows = _face_rows(space, cells, faces, slots)
-    lower = _face_rows(space, list(faces), _Positions(), slots)
-    by_position = [ActionSlot._make(slot) for slot in slots]
-    return [
-        (by_position[a], by_position[b]) for _, _, a, b in row_pairs(cells, rows, lower)
-    ]
+    slots = enumerate_slots(space)
+    numbers = {slot: k for k, slot in enumerate(slots)}
+    faces = _Positions()
+    rows = _face_rows(space, cells, faces, numbers)
+    lower = _face_rows(space, list(faces), _Positions(), numbers)
+    return [(slots[a], slots[b]) for _, _, a, b in row_pairs(cells, rows, lower)]
 
 
-def level_rows(space: SimplicialSpace, top: int, slots: list):
+def level_rows(space: SimplicialSpace, top: int):
     """(simplices, rows) for the non-basepoint n-simplices, n = 0..top.
 
     Each level is in space.simplices order, with one row per simplex (an
     empty row per vertex). Entry k of the row of s is an int f: f >= 0 is
     the position of d_k s in the level below's tuple, and f < 0 says d_k s
-    is the basepoint, carried by the slot slots[~f]. slots is a list the
-    scan extends by each slot a level meets before it yields that level,
-    so a caller maps positions to slots only where it needs them. Only the
-    level below is held to build a level; basepoint simplices, whose faces
-    row_pairs never asks for, get no row.
+    is the basepoint, carried by the slot enumerate_slots(space)[~f]. Only
+    the level below is held to build a level; basepoint simplices, whose
+    faces row_pairs never asks for, get no row.
     """
-    positions = _Positions()
+    numbers = {slot: k for k, slot in enumerate(enumerate_slots(space))}
     level = tuple(s for s in space.simplices(0) if not space.is_basepoint(s))
     yield level, [()] * len(level)
     for n in range(1, top + 1):
         position = {s: p for p, s in enumerate(level)}
         level = tuple(s for s in space.simplices(n) if not space.is_basepoint(s))
-        rows = _face_rows(space, level, position, positions)
-        slots.extend(map(ActionSlot._make, itertools.islice(positions, len(slots), None)))
-        yield level, rows
+        yield level, _face_rows(space, level, position, numbers)
 
 
 def partition_from_pairs(slots, pairs) -> ActionPartition:
@@ -371,12 +368,10 @@ def paranoid_closure(space: SimplicialSpace, dim_cap: int) -> ActionPartition:
             f"paranoid scan to dimension {dim_cap} would make {visits} face-pair "
             f"visits, more than the limit of {PARANOID_LIMIT}"
         )
-    slots = []
     pairs = set()
-    for n, (level, rows) in enumerate(level_rows(space, dim_cap, slots)):
+    for n, (level, rows) in enumerate(level_rows(space, dim_cap)):
         if n >= 2:
             pairs.update(map(itemgetter(2, 3), row_pairs(level, rows, lower)))
         lower = rows
-    return partition_from_pairs(
-        enumerate_slots(space), [(slots[a], slots[b]) for a, b in pairs]
-    )
+    slots = enumerate_slots(space)
+    return partition_from_pairs(slots, [(slots[a], slots[b]) for a, b in pairs])

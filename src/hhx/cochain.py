@@ -22,9 +22,10 @@ Internal weight: the finest grading of algebra and module (_grading) gives
 a hom basis element (assignment, c) the weight w_M(c) - Σ w(digits), and
 every coface and codegeneracy preserves it, so each is block diagonal. An
 expansion is split by weight once (_expansion), with the second half of
-the factor choices fused with the module entries there, and then each
-block is formed on its own (_expand) with every entry formed exactly once;
-an ungraded input has one block. The differential δ_n = Σ (-1)^i d^i is
+the factor choices fused with the module entries there under one flat key,
+w_M(c) minus the tail's weight, and then each block is formed on its own
+(_expand), one lookup per head, with every entry formed exactly once; an
+ungraded input has one block. The differential δ_n = Σ (-1)^i d^i is
 streamed one block at a time (_delta_blocks): each block's dict of sparse
 columns goes straight into the exact elimination for its rank and is
 dropped before the next is built. Cohomology dimensions need only the
@@ -40,8 +41,9 @@ first), has the rank of the rest.
 Faces come from one table: a setup keeps the integer face rows of the
 non-basepoint simplices of every level 0..N + 1 (actions.level_rows), built
 once. A coface d^i reads entry i of each row of the level above: a position
-in the level below, or a slot carrying the star action where the face is
-the basepoint.
+in the level below, or, where the face is the basepoint, the number of the
+slot carrying the star action in actions.enumerate_slots. The setup
+resolves each slot's action, that of its class, once when it is built.
 
 The cosimplicial identities are checked on simplices, not on matrices:
 d_i d_j = d_{j-1} d_i holds exactly when the module acts equally on the two
@@ -57,7 +59,7 @@ import itertools
 from fractions import Fraction
 from math import comb, lcm
 
-from .actions import ActionPartition, row_pairs, level_rows, paranoid_visits
+from .actions import ActionPartition, enumerate_slots, level_rows, paranoid_visits, row_pairs
 from .coeffalg import Algebra, MultiModule, _unit_vector
 from .errors import (
     DEFAULT_BUDGET,
@@ -94,12 +96,13 @@ class CochainSetup:
     as it depends on N alone), a hom space within the cap exceeds the column
     budget (which counts all columns of C^n, not those of its largest weight
     block), or the identity check would make more than IDENTITY_LIMIT
-    simplex-pair visits. It then solves for the
-    finest internal grading of the algebra and the module (_grading): the
-    null space over Q of the linear equations every nonzero structure
-    constant and action entry imposes on the weights. Last it builds the
-    face rows of levels 0..N + 1 (actions.level_rows), which the cofaces
-    and the identity check read.
+    simplex-pair visits. Next it looks up the action of each slot's class,
+    by slot number, and raises InternalError if the module supplies none
+    for a class. It then solves for the finest internal grading of the
+    algebra and the module (_grading): the null space over Q of the linear
+    equations every nonzero structure constant and action entry imposes on
+    the weights. Last it builds the face rows of levels 0..N + 1
+    (actions.level_rows), which the cofaces and the identity check read.
     """
 
     def __init__(
@@ -148,11 +151,17 @@ class CochainSetup:
                 f"the cosimplicial identity check would visit {visits} "
                 f"simplices, exceeding the limit of {IDENTITY_LIMIT}"
             )
+        # the action matrices of each slot's class, by slot number
+        self._slot_actions = []
+        for slot in enumerate_slots(space):
+            key = partition.class_of(slot)
+            if key not in module.actions:
+                raise InternalError(f"no action supplied for {key!r}")
+            self._slot_actions.append(module.actions[key])
         # (algebra basis weights, module basis weights)
         self._weights = _grading(algebra, module, self.t[-1])
-        self._slots = []  # the slots the face rows point at, by position
         # (non-basepoint simplices, face rows) of each level 0..N + 1
-        self._levels = list(level_rows(space, max_degree + 1, self._slots))
+        self._levels = list(level_rows(space, max_degree + 1))
         self._failures = None  # the identity verdict, once scanned
 
     def basis(self, n: int):
@@ -165,13 +174,6 @@ class CochainSetup:
             raise ValueError(
                 f"degree {n} outside 0..{self.max_degree + 1} for this setup"
             )
-
-    def _action(self, key: str) -> list:
-        """The action matrices of class key."""
-        mats = self.module.actions.get(key)
-        if mats is None:
-            raise InternalError(f"no action supplied for {key!r}")
-        return mats
 
     # -- matrices ---------------------------------------------------------
 
@@ -245,11 +247,7 @@ class CochainSetup:
         """(weight, columns) for each weight some choice of terms reaches, in
         order: the sum of the expansions' entries in that block (_expand)."""
         weights = sorted({
-            group - head - tail
-            for fused, heads in expansions
-            for group, by_tail in fused.items()
-            for tail in by_tail
-            for head in heads
+            key - head for fused, heads in expansions for key in fused for head in heads
         })
         for weight in weights:
             columns = {}
@@ -270,10 +268,10 @@ class CochainSetup:
         groups = [[] for _ in src]
         for p, row in enumerate(rows):
             place = d ** (len(rows) - 1 - p)
-            f = row[i]  # level_rows: d_i s is src[f], or the basepoint via slots[~f]
+            f = row[i]  # level_rows: d_i s is src[f], or the basepoint via slot ~f
             if f < 0:
                 star_places.append(place)
-                star_mats.append(self._action(self.partition.class_of(self._slots[~f])))
+                star_mats.append(self._slot_actions[~f])
             else:
                 groups[f].append(place)
 
@@ -322,10 +320,10 @@ class CochainSetup:
         half are summed to (row, col, coeff) and split by the weight of
         their column digits: heads, with sign in coeff, and tails, so the
         halves hold about the square root of the product's choices. Returns
-        (fused, heads) for _expand: fused maps w_M(c) and a tail weight to
-        each tail fused with each module column c of that weight, as (col *
-        m + c, [((row + block row offset) * m + r, coeff * v)]), formed once
-        here rather than once per head.
+        (fused, heads) for _expand: heads maps a head weight to its choices,
+        and fused maps w_M(c) - u to each tail of weight u fused with each
+        module column c, as (col * m + c, [((row + block row offset) * m +
+        r, coeff * v)]), formed once here rather than once per head.
         """
         p = self.algebra.field.p
         m = self.module.dim
@@ -338,57 +336,53 @@ class CochainSetup:
                 )
         half = len(factors) // 2
         tails = _choices(1, factors[half:], p)
-        fused = {
-            group: {
-                tail: [
+        fused = {}
+        for group, by_col in groups.items():
+            for tail, terms in tails.items():
+                fused.setdefault(group - tail, []).extend(
                     (col * m + c, [(row * m + r, coeff * v) for r, v in items])
                     for row, col, coeff in terms
                     for c, items in by_col.items()
-                ]
-                for tail, terms in tails.items()
-            }
-            for group, by_col in groups.items()
-        }
+                )
         return fused, _choices(sign, factors[:half], p)
 
     def _expand(self, columns, expansion, weight, skip=frozenset()):
         """Add the entries of an _expansion in the block of this weight to columns.
 
-        Each head pairs with the fused tails whose weights sum with its own
-        to w_M(c) - weight: the head's offsets, times m, shift each fused
-        column and row, and its coefficient multiplies each fused value v,
-        which is added to columns[col][row] unless col is in skip, deleting
-        entries that cancel. Each entry of the product lies in one block, so
-        over all blocks the work is the product's nnz.
+        A head of weight h pairs with the fused list at key weight + h: the
+        tails of weight u fused with the module columns c where weight =
+        w_M(c) - h - u. The head's offsets, times m, shift each fused column
+        and row, and its coefficient multiplies each fused value v, which is
+        added to columns[col][row] unless col is in skip, deleting entries
+        that cancel. Each entry of the product lies in one block, so over
+        all blocks the work is the product's nnz.
         """
         p = self.algebra.field.p
         m = self.module.dim
         fused, heads = expansion
-        for group, by_tail in fused.items():
-            digits = group - weight
-            for head, prefixes in heads.items():
-                entries = by_tail.get(digits - head)
-                if entries is None:
-                    continue
-                for row, col, coeff in prefixes:
-                    row *= m
-                    col *= m
-                    for c, items in entries:
-                        c += col
-                        if c in skip:
-                            continue
-                        column = columns.get(c)
-                        if column is None:
-                            column = columns[c] = {}
-                        for r, v in items:
-                            r += row
-                            v = coeff * v + column.get(r, 0)
-                            if p:
-                                v %= p
-                            if v:
-                                column[r] = v
-                            else:
-                                del column[r]
+        for head, prefixes in heads.items():
+            entries = fused.get(weight + head)
+            if entries is None:
+                continue
+            for row, col, coeff in prefixes:
+                row *= m
+                col *= m
+                for c, items in entries:
+                    c += col
+                    if c in skip:
+                        continue
+                    column = columns.get(c)
+                    if column is None:
+                        column = columns[c] = {}
+                    for r, v in items:
+                        r += row
+                        v = coeff * v + column.get(r, 0)
+                        if p:
+                            v %= p
+                        if v:
+                            column[r] = v
+                        else:
+                            del column[r]
 
     # -- checks and cohomology --------------------------------------------
 
@@ -425,20 +419,16 @@ class CochainSetup:
         simplices.
         """
         if self._failures is None:
-            class_of = self.partition.class_of
-            slots = self._slots
+            acts = self._slot_actions
             levels = self._levels
-            same = {}  # (via_j, via_i) positions -> whether their classes act alike
+            same = {}  # (via_j, via_i) slot numbers -> whether they act alike
             failing = set()
             for n in range(2, len(levels)):
                 (level, rows), lower = levels[n], levels[n - 1][1]
                 for i, j, via_j, via_i in row_pairs(level, rows, lower):
                     equal = same.get((via_j, via_i))
                     if equal is None:
-                        equal = same[via_j, via_i] = (
-                            self._action(class_of(slots[via_j]))
-                            == self._action(class_of(slots[via_i]))
-                        )
+                        equal = same[via_j, via_i] = acts[via_j] == acts[via_i]
                     if not equal:
                         failing.add((n - 2, j, i))
             self._failures = tuple(

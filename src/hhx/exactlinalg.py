@@ -56,9 +56,17 @@ class Field:
         self.name = f"F{p}" if p else "Q"
 
     def parse(self, value):
-        """Read a scalar from JSON: an int or a "p/q" string, reduced mod p."""
+        """Read a scalar from JSON: an int or a "p/q" string, reduced mod p.
+
+        A string is ASCII digits, with an optional leading minus and an
+        optional "/" and denominator: no exponent, decimal point, sign "+",
+        space, underscore or non-ASCII digit, since Fraction would take an
+        exponent such as "1e10000000" at a cost that grows without bound.
+        """
         if isinstance(value, bool) or not isinstance(value, (int, str)):
             raise FormatError(f"not an exact scalar: {value!r}")
+        if isinstance(value, str) and not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", value):
+            raise FormatError(f"bad scalar literal {value!r}")
         try:
             f = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:

@@ -140,14 +140,7 @@ class SimplicialSpace:
         self.name = name
         self.generators = tuple(generators)
         self.basepoint = basepoint
-        self._by_name = {g.name: g for g in self.generators}
         self._levels: dict[int, tuple[Simplex, ...]] = {}
-
-    def generator(self, name: str) -> Generator:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise FormatError(f"unknown generator {name!r}") from None
 
     @property
     def max_dim(self) -> int:

@@ -140,6 +140,12 @@ BROKEN_DOCS = (
 )
 
 
+def generator(space, name):
+    """The generator of space called name."""
+    (found,) = [g for g in space.generators if g.name == name]
+    return found
+
+
 def slot_at(s, i):
     """The slot on s's generator behind face i of s; no checks.
 

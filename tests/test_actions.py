@@ -10,6 +10,7 @@ from helpers import (
     BROKEN_DOCS,
     BROKEN_VIA_I_ONLY_DOC,
     SCAN_LIKE_DOC,
+    generator,
     ground_field,
     identity_module,
     scan_size,
@@ -116,10 +117,10 @@ def slot_pairs(space, s):
 
 def mapped_level_pairs(space, top):
     """(n, i, j, via_j, via_i) of row_pairs on each level n = 2..top of
-    level_rows, with its slot positions mapped to the slots."""
-    slots = []
+    level_rows, with its slot numbers mapped to the slots."""
+    slots = enumerate_slots(space)
     pairs = []
-    for n, (level, rows) in enumerate(level_rows(space, top, slots)):
+    for n, (level, rows) in enumerate(level_rows(space, top)):
         if n >= 2:
             pairs += [(n, *pair) for pair in actions.row_pairs(level, rows, lower)]
         lower = rows
@@ -143,7 +144,8 @@ def slow_paranoid_closure(space, dim_cap):
 
 
 def record_face_rows(monkeypatch):
-    """(simplices, position, slots, rows) of every later _face_rows call."""
+    """(simplices, position, slot numbers, rows) of every later _face_rows
+    call."""
     calls = []
     original = actions._face_rows
 
@@ -157,11 +159,16 @@ def record_face_rows(monkeypatch):
 
 
 def check_face_rows(space, calls):
-    """Every recorded row entry against space.face and slot_at; the count."""
+    """Every recorded row entry against space.face and slot_at; the count.
+
+    A basepoint entry ~k names slot k of enumerate_slots(space), the
+    numbering every call is given.
+    """
+    slots = enumerate_slots(space)
     entries = 0
-    for simplices, position, slots, rows in calls:
+    for simplices, position, numbers, rows in calls:
+        assert numbers == {slot: k for k, slot in enumerate(slots)}
         faces = list(position)
-        by_position = list(slots)
         assert len(rows) == len(simplices)
         for s, row in zip(simplices, rows):
             assert len(row) == s.dim + 1
@@ -169,7 +176,7 @@ def check_face_rows(space, calls):
                 face = space.face(s, k)
                 if entry < 0:
                     assert space.is_basepoint(face)
-                    assert by_position[~entry] == slot_at(s, k)
+                    assert slots[~entry] == slot_at(s, k)
                 else:
                     assert not space.is_basepoint(face)
                     assert faces[entry] == face
@@ -245,7 +252,7 @@ def multi_vertex_doc():
     ]
     doc = {"name": "multi-vertex", "basepoint": "pt", "simplices": simplices}
     space = parse_space(doc)
-    s1t = space.degeneracy(Simplex((), space.generator("t")), 1)
+    s1t = space.degeneracy(Simplex((), generator(space, "t")), 1)
     faces = [space.face(s1t, i) for i in range(4)]
     simplices.append(
         {"name": "q", "dim": 3, "faces": [[f.base.name, list(f.word)] for f in faces]}
@@ -304,12 +311,12 @@ def test_slot_rendering():
 def test_action_slot_equality_hash_and_class_lookup():
     space = builtin_space("pinched-torus")
     partition = sweep_closure(space)
-    sigma = space.generator("sigma")
+    sigma = generator(space, "sigma")
     slot = ActionSlot(sigma, 1)
     assert slot == ActionSlot(generator=sigma, index=1)
     assert hash(slot) == hash(ActionSlot(sigma, 1))
     assert slot != ActionSlot(sigma, 0)
-    assert slot != ActionSlot(space.generator("tau"), 1)
+    assert slot != ActionSlot(generator(space, "tau"), 1)
     assert (slot.generator, slot.index) == (sigma, 1)
     assert slot.key == ("sigma", 1)
     assert slot.id == "sigma.1"
@@ -320,27 +327,30 @@ def test_action_slot_equality_hash_and_class_lookup():
     assert partition.class_of(slot) == "a.1"
     s0 = space.degeneracy(Simplex((), sigma), 0)
     assert partition.class_of(reduce_slot(space, s0, 2)) == "a.1"
-    assert partition.class_of(ActionSlot(space.generator("tau"), 1)) == "a.0"
+    assert partition.class_of(ActionSlot(generator(space, "tau"), 1)) == "a.0"
     assert {slot: 1}[ActionSlot(sigma, 1)] == 1
+    # the face rows look slots up by plain (generator, index) pairs
+    assert slot == (sigma, 1) and hash(slot) == hash((sigma, 1))
+    assert {slot: 1}[sigma, 1] == 1
 
 
 def test_reduce_slot_keeps_low_index():
     space = builtin_space("circle")
-    e = Simplex((), space.generator("e"))
+    e = Simplex((), generator(space, "e"))
     s1e = space.degeneracy(e, 1)
     assert reduce_slot(space, s1e, 0).id == "e.0"
 
 
 def test_reduce_slot_shifts_high_index():
     space = builtin_space("circle")
-    e = Simplex((), space.generator("e"))
+    e = Simplex((), generator(space, "e"))
     s0e = space.degeneracy(e, 0)
     assert reduce_slot(space, s0e, 2).id == "e.1"
 
 
 def test_reduce_slot_on_sphere_degeneracies():
     space = builtin_space("sphere2")
-    sigma = Simplex((), space.generator("sigma"))
+    sigma = Simplex((), generator(space, "sigma"))
     s0 = space.degeneracy(sigma, 0)
     assert reduce_slot(space, s0, 2).id == "sigma.1"
     assert reduce_slot(space, s0, 3).id == "sigma.2"
@@ -356,7 +366,7 @@ def test_reduce_slot_rejects_basepoint_and_nonstar_faces():
     space = builtin_space("circle")
     with pytest.raises(ValueError):
         reduce_slot(space, Simplex((1, 0), space.basepoint), 0)
-    e = Simplex((), space.generator("e"))
+    e = Simplex((), generator(space, "e"))
     s0e = space.degeneracy(e, 0)
     with pytest.raises(ValueError):
         reduce_slot(space, s0e, 1)  # face 1 of s0 e is e, not the basepoint
@@ -533,9 +543,45 @@ def test_paranoid_scan_computes_each_face_once(monkeypatch):
     assert [row for _, _, _, rows in tables for row in rows] == []
 
 
-@pytest.mark.parametrize("name", ("scan-like",) + BUILTINS)
+def named_space(name):
+    """A builtin, or the scan-like or the multi-vertex test space."""
+    if name == "scan-like":
+        return parse_space(SCAN_LIKE_DOC)
+    if name == "multi-vertex":
+        return parse_space(multi_vertex_doc())
+    return builtin_space(name)
+
+
+@pytest.mark.parametrize("name", ("scan-like", "multi-vertex") + BUILTINS)
+def test_basepoint_entries_number_the_slots_of_enumerate_slots(monkeypatch, name):
+    space = named_space(name)
+    slots = enumerate_slots(space)
+    assert sweep_closure(space).slots == tuple(slots)
+    top = max(8, space.max_dim + 2)
+    numbered = set()
+    for level, rows in level_rows(space, top):
+        for s, row in zip(level, rows):
+            for k, entry in enumerate(row):
+                if entry < 0:
+                    assert slots[~entry] == slot_at(s, k)
+                    numbered.add(~entry)
+    assert numbered == set(range(len(slots)))
+    # closure_pairs' rows (check_face_rows) and the pairs it maps from them
+    tables = record_face_rows(monkeypatch)
+    pairs = closure_pairs(space)
+    assert (check_face_rows(space, tables) > 0) == (space.max_dim >= 2)
+    cells = [Simplex((), g) for g in sorted(space.generators, key=lambda g: g.name)
+             if g.dim >= 2]
+    if cells:
+        rows, lower = tables[0][3], tables[1][3]
+        assert pairs == [(slots[a], slots[b])
+                         for _, _, a, b in row_pairs(cells, rows, lower)]
+        assert pairs == [pair[2:] for s in cells for pair in slot_pairs(space, s)]
+
+
+@pytest.mark.parametrize("name", ("scan-like", "multi-vertex") + BUILTINS)
 def test_face_rows_match_face_and_level_pairs_match_slot_pairs(monkeypatch, name):
-    space = parse_space(SCAN_LIKE_DOC) if name == "scan-like" else builtin_space(name)
+    space = named_space(name)
     top = max(8, space.max_dim + 2)
     tables = record_face_rows(monkeypatch)
     assert mapped_level_pairs(space, top) == list(slow_level_pairs(space, top))
@@ -572,7 +618,7 @@ def test_face_rows_match_face_on_drawn_spaces():
 @pytest.mark.parametrize("label,space,top", ROW_PAIRS_SPACES,
                          ids=[label for label, _, _ in ROW_PAIRS_SPACES])
 def test_row_pairs_yield_what_the_full_pair_loop_yields(label, space, top):
-    levels = list(level_rows(space, top, []))
+    levels = list(level_rows(space, top))
     yielded = 0
     for n in range(2, top + 1):
         (level, rows), lower = levels[n], levels[n - 1][1]
@@ -609,7 +655,7 @@ def outcome(pairs):
                          ids=[d["name"] for d in BROKEN_DOCS + (BROKEN_AT_FACE_0_DOC,)])
 def test_row_pairs_raise_what_the_full_pair_loop_raises(doc):
     space = parse_space(doc, validate=False)
-    levels = list(level_rows(space, 5, []))
+    levels = list(level_rows(space, 5))
     raised = 0
     for n in range(2, 6):
         (level, rows), lower = levels[n], levels[n - 1][1]

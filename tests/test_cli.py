@@ -244,6 +244,28 @@ def test_cohomology_sphere2_ground_field(tmp_path, capsys):
     assert json.loads(out)["hh_dims"] == [2, 0, 0, 0, 0]
 
 
+@pytest.mark.parametrize("document", ["algebra", "module"])
+@pytest.mark.parametrize("literal", ["1e10000000", "\u0661/\u0662"])
+def test_cohomology_bad_scalar_literal_exits_2_at_once(tmp_path, capsys, document, literal):
+    algebra = json.loads(json.dumps(DUAL_DOC))
+    module = regular_module_doc(["e.0", "e.1"])
+    if document == "algebra":
+        algebra["mul"][1][0][1] = literal
+    else:
+        module["actions"]["e.1"][1][1][0] = literal
+    alg_path = write_json(tmp_path / "dual.json", algebra)
+    mod_path = write_json(tmp_path / "module.json", module)
+    start = time.perf_counter()
+    status, out, err = run_cli(
+        capsys, "cohomology", "--builtin", "circle",
+        "--algebra", alg_path, "--module", mod_path, "-N", "2",
+    )
+    assert time.perf_counter() - start < 1
+    assert status == 2
+    assert out == ""
+    assert f"bad scalar literal {literal!r}" in err
+
+
 def test_cohomology_budget_exceeded(tmp_path, capsys):
     alg_path = write_json(tmp_path / "dual.json", DUAL_DOC)
     mod_path = write_json(tmp_path / "mod.json", regular_module_doc(["a.0"]))

@@ -422,6 +422,19 @@ def test_identity_check_on_space_broken_away_from_basepoint_is_internal_error():
         setup.check_cosimplicial_identities()
 
 
+def test_setup_whose_module_lacks_a_class_action_is_internal_error():
+    # the pinched torus has the classes a.0 and a.1; the module acts for a.0
+    space, partition = space_and_partition("pinched-torus")
+    alg = dual_numbers()
+    module = coefficient_module(alg, partition, "regular")
+    lacking = MultiModule(module.dim, {"a.0": module.actions["a.0"]})
+    with pytest.raises(InternalError, match=r"no action supplied for 'a\.1'"):
+        CochainSetup(space, alg, lacking, partition, 1)
+    # the budget guards come first
+    with pytest.raises(BudgetError):
+        CochainSetup(space, alg, lacking, partition, 4)
+
+
 def test_identity_check_on_point_space_is_fast():
     # t is 0 in every degree, so the check has no simplex to visit
     point = parse_space(

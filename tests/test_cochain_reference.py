@@ -23,6 +23,7 @@ from helpers import (
     coefficient_module,
     cubic_truncation,
     dual_numbers,
+    generator,
     ground_field,
     identity_module,
     reduced,
@@ -642,7 +643,7 @@ def test_balloon_space_with_degenerate_face_target():
     from hhx.actions import paranoid_closure
 
     space = parse_space(BALLOON_DOC)
-    z = space.generator("Z")
+    z = generator(space, "Z")
     assert z.faces[0].word and not space.is_basepoint(z.faces[0])
     partition = sweep_closure(space)
     assert [s.id for s in partition.slots] == ["f.1"]

@@ -107,6 +107,22 @@ def test_rational_scalars_stay_exact():
         QQ.parse(0.5)
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+@pytest.mark.parametrize(
+    "literal",
+    ["1e10000000", "1e3", "1.5", "+1", " 1", "1 ", "1_000", "1/-2", "1\n",
+     "\u0661/\u0662", "\u00b2", "", "-", "1/", "/2"],
+)
+def test_scalar_strings_are_ascii_integers_or_fractions(field, literal):
+    # an exponent would cost Fraction time without bound, and "١/٢" (Arabic-
+    # Indic digits) would read as 1/2
+    start = time.perf_counter()
+    with pytest.raises(FormatError, match="bad scalar literal"):
+        field.parse(literal)
+    assert time.perf_counter() - start < 0.1
+    assert field.parse("-12/8") == (Fraction(-3, 2) if field is QQ else 1)
+
+
 def test_prime_field_scalars():
     F5 = PrimeField(5)
     assert F5.parse(-1) == 4
