@@ -38,6 +38,19 @@ pivots. So they are triangular on P, C^n = im δ_{n-1} ⊕ span{e_j : j ∉ P},
 and δ_n, which kills im δ_{n-1} (given δδ = 0, which cohomology_dims checks
 first), has the rank of the rest.
 
+Normalization: the ranks are taken on the normalized cochains N^n = ∩ ker
+s^i (i < n), a subcomplex with the same cohomology (cosimplicial Dold-Kan;
+δ N^n ⊂ N^{n+1} given the cosimplicial identities, checked first as for
+clearing). Basis element 0 is the unit, so s^i sends a column (α, c) of
+C^n to a column of C^{n-1} or to zero, and to a column exactly when α has
+the unit digit at every simplex outside the image of s_i: N^n is spanned by
+the columns outside the set D^n of such columns (_degenerate_columns).
+δ_n leaves out D^n with the cleared columns, and H^n = dim N^n - rank δ_n -
+rank δ_{n-1}, dim N^n = dim C^n - |D^n|. The popped vectors lie in N^n, so
+δ_{n-1}'s pivots miss D^n and clearing is exact on N as on C. On the circle
+D^n holds m (d^n - (d - 1)^n) of the m d^n columns. The codegeneracy
+matrices and D^n read the same positions of s_i (_degeneracy_positions).
+
 Faces come from one table: a setup keeps the integer face rows of the
 non-basepoint simplices of every level 0..N + 1 (actions.level_rows), built
 once. A coface d^i reads entry i of each row of the level above: a position
@@ -195,30 +208,55 @@ class CochainSetup:
         self._check_degree(n + 1)
         if not 0 <= i <= n:
             raise ValueError(f"codegeneracy index {i} out of range 0..{n}")
-        space = self.space
         d = self.algebra.dim
         m = self.module.dim
         if m == 0:
             return self._matrix(n, n + 1, {})
         weight = self._weights[0]
-        src = self._levels[n][0]
-        up = self._levels[n + 1][0]
-        up_pos = {s: p for p, s in enumerate(up)}
-        seen = set()
         factors = []
-        for q, s in enumerate(src):
-            p = up_pos.get(space.degeneracy(s, i))
-            if p is None or p in seen:
-                raise InternalError("degeneracy image not found or not injective")
-            seen.add(p)
-            row_place = d ** (len(src) - 1 - q)
-            col_place = d ** (len(up) - 1 - p)
+        for q, p in enumerate(self._degeneracy_positions(n + 1, i)):
+            row_place = d ** (self.t[n] - 1 - q)
+            col_place = d ** (self.t[n + 1] - 1 - p)
             factors.append(
                 [(t * row_place, t * col_place, 1, weight[t]) for t in range(d)]
             )
         identity = [(u, u, 1) for u in range(m)]
         expansion = self._expansion(1, [(0, identity)], factors)
         return self._matrix(n, n + 1, _merged(self._blocks([expansion])))
+
+    def _degeneracy_positions(self, n: int, i: int) -> list[int]:
+        """The position in level n of s_i(s) for each simplex s of level n - 1."""
+        up_pos = {s: p for p, s in enumerate(self._levels[n][0])}
+        positions = [
+            up_pos.get(self.space.degeneracy(s, i)) for s in self._levels[n - 1][0]
+        ]
+        if None in positions or len(set(positions)) < len(positions):
+            raise InternalError("degeneracy image not found or not injective")
+        return positions
+
+    def _degenerate_columns(self, n: int) -> set:
+        """D^n: the columns (α, c) of C^n that some codegeneracy s^i, i < n,
+        does not kill, those where α has the unit digit 0 at every simplex
+        outside the image of s_i. N^n = ∩ ker s^i is spanned by the rest.
+
+        Each α is formed once, one digit at a time, with the codegeneracies
+        whose image holds every nonzero digit so far as a bit mask; a prefix
+        whose mask is empty is dropped with every α extending it.
+        """
+        d = self.algebra.dim
+        m = self.module.dim
+        top = self.t[n] - 1
+        # bit i of images[p] is set where s_i hits position p
+        images = [0] * self.t[n]
+        for i in range(n):
+            for p in self._degeneracy_positions(n, i):
+                images[p] |= 1 << i
+        every = (1 << n) - 1
+        positions = [
+            (d ** (top - p), [every] + [image] * (d - 1)) for p, image in enumerate(images)
+        ]
+        prefixes = _by_position(every, positions, int.__and__, bool)
+        return {value * m + c for value, alive in prefixes if alive for c in range(m)}
 
     def _matrix(self, row_degree, col_degree, columns) -> Matrix:
         return Matrix(
@@ -438,14 +476,19 @@ class CochainSetup:
         return list(self._failures)
 
     def cohomology_dims(self) -> list[int]:
-        """[HH^0 .. HH^N] from the ranks of the differentials.
+        """[HH^0 .. HH^N] from the ranks of the differentials on the
+        normalized cochains N^n = ∩ ker s^i.
 
         δ_n is streamed one internal-weight block at a time (_delta_blocks):
-        each block's columns, cleared of δ_{n-1}'s pivots, go into the
-        elimination and away before the next block is assembled, so at most
-        one block is held. rank δ_n is the number of pivots over all blocks.
-        Clearing is exact as δδ = 0, so a setup whose cosimplicial
-        identities fail raises ValidationError.
+        each block's columns, cleared of δ_{n-1}'s pivots and of the
+        degenerate columns D^n outside N^n, go into the elimination and away
+        before the next block is assembled, so at most one block is held.
+        rank δ_n is the number of pivots over all blocks, and dim N^n =
+        dim C^n - |D^n| stands for dim C^n. Clearing is exact as δδ = 0, and
+        normalizing as δ N^n ⊂ N^{n+1} with the same cohomology; both need
+        the cosimplicial identities, so a setup whose identities fail raises
+        ValidationError. A pivot of δ_{n-1} in D^n, which δ N^{n-1} ⊂ N^n
+        rules out, raises InternalError.
         """
         if self.check_cosimplicial_identities():
             raise ValidationError(
@@ -454,14 +497,19 @@ class CochainSetup:
             )
         p = self.algebra.field.p
         ranks = []
+        dims = []
         pivots = frozenset()
         for n in range(self.max_degree + 1):
+            degenerate = self._degenerate_columns(n)
+            if not pivots.isdisjoint(degenerate):
+                raise InternalError(f"δ_{n - 1} has a pivot outside N^{n}")
+            dims.append(self.hom_dims[n] - len(degenerate))
             found = set()
-            for _, columns in self._delta_blocks(n, pivots):
+            for _, columns in self._delta_blocks(n, pivots | degenerate):
                 found |= _eliminate(columns, p)
             pivots = found
             ranks.append(len(pivots))
-        return _dims_from_ranks(ranks, self.hom_dims)
+        return _dims_from_ranks(ranks, dims)
 
     def report(self) -> dict:
         failures = self.check_cosimplicial_identities()

@@ -41,9 +41,11 @@ class InternalError(RuntimeError):
 
 
 def read_json(path: str):
-    """The JSON document at path; invalid JSON raises FormatError."""
+    """The JSON document at path. Invalid JSON, bytes that are not UTF-8 and
+    an integer too long for the interpreter to read (over 4,300 digits)
+    raise FormatError naming the file."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise FormatError(f"{path}: invalid JSON ({exc})") from exc

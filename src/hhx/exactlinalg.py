@@ -47,6 +47,15 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _abridged(value) -> str:
+    """repr(value), or past 40 characters its first 40 and its length, so an
+    error message never echoes a whole huge input."""
+    text = repr(value)
+    if len(text) <= 40:
+        return text
+    return f"{text[:40]}... ({len(text)} characters)"
+
+
 class Field:
     """An exact ground field, given by its characteristic p: Q if p is 0,
     else F_p (construct that through PrimeField, which checks p)."""
@@ -64,18 +73,18 @@ class Field:
         exponent such as "1e10000000" at a cost that grows without bound.
         """
         if isinstance(value, bool) or not isinstance(value, (int, str)):
-            raise FormatError(f"not an exact scalar: {value!r}")
+            raise FormatError(f"not an exact scalar: {_abridged(value)}")
         if isinstance(value, str) and not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", value):
-            raise FormatError(f"bad scalar literal {value!r}")
+            raise FormatError(f"bad scalar literal {_abridged(value)}")
         try:
             f = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise FormatError(f"bad scalar literal {value!r}") from exc
+            raise FormatError(f"bad scalar literal {_abridged(value)}") from exc
         p = self.p
         if not p:
             return int(f) if f.denominator == 1 else f
         if f.denominator % p == 0:
-            raise FormatError(f"{value!r} has no meaning in F_{p}")
+            raise FormatError(f"{_abridged(value)} has no meaning in F_{p}")
         return f.numerator * pow(f.denominator, -1, p) % p
 
     def to_json(self, value):

@@ -266,6 +266,40 @@ def test_cohomology_bad_scalar_literal_exits_2_at_once(tmp_path, capsys, documen
     assert f"bad scalar literal {literal!r}" in err
 
 
+def test_cohomology_overlong_scalar_literal_is_not_echoed_whole(tmp_path, capsys):
+    # a 100,000-digit string passes the literal syntax, and Fraction refuses it
+    algebra = json.loads(json.dumps(DUAL_DOC))
+    algebra["mul"][1][0][1] = "7" * 100_000
+    alg_path = write_json(tmp_path / "dual.json", algebra)
+    mod_path = write_json(tmp_path / "module.json", regular_module_doc(["e.0", "e.1"]))
+    status, out, err = run_cli(
+        capsys, "cohomology", "--builtin", "circle",
+        "--algebra", alg_path, "--module", mod_path, "-N", "2",
+    )
+    assert status == 2
+    assert out == ""
+    assert "bad scalar literal '7777" in err
+    assert "(100002 characters)" in err
+    assert len(err) < 200
+
+
+def test_overlong_json_integer_is_a_format_error_naming_the_file(tmp_path, capsys):
+    # json reads integers through int(), which refuses more than 4,300 digits
+    alg_path = tmp_path / "dual.json"
+    alg_path.write_text(
+        json.dumps(DUAL_DOC).replace('"mul": [[[1, 0]', '"mul": [[[1' + "0" * 5000 + ", 0]"),
+        encoding="utf-8",
+    )
+    mod_path = write_json(tmp_path / "module.json", regular_module_doc(["e.0", "e.1"]))
+    status, out, err = run_cli(
+        capsys, "cohomology", "--builtin", "circle",
+        "--algebra", str(alg_path), "--module", mod_path, "-N", "2",
+    )
+    assert status == 2
+    assert out == ""
+    assert err.startswith(f"error: {alg_path}: invalid JSON (Exceeds the limit")
+
+
 def test_cohomology_budget_exceeded(tmp_path, capsys):
     alg_path = write_json(tmp_path / "dual.json", DUAL_DOC)
     mod_path = write_json(tmp_path / "mod.json", regular_module_doc(["a.0"]))

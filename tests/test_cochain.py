@@ -644,6 +644,37 @@ def test_circle_end_matches_classical_oracle():
     assert setup.cohomology_dims() == oracle
 
 
+@pytest.mark.parametrize(
+    "alg_fn",
+    [dual_numbers, cubic_truncation, lambda: dual_numbers({"Fp": 2}),
+     lambda: dual_numbers({"Fp": 5})],
+    ids=["dual-Q", "cubic-Q", "dual-F2", "dual-F5"],
+)
+def test_circle_degenerate_columns_and_normalized_cohomology(alg_fn):
+    # the circle's n-simplices are the n degeneracies of its edge, and s_i
+    # misses one of them, so D^n holds the assignments with the unit digit
+    # at some position: m (d^n - (d - 1)^n) columns
+    alg = alg_fn()
+    setup = make_setup("circle", alg, "regular", 5)
+    d, m = alg.dim, setup.module.dim
+    for n in range(7):
+        assert len(setup._degenerate_columns(n)) == m * (d**n - (d - 1) ** n), n
+    oracle = classical_hochschild_dims(alg, setup.module, "e.0", "e.1", 5)
+    assert setup.cohomology_dims() == oracle
+
+
+def test_pivot_at_a_degenerate_column_is_internal_error(monkeypatch):
+    # δ maps the normalized cochains into themselves, so an elimination that
+    # returns a pivot in D^n (column 0, the unit everywhere, is in every D^n
+    # for n >= 1) shows a bug; it is raised, so it fires under python -O too
+    setup = make_setup("circle", dual_numbers(), "regular", 2)
+    assert 0 in setup._degenerate_columns(1)
+    real = cochain._eliminate
+    monkeypatch.setattr(cochain, "_eliminate", lambda rows, p: real(rows, p) | {0})
+    with pytest.raises(InternalError, match="δ_0 has a pivot outside N\\^1"):
+        setup.cohomology_dims()
+
+
 def test_ground_field_cohomology_every_builtin():
     alg = ground_field()
     for name in ("circle", "sphere2", "sphere3", "sphere4", "torus", "pinched-torus"):

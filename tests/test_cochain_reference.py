@@ -470,18 +470,25 @@ def test_identity_verdict_is_scanned_once_and_guards_cohomology(
 
 
 def check_clearing(setup):
-    """rank δ_n from its columns outside δ_{n-1}'s pivots, as cohomology_dims
-    takes it, against the rank from all its columns, for n >= 1. Returns the
-    number of left-out columns that hold nonzeros."""
+    """rank δ_n from its columns outside δ_{n-1}'s pivots against the rank
+    from all its columns, for n >= 1, and the HH that cohomology_dims takes
+    from δ on the normalized cochains, cleared, against the HH of the ranks
+    of the whole δ_n on all of C^n. Returns the number of left-out columns
+    that hold nonzeros."""
     p = setup.algebra.field.p
     dropped = 0
+    pivots = _eliminate(cochain._merged(setup._delta_blocks(0)), p)
+    ranks = [len(pivots)]
     for n in range(1, setup.max_degree + 1):
-        pivots = _eliminate(cochain._merged(setup._delta_blocks(n - 1)), p)
         full = cochain._merged(setup._delta_blocks(n))
         dropped += sum(1 for j in pivots if full.get(j))
         cleared = cochain._merged(setup._delta_blocks(n, pivots))
         assert not pivots & cleared.keys(), n
-        assert len(_eliminate(cleared, p)) == len(_eliminate(full, p)), n
+        pivots = _eliminate(full, p)
+        ranks.append(len(pivots))
+        assert len(_eliminate(cleared, p)) == ranks[n], n
+    whole = cochain._dims_from_ranks(ranks, setup.hom_dims)
+    assert setup.cohomology_dims() == whole
     return dropped
 
 
@@ -501,6 +508,20 @@ def test_clearing_keeps_every_rank():
     dropped = {label: check_clearing(setup) for label, setup in setups.items()}
     # some left-out columns are nonzero, so leaving out the wrong ones shows
     assert sum(dropped.values()) > 0, dropped
+
+
+@pytest.mark.parametrize("name,alg_fn,kind,top", REFERENCE_SETUPS)
+def test_degenerate_columns_are_those_some_reference_codegeneracy_keeps(
+    name, alg_fn, kind, top
+):
+    # N^n = ∩ ker s^i, and each s^i sends a basis column to a basis column
+    # or to zero, so D^n is the set of columns where some s^i is nonzero
+    setup = reference_setup(name, alg_fn, kind, top)
+    for n in range(top + 2):
+        kept = {
+            c for i in range(n) for _, c in slow_codegeneracy(setup, n - 1, i).entries
+        }
+        assert setup._degenerate_columns(n) == kept, n
 
 
 def reference_setup(name, alg_fn, kind, top):
