@@ -34,7 +34,7 @@ from math import comb
 from operator import itemgetter
 from typing import NamedTuple
 
-from .errors import InternalError
+from .errors import InternalError, _abridged
 from .simplicial import Generator, Simplex, SimplicialSpace, _merge, _walk
 
 
@@ -359,14 +359,15 @@ def paranoid_closure(space: SimplicialSpace, dim_cap: int) -> ActionPartition:
     """
     if dim_cap < space.max_dim + 1:
         raise ValueError(
-            f"dim_cap {dim_cap} must be at least max generator dimension + 1 "
-            f"({space.max_dim + 1})"
+            f"dim_cap {_abridged(dim_cap)} must be at least max generator "
+            f"dimension + 1 ({space.max_dim + 1})"
         )
     visits = paranoid_visits(space, dim_cap)
     if visits > PARANOID_LIMIT:
         raise ValueError(
-            f"paranoid scan to dimension {dim_cap} would make {visits} face-pair "
-            f"visits, more than the limit of {PARANOID_LIMIT}"
+            f"paranoid scan to dimension {_abridged(dim_cap)} would make "
+            f"{_abridged(visits)} face-pair visits, more than the limit of "
+            f"{PARANOID_LIMIT}"
         )
     pairs = set()
     for n, (level, rows) in enumerate(level_rows(space, dim_cap)):

@@ -14,17 +14,18 @@ at the i-th degeneracy of its simplex and fills every other slot with the
 unit. Both are a product of per-simplex factors (the grouped products; the
 identity at each degeneracy image) tensored with module blocks (the nonzero
 composite star actions; the identity), expanded by one routine (_expand)
-whose work is the nnz of the result; the star actions and the grouped
-products are extended one position at a time, forming each shared prefix
-once.
+whose work is the nnz of the result; the star actions are extended one
+position at a time, forming each shared prefix once, and the products of
+each group size are formed once per setup (_group_products).
 
 Internal weight: the finest grading of algebra and module (_grading) gives
 a hom basis element (assignment, c) the weight w_M(c) - Σ w(digits), and
 every coface and codegeneracy preserves it, so each is block diagonal. An
 expansion is split by weight once (_expansion), with the second half of
-the factor choices fused with the module entries there under one flat key,
-w_M(c) minus the tail's weight, and then each block is formed on its own
-(_expand), one lookup per head, with every entry formed exactly once; an
+the factor choices fused with the module entries there under one key,
+w_M(c) minus the tail's weight, and then the tail's mask (see
+Normalization), and then each block is formed on its own (_expand), one
+lookup per head, with every entry formed exactly once; an
 ungraded input has one block. The differential δ_n = Σ (-1)^i d^i is
 streamed one block at a time (_delta_blocks): each block's dict of sparse
 columns goes straight into the exact elimination for its rank and is
@@ -43,13 +44,24 @@ s^i (i < n), a subcomplex with the same cohomology (cosimplicial Dold-Kan;
 δ N^n ⊂ N^{n+1} given the cosimplicial identities, checked first as for
 clearing). Basis element 0 is the unit, so s^i sends a column (α, c) of
 C^n to a column of C^{n-1} or to zero, and to a column exactly when α has
-the unit digit at every simplex outside the image of s_i: N^n is spanned by
-the columns outside the set D^n of such columns (_degenerate_columns).
-δ_n leaves out D^n with the cleared columns, and H^n = dim N^n - rank δ_n -
-rank δ_{n-1}, dim N^n = dim C^n - |D^n|. The popped vectors lie in N^n, so
-δ_{n-1}'s pivots miss D^n and clearing is exact on N as on C. On the circle
-D^n holds m (d^n - (d - 1)^n) of the m d^n columns. The codegeneracy
-matrices and D^n read the same positions of s_i (_degeneracy_positions).
+the unit digit at every simplex outside the image of s_i; N^n is spanned
+by the columns no s^i keeps, those outside the degenerate set D^n. With
+bit i of a position's mask set where s_i hits it (_masks), a column's
+mask, 2^n - 1 ANDed with the masks of the positions where α is not the
+unit, names the s^i that keep it, so the column is in N^n exactly when its
+mask is 0. Each factor term carries the mask of its column digit; _choices
+ANDs them as it extends a prefix and drops a prefix holding a bit that
+every term of every factor still to choose, in both halves, also holds, as
+no later choice can clear it; and _expand pairs a head only with tails
+whose mask is disjoint from its own. So δ_n is formed on N^n alone and no
+column of D^n is listed; without masks every term's is 0 and all of C^n is
+formed, the same code serving coface and differential. H^n = dim N^n -
+rank δ_n - rank δ_{n-1}, with dim N^n counted per mask one position at a
+time (_normalized_count). The popped vectors lie in N^n, so each of
+δ_{n-1}'s pivots has mask 0 (_column_mask decodes it; one that has not
+raises InternalError) and clearing is exact on N as on C. On the circle
+N^n holds m (d - 1)^n of the m d^n columns. The codegeneracy matrices and
+the masks read the same positions of s_i (_degeneracy_positions).
 
 Faces come from one table: a setup keeps the integer face rows of the
 non-basepoint simplices of every level 0..N + 1 (actions.level_rows), built
@@ -71,6 +83,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb, lcm
+from operator import mul
 
 from .actions import ActionPartition, enumerate_slots, level_rows, paranoid_visits, row_pairs
 from .coeffalg import Algebra, MultiModule, _unit_vector
@@ -80,6 +93,7 @@ from .errors import (
     ColumnBudgetError,
     InternalError,
     ValidationError,
+    _abridged,
 )
 from .exactlinalg import Matrix, _eliminate
 from .simplicial import SimplicialSpace
@@ -141,7 +155,7 @@ class CochainSetup:
         faces = (max_degree + 1) * (max_degree + 4) // 2
         if faces > FACE_LIMIT:
             raise BudgetError(
-                f"the differentials would expand {faces} cofaces, "
+                f"the differentials would expand {_abridged(faces)} cofaces, "
                 f"exceeding the limit of {FACE_LIMIT}"
             )
         d = algebra.dim
@@ -176,6 +190,8 @@ class CochainSetup:
         # (non-basepoint simplices, face rows) of each level 0..N + 1
         self._levels = list(level_rows(space, max_degree + 1))
         self._failures = None  # the identity verdict, once scanned
+        # _group_products by size, each extending the one below
+        self._products = [[((), algebra.unit)]]
 
     def basis(self, n: int):
         """The non-basepoint n-simplices indexing the tensor factors."""
@@ -201,7 +217,8 @@ class CochainSetup:
             raise ValueError(f"coface index {i} out of range 0..{n + 1}")
         expansions = []
         if self.module.dim:
-            expansions.append(self._expansion(1, *self._coface_terms(n, i)))
+            terms = self._coface_terms(n, i, 0, [0] * self.t[n])
+            expansions.append(self._expansion(1, 0, *terms))
         return self._matrix(n + 1, n, _merged(self._blocks(expansions)))
 
     def codegeneracy(self, n: int, i: int) -> Matrix:
@@ -218,10 +235,10 @@ class CochainSetup:
             row_place = d ** (self.t[n] - 1 - q)
             col_place = d ** (self.t[n + 1] - 1 - p)
             factors.append(
-                [(t * row_place, t * col_place, 1, weight[t]) for t in range(d)]
+                [(t * row_place, t * col_place, 1, weight[t], 0) for t in range(d)]
             )
         identity = [(u, u, 1) for u in range(m)]
-        expansion = self._expansion(1, [(0, identity)], factors)
+        expansion = self._expansion(1, 0, [(0, identity)], factors)
         return self._matrix(n, n + 1, _merged(self._blocks([expansion])))
 
     def _degeneracy_positions(self, n: int, i: int) -> list[int]:
@@ -234,29 +251,19 @@ class CochainSetup:
             raise InternalError("degeneracy image not found or not injective")
         return positions
 
-    def _degenerate_columns(self, n: int) -> set:
-        """D^n: the columns (α, c) of C^n that some codegeneracy s^i, i < n,
-        does not kill, those where α has the unit digit 0 at every simplex
-        outside the image of s_i. N^n = ∩ ker s^i is spanned by the rest.
+    def _masks(self, n: int) -> tuple[int, list[int]]:
+        """(every, images) for level n: bit i of images[q] is set where s_i,
+        i < n, hits position q, and every = 2^n - 1 has a bit per s_i.
 
-        Each α is formed once, one digit at a time, with the codegeneracies
-        whose image holds every nonzero digit so far as a bit mask; a prefix
-        whose mask is empty is dropped with every α extending it.
+        A column (α, c) of C^n has the mask every AND images[q] over the
+        positions q where α is not the unit 0: the codegeneracies s^i that
+        keep it. It lies in N^n = ∩ ker s^i exactly when that mask is 0.
         """
-        d = self.algebra.dim
-        m = self.module.dim
-        top = self.t[n] - 1
-        # bit i of images[p] is set where s_i hits position p
         images = [0] * self.t[n]
         for i in range(n):
-            for p in self._degeneracy_positions(n, i):
-                images[p] |= 1 << i
-        every = (1 << n) - 1
-        positions = [
-            (d ** (top - p), [every] + [image] * (d - 1)) for p, image in enumerate(images)
-        ]
-        prefixes = _by_position(every, positions, int.__and__, bool)
-        return {value * m + c for value, alive in prefixes if alive for c in range(m)}
+            for q in self._degeneracy_positions(n, i):
+                images[q] |= 1 << i
+        return (1 << n) - 1, images
 
     def _matrix(self, row_degree, col_degree, columns) -> Matrix:
         return Matrix(
@@ -266,17 +273,21 @@ class CochainSetup:
             {(r, c): v for c, column in columns.items() for r, v in column.items()},
         )
 
-    def _delta_blocks(self, n: int, skip=frozenset()):
+    def _delta_blocks(self, n: int, skip=frozenset(), masks=None):
         """(weight, columns) for each weight block of δ_n = Σ (-1)^i d^i.
 
         The n + 2 cofaces are expanded and split by weight now, once; each
         block's nonzero columns not in skip are assembled only when the
-        returned generator reaches it.
+        returned generator reaches it. With masks, _masks(n), only the
+        columns of N^n are formed; without, every = 0 and all of C^n is.
         """
+        every, images = masks or (0, [0] * self.t[n])
         expansions = []
         if self.module.dim:
             expansions = [
-                self._expansion((-1) ** i, *self._coface_terms(n, i))
+                self._expansion(
+                    (-1) ** i, every, *self._coface_terms(n, i, every, images)
+                )
                 for i in range(n + 2)
             ]
         return self._blocks(expansions, skip)
@@ -285,7 +296,8 @@ class CochainSetup:
         """(weight, columns) for each weight some choice of terms reaches, in
         order: the sum of the expansions' entries in that block (_expand)."""
         weights = sorted({
-            key - head for fused, heads in expansions for key in fused for head in heads
+            key - head
+            for fused, heads in expansions for key in fused for head, _ in heads
         })
         for weight in weights:
             columns = {}
@@ -293,10 +305,13 @@ class CochainSetup:
                 self._expand(columns, expansion, weight, skip)
             yield weight, columns
 
-    def _coface_terms(self, n: int, i: int):
-        """(blocks, factors) of d^i out of degree n for _expansion; needs m > 0."""
-        alg = self.algebra
-        d = alg.dim
+    def _coface_terms(self, n: int, i: int, every: int, images: list[int]):
+        """(blocks, factors) of d^i out of degree n for _expansion; needs m > 0.
+
+        A factor's term with column digit t at source position q carries the
+        mask images[q] if t is not the unit 0, else every (see _masks).
+        """
+        d = self.algebra.dim
         m = self.module.dim
         weight = self._weights[0]
         src = self._levels[n][0]
@@ -331,37 +346,56 @@ class CochainSetup:
         # per source simplex that some face hits: the nonzero coordinates of
         # the product of each choice of basis elements on its group; the
         # others keep the unit index 0
-        units = [_unit_vector(d, t) for t in range(d)]
         factors = []
         for q, places in enumerate(groups):
             if not places:
                 continue
             col_place = d ** (len(src) - 1 - q)
-            products = _by_position(
-                alg.unit, ((place, units) for place in places), alg.multiply, any
-            )
+            image = images[q]
             factors.append([
-                (row, t * col_place, c, weight[t])
-                for row, coords in products
+                (sum(map(mul, digits, places)), t * col_place, c, weight[t],
+                 image if t else every)
+                for digits, coords in self._group_products(len(places))
                 for t, c in enumerate(coords)
                 if c != 0
             ])
         return blocks, factors
 
-    def _expansion(self, sign, blocks, factors):
+    def _group_products(self, size: int) -> list:
+        """(digits, coordinates) for each choice of size basis elements whose
+        product is nonzero, in lexicographic order.
+
+        Formed once per setup: each size extends the choices of the size
+        below by one multiply each, and every group of that size reads it.
+        """
+        alg = self.algebra
+        units = [_unit_vector(alg.dim, t) for t in range(alg.dim)]
+        products = self._products
+        while len(products) <= size:
+            products.append([
+                (digits + (t,), coords)
+                for digits, prev in products[-1]
+                for t, unit in enumerate(units)
+                if any(coords := alg.multiply(prev, unit))
+            ])
+        return products[size]
+
+    def _expansion(self, sign, every, blocks, factors):
         """sign times the Kronecker product of factors and blocks, split by weight.
 
         A factor is a list of nonzero terms (row offset, column offset,
-        coefficient, weight of the column digit) with offsets in assignment
+        coefficient, weight of the column digit, mask) with offsets in assignment
         values; a block is (row offset, module entries (r, c, v)). The
         choices of one term from each factor of the first and of the second
         half are summed to (row, col, coeff) and split by the weight of
-        their column digits: heads, with sign in coeff, and tails, so the
-        halves hold about the square root of the product's choices. Returns
-        (fused, heads) for _expand: heads maps a head weight to its choices,
-        and fused maps w_M(c) - u to each tail of weight u fused with each
-        module column c, as (col * m + c, [((row + block row offset) * m +
-        r, coeff * v)]), formed once here rather than once per head.
+        their column digits and their mask (_choices, from every): heads,
+        with sign in coeff, and tails, so the halves hold about the square
+        root of the product's choices. Returns (fused, heads) for _expand:
+        heads maps (head weight, mask) to its choices, and fused maps w_M(c)
+        - u and then a tail mask to each tail of weight u and that mask fused
+        with each module column c, as (col * m + c, [((row + block row
+        offset) * m + r, coeff * v)]), formed once here rather than once
+        per head.
         """
         p = self.algebra.field.p
         m = self.module.dim
@@ -373,54 +407,60 @@ class CochainSetup:
                     (block_row * m + r, v)
                 )
         half = len(factors) // 2
-        tails = _choices(1, factors[half:], p)
+        heads, tails = factors[:half], factors[half:]
+        tails = _choices(1, tails, p, every, _meet(every, heads))
         fused = {}
         for group, by_col in groups.items():
-            for tail, terms in tails.items():
-                fused.setdefault(group - tail, []).extend(
+            for (tail, mask), terms in tails.items():
+                fused.setdefault(group - tail, {}).setdefault(mask, []).extend(
                     (col * m + c, [(row * m + r, coeff * v) for r, v in items])
                     for row, col, coeff in terms
                     for c, items in by_col.items()
                 )
-        return fused, _choices(sign, factors[:half], p)
+        return fused, _choices(sign, heads, p, every, _meet(every, factors[half:]))
 
     def _expand(self, columns, expansion, weight, skip=frozenset()):
         """Add the entries of an _expansion in the block of this weight to columns.
 
-        A head of weight h pairs with the fused list at key weight + h: the
-        tails of weight u fused with the module columns c where weight =
-        w_M(c) - h - u. The head's offsets, times m, shift each fused column
-        and row, and its coefficient multiplies each fused value v, which is
-        added to columns[col][row] unless col is in skip, deleting entries
-        that cancel. Each entry of the product lies in one block, so over
-        all blocks the work is the product's nnz.
+        A head of weight h and mask a pairs with the fused lists at key
+        weight + h whose tail mask b has a & b = 0, the columns of N^n (all
+        columns when there are no masks): the tails of weight u fused with
+        the module columns c where weight = w_M(c) - h - u. The head's
+        offsets, times m, shift each fused column and row, and its
+        coefficient multiplies each fused value v, which is added to
+        columns[col][row] unless col is in skip, deleting entries that
+        cancel. Each entry of the product lies in one block, so over all
+        blocks the work is the nnz of the product on N^n.
         """
         p = self.algebra.field.p
         m = self.module.dim
         fused, heads = expansion
-        for head, prefixes in heads.items():
-            entries = fused.get(weight + head)
-            if entries is None:
+        for (head, mask), prefixes in heads.items():
+            tails = fused.get(weight + head)
+            if tails is None:
                 continue
-            for row, col, coeff in prefixes:
-                row *= m
-                col *= m
-                for c, items in entries:
-                    c += col
-                    if c in skip:
-                        continue
-                    column = columns.get(c)
-                    if column is None:
-                        column = columns[c] = {}
-                    for r, v in items:
-                        r += row
-                        v = coeff * v + column.get(r, 0)
-                        if p:
-                            v %= p
-                        if v:
-                            column[r] = v
-                        else:
-                            del column[r]
+            for bits, entries in tails.items():
+                if bits & mask:
+                    continue
+                for row, col, coeff in prefixes:
+                    row *= m
+                    col *= m
+                    for c, items in entries:
+                        c += col
+                        if c in skip:
+                            continue
+                        column = columns.get(c)
+                        if column is None:
+                            column = columns[c] = {}
+                        for r, v in items:
+                            r += row
+                            v = coeff * v + column.get(r, 0)
+                            if p:
+                                v %= p
+                            if v:
+                                column[r] = v
+                            else:
+                                del column[r]
 
     # -- checks and cohomology --------------------------------------------
 
@@ -480,15 +520,16 @@ class CochainSetup:
         normalized cochains N^n = ∩ ker s^i.
 
         δ_n is streamed one internal-weight block at a time (_delta_blocks):
-        each block's columns, cleared of δ_{n-1}'s pivots and of the
-        degenerate columns D^n outside N^n, go into the elimination and away
-        before the next block is assembled, so at most one block is held.
-        rank δ_n is the number of pivots over all blocks, and dim N^n =
-        dim C^n - |D^n| stands for dim C^n. Clearing is exact as δδ = 0, and
-        normalizing as δ N^n ⊂ N^{n+1} with the same cohomology; both need
-        the cosimplicial identities, so a setup whose identities fail raises
-        ValidationError. A pivot of δ_{n-1} in D^n, which δ N^{n-1} ⊂ N^n
-        rules out, raises InternalError.
+        each block's columns, formed on N^n only (_masks) and cleared of
+        δ_{n-1}'s pivots, go into the elimination and away before the next
+        block is assembled, so at most one block is held. rank δ_n is the
+        number of pivots over all blocks, and dim N^n, counted per mask
+        (_normalized_count), stands for dim C^n. Clearing is exact as δδ =
+        0, and normalizing as δ N^n ⊂ N^{n+1} with the same cohomology; both
+        need the cosimplicial identities, so a setup whose identities fail
+        raises ValidationError. A pivot of δ_{n-1} whose decoded mask is not
+        0 (_column_mask), a column outside N^n, which δ N^{n-1} ⊂ N^n rules
+        out, raises InternalError.
         """
         if self.check_cosimplicial_identities():
             raise ValidationError(
@@ -496,16 +537,18 @@ class CochainSetup:
                 "no cohomology"
             )
         p = self.algebra.field.p
+        d = self.algebra.dim
+        m = self.module.dim
         ranks = []
         dims = []
         pivots = frozenset()
         for n in range(self.max_degree + 1):
-            degenerate = self._degenerate_columns(n)
-            if not pivots.isdisjoint(degenerate):
+            masks = self._masks(n)
+            if any(_column_mask(j // m, d, *masks) for j in pivots):
                 raise InternalError(f"δ_{n - 1} has a pivot outside N^{n}")
-            dims.append(self.hom_dims[n] - len(degenerate))
+            dims.append(m * _normalized_count(d, *masks))
             found = set()
-            for _, columns in self._delta_blocks(n, pivots | degenerate):
+            for _, columns in self._delta_blocks(n, pivots, masks):
                 found |= _eliminate(columns, p)
             pivots = found
             ranks.append(len(pivots))
@@ -578,23 +621,60 @@ def _grading(algebra: Algebra, module: MultiModule, most: int) -> tuple[list, li
     return weights[:d], weights[d:]
 
 
-def _choices(start, factors, p) -> dict:
-    """{weight: [(row, col, coeff)]}: each choice of one term per factor.
+def _choices(start, factors, p, every, rest) -> dict:
+    """{(weight, mask): [(row, col, coeff)]}: each choice of one term per
+    factor that can still reach mask 0.
 
     Built one factor at a time in lexicographic order, summing offsets and
-    weights and multiplying coefficients (mod p over F_p) from start.
+    weights, multiplying coefficients (mod p over F_p) from start, and
+    ANDing masks from every. A bit of a prefix's mask that is also set in
+    every term of every factor still to choose, and in rest (_meet of the
+    other half), can never be cleared, so the prefix is dropped with every
+    choice extending it.
     """
-    choices = [(0, 0, start, 0)]
-    for factor in factors:
+    choices = [(0, 0, start, 0, every)]
+    for k, factor in enumerate(factors, 1):
+        ahead = _meet(rest, factors[k:])
         choices = [
-            (row + r, col + c, coeff * v % p if p else coeff * v, w + u)
-            for row, col, coeff, w in choices
-            for r, c, v, u in factor
+            (row + r, col + c, coeff * v % p if p else coeff * v, w + u, mask)
+            for row, col, coeff, w, prev in choices
+            for r, c, v, u, bits in factor
+            if not (mask := prev & bits) & ahead
         ]
     out = {}
-    for row, col, coeff, weight in choices:
-        out.setdefault(weight, []).append((row, col, coeff))
+    for row, col, coeff, weight, mask in choices:
+        out.setdefault((weight, mask), []).append((row, col, coeff))
     return out
+
+
+def _meet(mask, factors) -> int:
+    """mask AND the mask of every term of factors."""
+    for factor in factors:
+        for term in factor:
+            mask &= term[4]
+    return mask
+
+
+def _column_mask(value, d, every, images) -> int:
+    """The mask of the assignment with this value (see _masks)."""
+    for image in reversed(images):
+        value, digit = divmod(value, d)
+        if digit:
+            every &= image
+    return every
+
+
+def _normalized_count(d, every, images) -> int:
+    """How many assignments have mask 0 (see _masks), counted one
+    position at a time as {mask: assignments} without forming any."""
+    counts = {every: 1}
+    for image in images:
+        step = {}
+        for mask, count in counts.items():
+            step[mask] = step.get(mask, 0) + count
+            step[mask & image] = step.get(mask & image, 0) + (d - 1) * count
+        counts = step
+    return counts.get(0, 0)
 
 
 def _merged(blocks) -> dict:

@@ -1,6 +1,6 @@
 """Shared exception types, mapped onto CLI exit statuses, the default column
-budget, and the JSON document reader that turns unparseable input into
-FormatError."""
+budget, the abridging of values echoed in error messages, and the JSON
+document reader that turns unparseable input into FormatError."""
 
 import json
 
@@ -17,6 +17,25 @@ class BudgetError(RuntimeError):
     """A computation would exceed a resource limit. CLI exit 3."""
 
 
+def _abridged(value) -> str:
+    """repr(value), or past 40 characters its first 40 and its length, so an
+    error message never echoes a whole huge input. An int past 40 digits is
+    cut before it is converted, since the interpreter refuses to convert one
+    of more than 4,300 digits."""
+    size = abs(value) if isinstance(value, int) else 0
+    if size.bit_length() > 133:  # size >= 2**133 > 10**40
+        digits = size.bit_length() * 1233 >> 12  # at most its digit count
+        while 10**digits <= size:
+            digits += 1
+        sign = "-" if value < 0 else ""
+        text = sign + str(size // 10 ** (digits - 40))
+        return f"{text[:40]}... ({len(sign) + digits} characters)"
+    text = repr(value)
+    if len(text) <= 40:
+        return text
+    return f"{text[:40]}... ({len(text)} characters)"
+
+
 # hom-space columns a cohomology computation may build unless told otherwise;
 # it lives here, beside ColumnBudgetError, so the CLI's --budget default
 # reads it without loading the cochain engine
@@ -31,8 +50,8 @@ class ColumnBudgetError(BudgetError):
         self.dimension = dimension
         self.budget = budget
         super().__init__(
-            f"hom-space in degree {degree} has dimension {dimension}, "
-            f"exceeding the budget of {budget} columns"
+            f"hom-space in degree {degree} has dimension {_abridged(dimension)}, "
+            f"exceeding the budget of {_abridged(budget)} columns"
         )
 
 

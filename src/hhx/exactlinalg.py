@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 
-from .errors import FormatError
+from .errors import FormatError, _abridged
 
 
 class LinAlgError(ValueError):
@@ -45,15 +45,6 @@ def _is_prime(p: int) -> bool:
             return False
         f += 2
     return True
-
-
-def _abridged(value) -> str:
-    """repr(value), or past 40 characters its first 40 and its length, so an
-    error message never echoes a whole huge input."""
-    text = repr(value)
-    if len(text) <= 40:
-        return text
-    return f"{text[:40]}... ({len(text)} characters)"
 
 
 class Field:

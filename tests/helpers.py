@@ -1,11 +1,13 @@
 """Shared fixtures-in-code: algebra documents, module builders, oracles."""
 
+import itertools
 import random
 from math import comb
 
 from hhx import (
     ActionSlot,
     MultiModule,
+    PrimeField,
     builtin_space,
     endomorphism_module,
     multiplication_module,
@@ -264,4 +266,41 @@ def random_f5_bimodules(count, seed=20240803):
         module = MultiModule(m, {"e.0": (ident, xl), "e.1": (ident, xr)})
         validate_module(module, dual, ["e.0", "e.1"])
         out.append((dual, module))
+    return out
+
+
+def square_zero_bimodule(p, rng):
+    """(dual numbers over F_p, a module for the circle's classes e.0, e.1).
+
+    As in the benchmark's circle-deep workload: x acts on the left as X =
+    v w^T with w.v = 0 and every coordinate nonzero, and on the right as a
+    nonzero multiple of X; rng draws v, w and the multiple.
+    """
+    algebra = parse_algebra(DUAL_DOC, field=PrimeField(p))
+    a, b, c = (rng.randrange(1, p) for _ in range(3))
+    d = -a * c * pow(b, -1, p) % p  # w.v = c a + d b = 0
+    x = Matrix.from_rows(algebra.field, [[a * c, a * d], [b * c, b * d]])
+    ident = Matrix.identity(algebra.field, 2)
+    module = MultiModule(
+        2, {"e.0": (ident, x), "e.1": (ident, x.scale(rng.randrange(1, p)))}
+    )
+    validate_module(module, algebra, ["e.0", "e.1"])
+    return algebra, module
+
+
+def degenerate_columns(setup, n):
+    """D^n: the columns (α, c) of C^n that some codegeneracy s^i, i < n,
+    does not kill, those where α has the unit digit 0 at every position
+    outside the image of s_i. N^n = ∩ ker s^i is spanned by the rest.
+
+    The union over i of the assignments that are 0 off s_i's image, each
+    formed whole; no codegeneracy mask is read.
+    """
+    d, m, top = setup.algebra.dim, setup.module.dim, setup.t[n] - 1
+    out = set()
+    for i in range(n):
+        places = [d ** (top - q) for q in setup._degeneracy_positions(n, i)]
+        for digits in itertools.product(range(d), repeat=len(places)):
+            value = sum(t * place for t, place in zip(digits, places))
+            out.update(value * m + c for c in range(m))
     return out

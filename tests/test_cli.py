@@ -524,6 +524,57 @@ def test_face_limit_refuses_a_huge_degree_before_any_loop_over_it(tmp_path, caps
     assert "would expand 50000025000002 cofaces" in err
 
 
+def test_face_limit_message_abridges_a_degree_past_the_int_conversion_limit(
+    tmp_path, capsys
+):
+    # the interpreter converts no int of more than 4,300 digits to text, and
+    # (N + 1)(N + 4) / 2 has 4,400 digits for a 2,200-digit N
+    alg_path = write_json(tmp_path / "dual.json", DUAL_DOC)
+    mod_path = write_json(tmp_path / "mod.json", regular_module_doc(["e.0", "e.1"]))
+    status, out, err = run_cli(
+        capsys, "cohomology", "--builtin", "circle",
+        "--algebra", alg_path, "--module", mod_path, "-N", "9" * 2200,
+    )
+    assert status == 3
+    assert out == ""
+    assert err.startswith("error: the differentials would expand 5000000")
+    assert "... (4400 characters) cofaces, exceeding the limit of 100000" in err
+    assert len(err) < 200
+
+
+def test_column_budget_message_abridges_dimensions_past_the_int_conversion_limit(
+    tmp_path, capsys
+):
+    # a 4,201-digit budget is first exceeded by sphere4's hom space in
+    # degree 26, m d^C(26, 4) = 2^14951, of 4,501 digits
+    alg_path = write_json(tmp_path / "dual.json", DUAL_DOC)
+    mod_path = write_json(tmp_path / "mod.json", regular_module_doc(["sigma.0"]))
+    status, out, err = run_cli(
+        capsys, "cohomology", "--builtin", "sphere4", "--algebra", alg_path,
+        "--module", mod_path, "-N", "30", "--budget", "1" + "0" * 4200,
+    )
+    assert status == 3
+    assert out == ""
+    assert err.startswith("error: hom-space in degree 26 has dimension 5005704")
+    assert "... (4501 characters), exceeding the budget of 1000000" in err
+    assert "... (4201 characters) columns" in err
+    assert len(err) < 250
+
+
+def test_paranoid_limit_message_abridges_a_cap_past_the_int_conversion_limit(capsys):
+    # C(n + 1, 2) visits on each of the circle's n-simplices sum to 4,800
+    # digits for a 1,200-digit cap
+    status, out, err = run_cli(
+        capsys, "actions", "--builtin", "circle", "--paranoid", "9" * 1200
+    )
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: paranoid scan to dimension 9999")
+    assert "... (1200 characters) would make 1249999" in err
+    assert "... (4800 characters) face-pair visits, more than the limit" in err
+    assert len(err) < 250
+
+
 def test_face_limit_refuses_a_deep_point_space_at_once(tmp_path, capsys):
     # over k every hom space of the point space is 1-dimensional and it has
     # no simplex to visit, so only the count of coface expansions,

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 import time
@@ -15,11 +16,13 @@ from helpers import (
     DUAL_DOC,
     coefficient_module,
     cubic_truncation,
+    degenerate_columns,
     dual_numbers,
     ground_field,
     identity_module,
     random_f5_bimodules,
     space_and_partition,
+    square_zero_bimodule,
 )
 from hhx import (
     CochainSetup,
@@ -332,8 +335,8 @@ def test_report_assembles_each_delta_once_and_keeps_none(monkeypatch):
     built = []
     original_blocks = CochainSetup._delta_blocks
 
-    def recording_blocks(self, n, skip):
-        for weight, columns in original_blocks(self, n, skip):
+    def recording_blocks(self, n, skip, masks):
+        for weight, columns in original_blocks(self, n, skip, masks):
             built.append((n, weight, columns))
             yield weight, columns
 
@@ -352,7 +355,7 @@ def test_report_assembles_each_delta_once_and_keeps_none(monkeypatch):
     assert shapes and set(shapes) == {(m, m)}
     # each coface is expanded once per degree, and each block of each δ_n
     # is assembled once, from each expansion once
-    assert [call[1:] for call in terms] == [
+    assert [call[1:3] for call in terms] == [
         (n, i) for n in range(3) for i in range(n + 2)
     ]
     assert [n for n, _, _ in built] == sorted(n for n, _, _ in built)
@@ -653,26 +656,101 @@ def test_circle_end_matches_classical_oracle():
 def test_circle_degenerate_columns_and_normalized_cohomology(alg_fn):
     # the circle's n-simplices are the n degeneracies of its edge, and s_i
     # misses one of them, so D^n holds the assignments with the unit digit
-    # at some position: m (d^n - (d - 1)^n) columns
+    # at some position: m (d^n - (d - 1)^n) columns, and N^n the other
+    # m (d - 1)^n, which the mask count finds without forming any
     alg = alg_fn()
     setup = make_setup("circle", alg, "regular", 5)
     d, m = alg.dim, setup.module.dim
     for n in range(7):
-        assert len(setup._degenerate_columns(n)) == m * (d**n - (d - 1) ** n), n
+        assert len(degenerate_columns(setup, n)) == m * (d**n - (d - 1) ** n), n
+        assert cochain._normalized_count(d, *setup._masks(n)) == (d - 1) ** n, n
     oracle = classical_hochschild_dims(alg, setup.module, "e.0", "e.1", 5)
     assert setup.cohomology_dims() == oracle
 
 
-def test_pivot_at_a_degenerate_column_is_internal_error(monkeypatch):
-    # δ maps the normalized cochains into themselves, so an elimination that
-    # returns a pivot in D^n (column 0, the unit everywhere, is in every D^n
-    # for n >= 1) shows a bug; it is raised, so it fires under python -O too
+@pytest.mark.parametrize("degree,column", [(1, 0), (2, 4)])
+def test_pivot_at_a_degenerate_column_is_internal_error(monkeypatch, degree, column):
+    # δ maps N^{n-1} into N^n, so an elimination of δ_{n-1} that returns a
+    # pivot in D^n shows a bug. Column 0 is the unit everywhere; column 4 =
+    # 2m of C^2 is x on s_0 e and the unit on s_1 e, which s^0 keeps, so
+    # the guard must decode a nonzero digit to find it. It is raised, so
+    # it fires under python -O too
     setup = make_setup("circle", dual_numbers(), "regular", 2)
-    assert 0 in setup._degenerate_columns(1)
+    assert column in degenerate_columns(setup, degree)
+    assert cochain._column_mask(column // 2, 2, *setup._masks(degree)) != 0
+    degrees = record_calls(monkeypatch, CochainSetup, "_delta_blocks")
     real = cochain._eliminate
-    monkeypatch.setattr(cochain, "_eliminate", lambda rows, p: real(rows, p) | {0})
-    with pytest.raises(InternalError, match="δ_0 has a pivot outside N\\^1"):
+
+    def eliminate(rows, p):
+        found = real(rows, p)
+        return found | {column} if degrees[-1][1] == degree - 1 else found
+
+    monkeypatch.setattr(cochain, "_eliminate", eliminate)
+    with pytest.raises(
+        InternalError, match=f"δ_{degree - 1} has a pivot outside N\\^{degree}"
+    ):
         setup.cohomology_dims()
+
+
+def deep_circle_setup(p, seed, top):
+    """The circle to degree top with a seeded square-zero bimodule over F_p."""
+    algebra, module = square_zero_bimodule(p, random.Random(seed))
+    space, partition = space_and_partition("circle")
+    return CochainSetup(space, algebra, module, partition, top)
+
+
+@pytest.mark.parametrize("p,seed", [(2, 0), (5, 1), (5, 2)])
+def test_deep_circle_matches_classical_oracle(p, seed):
+    # at degree 12 every column mask has 12 bits, so dropping a prefix
+    # whose mask can no longer be cleared is pinned where it prunes most;
+    # the oracle takes about 0.5 s here and doubles with each degree. F_2
+    # has one such module; seeds 1 and 2 act on the right by 1 and 3 times
+    # the left action, for HH = 2 1 1 ... 1 and 1 0 0 ... 0
+    setup = deep_circle_setup(p, seed, 12)
+    oracle = classical_hochschild_dims(
+        setup.algebra, setup.module, "e.0", "e.1", 12
+    )
+    assert setup.cohomology_dims() == oracle
+
+
+def test_deep_circle_forms_and_walks_few_choices(monkeypatch):
+    # δ_10 on the circle has 2,048 columns and 2 of them in N^10. Dropping
+    # the prefixes that can no longer reach mask 0 leaves 17 head prefixes
+    # and 34 fused entries, against 464 and 928 without that lookahead, and
+    # pairing heads with tails by mask walks 44 (column, items) pairs of the
+    # fused lists, where forming every choice and skipping walked 34,816
+    setup = deep_circle_setup(5, 7, 10)
+    degree = record_calls(monkeypatch, CochainSetup, "_delta_blocks")
+    formed = {}
+    walked = {}
+
+    class Walked(list):
+        """A fused list that counts the entries each walk over it visits."""
+
+        def __iter__(self):
+            n = degree[-1][1]
+            walked[n] = walked.get(n, 0) + len(self)
+            return super().__iter__()
+
+    original = CochainSetup._expansion
+
+    def counting(self, *args):
+        fused, heads = original(self, *args)
+        fused = {key: {bits: Walked(e) for bits, e in by_mask.items()}
+                 for key, by_mask in fused.items()}
+        n = degree[-1][1]
+        formed[n] = formed.get(n, 0) + sum(map(len, heads.values())) + sum(
+            len(e) for by_mask in fused.values() for e in by_mask.values()
+        )
+        return fused, heads
+
+    monkeypatch.setattr(CochainSetup, "_expansion", counting)
+    assert setup.cohomology_dims() == classical_hochschild_dims(
+        setup.algebra, setup.module, "e.0", "e.1", 10
+    )
+    assert sorted(walked) == sorted(formed) == list(range(11))
+    assert 0 < formed[10] <= 100, formed
+    assert 0 < walked[10] <= 100, walked
 
 
 def test_ground_field_cohomology_every_builtin():

@@ -22,6 +22,7 @@ import pytest
 from helpers import (
     coefficient_module,
     cubic_truncation,
+    degenerate_columns,
     dual_numbers,
     generator,
     ground_field,
@@ -42,7 +43,7 @@ from hhx import cochain
 from hhx.actions import enumerate_slots, partition_from_pairs, sweep_closure
 from hhx.coeffalg import load_algebra, load_module
 from hhx.errors import ValidationError
-from hhx.exactlinalg import Matrix, _eliminate
+from hhx.exactlinalg import Matrix, _eliminate, field_from_text
 from hhx.simplicial import SimplicialSpace, parse_space
 from test_actions import record_face_rows, slow_reduce_slot
 from test_cochain import record_calls
@@ -375,15 +376,18 @@ def test_identity_check_matches_matrix_products(name, alg_fn, kind, top):
     assert setup.check_cosimplicial_identities() == expected
 
 
-def golden_setup(name, override):
-    """The setup behind a golden cohomology case (see test_golden.py)."""
-    return CochainSetup(*golden_inputs(name, override))
+def golden_setup(name, override, field=None):
+    """The setup behind a golden cohomology case (see test_golden.py), with
+    the algebra read over field (Q or F<p>) if given."""
+    return CochainSetup(*golden_inputs(name, override, field))
 
 
-def golden_inputs(name, override):
+def golden_inputs(name, override, field=None):
     """(space, algebra, module, partition, top) of a golden cohomology case."""
     space = builtin_space(name)
-    algebra = load_algebra(str(GOLDEN / "dual-q.json"))
+    algebra = load_algebra(
+        str(GOLDEN / "dual-q.json"), field=field and field_from_text(field)
+    )
     if override:
         partition = partition_from_pairs(enumerate_slots(space), ())
         module_path, top = GOLDEN / f"override-{name}.json", 2
@@ -521,7 +525,7 @@ def test_degenerate_columns_are_those_some_reference_codegeneracy_keeps(
         kept = {
             c for i in range(n) for _, c in slow_codegeneracy(setup, n - 1, i).entries
         }
-        assert setup._degenerate_columns(n) == kept, n
+        assert degenerate_columns(setup, n) == kept, n
 
 
 def reference_setup(name, alg_fn, kind, top):
@@ -550,6 +554,65 @@ def test_blockwise_ranks_match_the_whole_delta(make, args):
         assert sum(map(len, rows)) == len(set().union(*rows)), n
         blockwise = sum(len(_eliminate(columns, p)) for _, columns in blocks)
         assert blockwise == len(_eliminate(whole, p)), n
+
+
+# every reference setup, and each class-keyed golden setup over Q, F_2, F_5
+NORMALIZED_CASES = [(reference_setup, args) for args in REFERENCE_SETUPS] + [
+    (golden_setup, (name, False, field))
+    for name in BUILTINS for field in ("Q", "F2", "F5")
+]
+NORMALIZED_IDS = [
+    f"{name}-{kind}-{alg_fn.__name__}" for name, alg_fn, kind, _ in REFERENCE_SETUPS
+] + [f"golden-{name}-{field}" for name in BUILTINS for field in ("Q", "F2", "F5")]
+
+
+@pytest.mark.parametrize("make,args", NORMALIZED_CASES, ids=NORMALIZED_IDS)
+def test_counted_normalized_dims_leave_out_the_degenerate_columns(make, args):
+    # dim N^n is counted per mask, one position at a time, and a column's
+    # mask is decoded from its index for the pivot guard; both against the
+    # D^n oracle, which forms each degenerate column whole
+    setup = make(*args)
+    d, m = setup.algebra.dim, setup.module.dim
+    for n in range(setup.max_degree + 2):
+        masks = setup._masks(n)
+        degenerate = degenerate_columns(setup, n)
+        counted = m * cochain._normalized_count(d, *masks)
+        assert counted == setup.hom_dims[n] - len(degenerate), n
+        if setup.hom_dims[n] <= 2**12:
+            decoded = {
+                j for j in range(setup.hom_dims[n])
+                if cochain._column_mask(j // m, d, *masks)
+            }
+            assert decoded == degenerate, n
+
+
+@pytest.mark.parametrize("make,args", NORMALIZED_CASES, ids=NORMALIZED_IDS)
+def test_normalized_blocks_are_the_reference_delta_off_d_and_the_pivots(make, args):
+    # cohomology_dims' blocks: δ_n formed on N^n only, cleared of δ_{n-1}'s
+    # pivots, against the reference δ_n with the columns of D^n and the
+    # pivots left out
+    setup = make(*args)
+    p = setup.algebra.field.p
+    pivots = set()
+    checked = []
+    for n in range(setup.max_degree + 1):
+        blocks = list(setup._delta_blocks(n, pivots, setup._masks(n)))
+        # the reference visits every (target, source) basis pair
+        if setup.hom_dims[n + 1] * setup.hom_dims[n] <= 2**15:
+            left_out = degenerate_columns(setup, n) | pivots
+            expected = {
+                (r, c): v for (r, c), v in slow_differential(setup, n).entries.items()
+                if c not in left_out
+            }
+            entries = {
+                (r, c): v for c, column in cochain._merged(blocks).items()
+                for r, v in column.items()
+            }
+            assert entries == expected, n
+            checked.append(n)
+        pivots = set().union(*(_eliminate(columns, p) for _, columns in blocks))
+    # every setup has a degree n >= 1, with pivots and D^n to leave out
+    assert checked[-1] >= 1, checked
 
 
 # top degree of each space in the per-slot module draws
