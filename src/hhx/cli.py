@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from .errors import DEFAULT_BUDGET, BudgetError, FormatError, ValidationError
+from .errors import DEFAULT_BUDGET, BudgetError, FormatError, ValidationError, _abridged
 from .simplicial import builtin_space, load_space, validate_space
 
 EXIT_OK = 0
@@ -59,6 +59,15 @@ def __getattr__(name):
     return globals()[name]
 
 
+def _int(text: str) -> int:
+    """int(text) for an integer option. A refused text is echoed abridged:
+    with type=int argparse would repeat all of it."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_abridged(text)}") from None
+
+
 def _add_space_args(parser):
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--space", metavar="PATH", help="space document (JSON)")
@@ -94,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_space_args(p_act)
     p_act.add_argument(
         "--paranoid",
-        type=int,
+        type=_int,
         metavar="CAP",
         help="also scan all simplices (degenerate included) up to this dimension",
     )
@@ -113,12 +122,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_coh.add_argument("--algebra", metavar="PATH", required=True)
     p_coh.add_argument("--module", metavar="PATH", required=True)
     p_coh.add_argument(
-        "-N", "--max-degree", type=int, default=3, dest="max_degree",
+        "-N", "--max-degree", type=_int, default=3, dest="max_degree",
         help="top cohomological degree (default 3)",
     )
     p_coh.add_argument("--field", metavar="SPEC", help="override the algebra field (Q or F<p>)")
     p_coh.add_argument(
-        "--budget", type=int, default=DEFAULT_BUDGET,
+        "--budget", type=_int, default=DEFAULT_BUDGET,
         help="hom-space column budget (default %(default)s)",
     )
     p_coh.add_argument(

@@ -45,23 +45,25 @@ s^i (i < n), a subcomplex with the same cohomology (cosimplicial Dold-Kan;
 clearing). Basis element 0 is the unit, so s^i sends a column (α, c) of
 C^n to a column of C^{n-1} or to zero, and to a column exactly when α has
 the unit digit at every simplex outside the image of s_i; N^n is spanned
-by the columns no s^i keeps, those outside the degenerate set D^n. With
-bit i of a position's mask set where s_i hits it (_masks), a column's
-mask, 2^n - 1 ANDed with the masks of the positions where α is not the
-unit, names the s^i that keep it, so the column is in N^n exactly when its
-mask is 0. Each factor term carries the mask of its column digit; _choices
-ANDs them as it extends a prefix and drops a prefix holding a bit that
-every term of every factor still to choose, in both halves, also holds, as
-no later choice can clear it; and _expand pairs a head only with tails
-whose mask is disjoint from its own. So δ_n is formed on N^n alone and no
-column of D^n is listed; without masks every term's is 0 and all of C^n is
-formed, the same code serving coface and differential. H^n = dim N^n -
-rank δ_n - rank δ_{n-1}, with dim N^n counted per mask one position at a
-time (_normalized_count). The popped vectors lie in N^n, so each of
-δ_{n-1}'s pivots has mask 0 (_column_mask decodes it; one that has not
-raises InternalError) and clearing is exact on N as on C. On the circle
-N^n holds m (d - 1)^n of the m d^n columns. The codegeneracy matrices and
-the masks read the same positions of s_i (_degeneracy_positions).
+by the columns no s^i keeps, those outside the degenerate set D^n. A
+simplex is in the image of s_i exactly when i is in its degeneracy word
+(Eilenberg-Zilber), so with bit i of a position's mask set for each i in
+its word (_masks), a column's mask, 2^n - 1 ANDed with the masks of the
+positions where α is not the unit, names the s^i that keep it, and the
+column is in N^n exactly when its mask is 0. Each factor term carries the
+mask of its column digit; _choices ANDs them as it extends a prefix and
+drops a prefix holding a bit that every term of every factor still to
+choose, in both halves, also holds, as no later choice can clear it; and
+_expand pairs a head only with tails whose mask is disjoint from its own.
+So δ_n is formed on N^n alone and no column of D^n is listed; without
+masks every term's is 0 and all of C^n is formed, the same code serving
+coface and differential. H^n = dim N^n - rank δ_n - rank δ_{n-1}, with
+dim N^n read off the hom dims: C^n is the sum of a copy of N^k for each
+surjection [n] -> [k] (Dold-Kan), so dim N^n = Σ_k (-1)^{n-k} C(n, k) dim
+C^k. The popped vectors lie in N^n, so each of δ_{n-1}'s pivots has mask
+0 (_column_mask decodes it; one that has not raises InternalError) and
+clearing is exact on N as on C. On the circle N^n holds m (d - 1)^n of the
+m d^n columns.
 
 Faces come from one table: a setup keeps the integer face rows of the
 non-basepoint simplices of every level 0..N + 1 (actions.level_rows), built
@@ -193,11 +195,6 @@ class CochainSetup:
         # _group_products by size, each extending the one below
         self._products = [[((), algebra.unit)]]
 
-    def basis(self, n: int):
-        """The non-basepoint n-simplices indexing the tensor factors."""
-        self._check_degree(n)
-        return self._levels[n][0]
-
     def _check_degree(self, n: int):
         if not 0 <= n <= self.max_degree + 1:
             raise ValueError(
@@ -252,17 +249,17 @@ class CochainSetup:
         return positions
 
     def _masks(self, n: int) -> tuple[int, list[int]]:
-        """(every, images) for level n: bit i of images[q] is set where s_i,
-        i < n, hits position q, and every = 2^n - 1 has a bit per s_i.
+        """(every, images) for level n: images[q] has bit i set for each i in
+        the degeneracy word of simplex q, and every = 2^n - 1 has a bit per s_i.
 
-        A column (α, c) of C^n has the mask every AND images[q] over the
-        positions q where α is not the unit 0: the codegeneracies s^i that
-        keep it. It lies in N^n = ∩ ker s^i exactly when that mask is 0.
+        By Eilenberg-Zilber the word of x is the unique set J with x = s_J y,
+        y non-degenerate, so s_i, i < n, hits position q exactly when i is in
+        q's word. A column (α, c) of C^n has the mask every AND images[q]
+        over the positions q where α is not the unit 0: the codegeneracies
+        s^i that keep it. It lies in N^n = ∩ ker s^i exactly when that mask
+        is 0.
         """
-        images = [0] * self.t[n]
-        for i in range(n):
-            for q in self._degeneracy_positions(n, i):
-                images[q] |= 1 << i
+        images = [sum(1 << j for j in s.word) for s in self._levels[n][0]]
         return (1 << n) - 1, images
 
     def _matrix(self, row_degree, col_degree, columns) -> Matrix:
@@ -316,26 +313,24 @@ class CochainSetup:
         weight = self._weights[0]
         src = self._levels[n][0]
         rows = self._levels[n + 1][1]
-        star_places = []
-        star_mats = []
+        # the composite action for each choice of basis elements on the star
+        # positions, kept where it is nonzero (None: no star position), one
+        # position at a time so that shared prefixes are formed once
+        acts = [(0, None)]
         groups = [[] for _ in src]
         for p, row in enumerate(rows):
             place = d ** (len(rows) - 1 - p)
             f = row[i]  # level_rows: d_i s is src[f], or the basepoint via slot ~f
             if f < 0:
-                star_places.append(place)
-                star_mats.append(self._slot_actions[~f])
+                acts = [
+                    (offset + t * place, product)
+                    for offset, prev in acts
+                    for t, act in enumerate(self._slot_actions[~f])
+                    if (product := act if prev is None else prev @ act).nnz()
+                ]
             else:
                 groups[f].append(place)
 
-        # the composite action for each choice of basis elements on the star
-        # positions, kept where it is nonzero (None: no star position)
-        acts = _by_position(
-            None,
-            zip(star_places, star_mats),
-            lambda prev, act: act if prev is None else prev @ act,
-            Matrix.nnz,
-        )
         identity = [(u, u, 1) for u in range(m)]
         blocks = [
             (row, identity if mat is None
@@ -523,12 +518,13 @@ class CochainSetup:
         each block's columns, formed on N^n only (_masks) and cleared of
         δ_{n-1}'s pivots, go into the elimination and away before the next
         block is assembled, so at most one block is held. rank δ_n is the
-        number of pivots over all blocks, and dim N^n, counted per mask
-        (_normalized_count), stands for dim C^n. Clearing is exact as δδ =
-        0, and normalizing as δ N^n ⊂ N^{n+1} with the same cohomology; both
-        need the cosimplicial identities, so a setup whose identities fail
-        raises ValidationError. A pivot of δ_{n-1} whose decoded mask is not
-        0 (_column_mask), a column outside N^n, which δ N^{n-1} ⊂ N^n rules
+        number of pivots over all blocks, and dim N^n, the binomial
+        inversion of the hom dims (cosimplicial Dold-Kan), stands for dim
+        C^n. Clearing is exact as δδ = 0, and normalizing as δ N^n ⊂
+        N^{n+1} with the same cohomology; both need the cosimplicial
+        identities, so a setup whose identities fail raises
+        ValidationError. A pivot of δ_{n-1} whose decoded mask is not 0
+        (_column_mask), a column outside N^n, which δ N^{n-1} ⊂ N^n rules
         out, raises InternalError.
         """
         if self.check_cosimplicial_identities():
@@ -540,18 +536,21 @@ class CochainSetup:
         d = self.algebra.dim
         m = self.module.dim
         ranks = []
-        dims = []
         pivots = frozenset()
         for n in range(self.max_degree + 1):
             masks = self._masks(n)
             if any(_column_mask(j // m, d, *masks) for j in pivots):
                 raise InternalError(f"δ_{n - 1} has a pivot outside N^{n}")
-            dims.append(m * _normalized_count(d, *masks))
             found = set()
             for _, columns in self._delta_blocks(n, pivots, masks):
                 found |= _eliminate(columns, p)
             pivots = found
             ranks.append(len(pivots))
+        # C^n = ⊕ N^k over the surjections [n] -> [k] (cosimplicial Dold-Kan)
+        dims = [
+            sum((-1) ** (n - k) * comb(n, k) * self.hom_dims[k] for k in range(n + 1))
+            for n in range(self.max_degree + 1)
+        ]
         return _dims_from_ranks(ranks, dims)
 
     def report(self) -> dict:
@@ -664,42 +663,12 @@ def _column_mask(value, d, every, images) -> int:
     return every
 
 
-def _normalized_count(d, every, images) -> int:
-    """How many assignments have mask 0 (see _masks), counted one
-    position at a time as {mask: assignments} without forming any."""
-    counts = {every: 1}
-    for image in images:
-        step = {}
-        for mask, count in counts.items():
-            step[mask] = step.get(mask, 0) + count
-            step[mask & image] = step.get(mask & image, 0) + (d - 1) * count
-        counts = step
-    return counts.get(0, 0)
-
-
 def _merged(blocks) -> dict:
     """The columns of all (weight, columns) blocks in one dict."""
     columns = {}
     for _, block in blocks:
         columns.update(block)
     return columns
-
-
-def _by_position(start, positions, step, nonzero):
-    """(sum of t * place, product) for each choice of options t per position.
-
-    Built one position at a time in lexicographic order, so shared prefixes
-    are formed once; a zero prefix is dropped with every choice extending it.
-    """
-    out = [(0, start)]
-    for place, options in positions:
-        out = [
-            (row + t * place, product)
-            for row, prev in out
-            for t, option in enumerate(options)
-            if nonzero(product := step(prev, option))
-        ]
-    return out
 
 
 def classical_hochschild_dims(

@@ -176,8 +176,6 @@ def validate_module(module: MultiModule, algebra: Algebra, expected_keys) -> Non
         raise ValidationError("; ".join(parts))
     d = algebra.dim
     m = module.dim
-    F = algebra.field
-    ident = Matrix.identity(F, m)
     for key in expected:
         mats = module.actions[key]
         if len(mats) != d:
@@ -190,7 +188,11 @@ def validate_module(module: MultiModule, algebra: Algebra, expected_keys) -> Non
                     f"class {key!r}, basis element {algebra.basis[t]}: "
                     f"matrix is {mat.rows}x{mat.cols}, expected {m}x{m}"
                 )
-        if mats and mats[0] != ident:
+        # the identity is m entries 1 on the diagonal; no m x m one is built
+        unit = mats[0].entries if mats else {}
+        if mats and (
+            len(unit) != m or any(r != c or v != 1 for (r, c), v in unit.items())
+        ):
             raise ValidationError(f"class {key!r}: action of the unit is not the identity")
         for i in range(d):
             for j in range(d):

@@ -336,11 +336,15 @@ def _builtin_doc(name: str):
     # one spelling per sphere: ASCII digits, no leading zero
     m = re.fullmatch(r"sphere([1-9][0-9]*)", name)
     if m:
-        n = int(m.group(1))
-        if n > SPHERE_LIMIT:
+        digits = m.group(1)
+        # the length first: int() refuses more than 4,300 digits
+        if len(digits) > len(str(SPHERE_LIMIT)) or int(digits) > SPHERE_LIMIT:
+            if len(digits) > 40:
+                digits = f"{digits[:40]}... ({len(digits)} characters)"
             raise FormatError(
-                f"sphere dimension must be between 1 and {SPHERE_LIMIT}, got {n}"
+                f"sphere dimension must be between 1 and {SPHERE_LIMIT}, got {digits}"
             )
+        n = int(digits)
         bp = ["pt", list(range(n - 2, -1, -1))]
         return {
             "name": name,

@@ -85,6 +85,17 @@ def _scan_like_doc():
 
 SCAN_LIKE_DOC = _scan_like_doc()
 
+# two vertices and no slot: the edge e runs from v to v, away from pt
+SLOTLESS_DOC = {
+    "name": "slotless",
+    "basepoint": "pt",
+    "simplices": [
+        {"name": "pt", "dim": 0},
+        {"name": "v", "dim": 0},
+        {"name": "e", "dim": 1, "faces": [["v", []], ["v", []]]},
+    ],
+}
+
 # Spaces that break d_i d_j = d_{j-1} d_i, for parse_space(..., validate=False).
 
 # faces of t break d_0 d_1 = d_0 d_0 at the basepoint: d_0 d_1 t = d_0 g = v,

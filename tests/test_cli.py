@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from helpers import (
     DUAL_DOC,
     GROUND_DOC,
     SCAN_LIKE_DOC,
+    SLOTLESS_DOC,
     dual_numbers,
     multiplication_module,
 )
@@ -480,6 +482,71 @@ def test_sphere_above_limit_is_usage_error(capsys):
     status, out, _ = run_cli(capsys, "validate", "--builtin", "sphere256")
     assert status == 0
     assert "simplicial identities: pass" in out
+
+
+def test_sphere_name_past_the_int_conversion_limit_is_usage_error(capsys):
+    # the interpreter converts no text of more than 4,300 digits to an int,
+    # so the name's length is compared with the limit's first
+    status, out, err = run_cli(capsys, "validate", "--builtin", "sphere" + "9" * 5000)
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: sphere dimension must be between 1 and 256, got 9999")
+    assert err.endswith("... (5000 characters)\n")
+    assert len(err) < 200
+
+
+def parse_error(capsys, *argv):
+    """(exit status, stderr) of a command line that argparse refuses."""
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    return info.value.code, capsys.readouterr().err
+
+
+INT_OPTIONS = [
+    (("cohomology", "--builtin", "circle", "--algebra", "a", "--module", "m", "-N"),
+     "-N/--max-degree"),
+    (("cohomology", "--builtin", "circle", "--algebra", "a", "--module", "m", "--budget"),
+     "--budget"),
+    (("actions", "--builtin", "circle", "--paranoid"), "--paranoid"),
+]
+
+
+@pytest.mark.parametrize("argv,flag", INT_OPTIONS, ids=[flag for _, flag in INT_OPTIONS])
+def test_refused_int_option_is_echoed_abridged(capsys, argv, flag):
+    # argparse's type=int repeats the refused text whole; a short one keeps
+    # argparse's wording
+    status, err = parse_error(capsys, *argv, "x")
+    assert status == 2
+    assert err.endswith(f"error: argument {flag}: invalid int value: 'x'\n")
+    # past 4,300 digits int() refuses the text too
+    status, err = parse_error(capsys, *argv, "9" * 5000)
+    assert status == 2
+    assert f"error: argument {flag}: invalid int value: '9999" in err
+    assert err.endswith("... (5002 characters)\n")
+    assert len(err) < 600
+
+
+def test_huge_module_on_a_slotless_space_is_refused_at_once(tmp_path, capsys):
+    # with no slot the module lists no action, so validating it forms no
+    # m x m matrix, and the column budget refuses degree 0
+    space = write_json(tmp_path / "slotless.json", SLOTLESS_DOC)
+    alg_path = write_json(tmp_path / "dual.json", DUAL_DOC)
+    mod_path = write_json(tmp_path / "module.json", {"dim": 3_000_000, "actions": {}})
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        status, out, err = run_cli(
+            capsys, "cohomology", "--space", space,
+            "--algebra", alg_path, "--module", mod_path,
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 16 * 2**20
+    assert status == 3
+    assert out == ""
+    assert "hom-space in degree 0 has dimension 6000000" in err
 
 
 def test_identity_check_above_visit_limit_is_budget_error(tmp_path, capsys):

@@ -20,6 +20,8 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    SCAN_LIKE_DOC,
+    SLOTLESS_DOC,
     coefficient_module,
     cubic_truncation,
     degenerate_columns,
@@ -77,8 +79,8 @@ def slow_coface(setup, n, i):
     p = F.p
     d = alg.dim
     m = module.dim
-    src = setup.basis(n)
-    tgt = setup.basis(n + 1)
+    src = setup._levels[n][0]
+    tgt = setup._levels[n + 1][0]
     entries = {}
     for bt in itertools.product(range(d), repeat=len(tgt)):
         composite = {(u, u): 1 for u in range(m)}
@@ -120,8 +122,8 @@ def slow_codegeneracy(setup, n, i):
     F = setup.algebra.field
     d = setup.algebra.dim
     m = setup.module.dim
-    src = setup.basis(n)
-    up = setup.basis(n + 1)
+    src = setup._levels[n][0]
+    up = setup._levels[n + 1][0]
     entries = {}
     for b in itertools.product(range(d), repeat=len(src)):
         argument = []
@@ -567,18 +569,25 @@ NORMALIZED_IDS = [
 
 
 @pytest.mark.parametrize("make,args", NORMALIZED_CASES, ids=NORMALIZED_IDS)
-def test_counted_normalized_dims_leave_out_the_degenerate_columns(make, args):
-    # dim N^n is counted per mask, one position at a time, and a column's
-    # mask is decoded from its index for the pivot guard; both against the
-    # D^n oracle, which forms each degenerate column whole
+def test_counted_normalized_dims_leave_out_the_degenerate_columns(
+    monkeypatch, make, args
+):
+    # dim N^n is the binomial inversion of the hom dims (cosimplicial
+    # Dold-Kan), and a column's mask is decoded from its index for the pivot
+    # guard; both against the D^n oracle, which forms each degenerate column
+    # whole
     setup = make(*args)
     d, m = setup.algebra.dim, setup.module.dim
+    calls = record_calls(monkeypatch, cochain, "_dims_from_ranks")
+    setup.cohomology_dims()
+    dims = calls[-1][1]
+    assert len(dims) == setup.max_degree + 1
     for n in range(setup.max_degree + 2):
-        masks = setup._masks(n)
         degenerate = degenerate_columns(setup, n)
-        counted = m * cochain._normalized_count(d, *masks)
-        assert counted == setup.hom_dims[n] - len(degenerate), n
+        if n <= setup.max_degree:
+            assert dims[n] == setup.hom_dims[n] - len(degenerate), n
         if setup.hom_dims[n] <= 2**12:
+            masks = setup._masks(n)
             decoded = {
                 j for j in range(setup.hom_dims[n])
                 if cochain._column_mask(j // m, d, *masks)
@@ -705,6 +714,45 @@ BALLOON_DOC = {
         {"name": "Z", "dim": 2, "faces": [["q", [0]], ["f", []], ["f", []]]},
     ],
 }
+
+
+def position_masks(setup, n):
+    """_masks(n)'s images rebuilt from where each s_i, i < n, lands in level
+    n (_degeneracy_positions, which raises InternalError where an image is
+    missing or two coincide)."""
+    images = [0] * setup.t[n]
+    for i in range(n):
+        for q in setup._degeneracy_positions(n, i):
+            images[q] |= 1 << i
+    return images
+
+
+def ground_setup(doc, top):
+    """The space of doc over k, with every class acting trivially on k."""
+    space = parse_space(doc)
+    partition = sweep_closure(space)
+    algebra = ground_field()
+    module = identity_module(algebra.field, 1, partition.class_ids)
+    return CochainSetup(space, algebra, module, partition, top)
+
+
+WORD_MASK_DOCS = (WEDGE_DOC, BALLOON_DOC, SCAN_LIKE_DOC, SLOTLESS_DOC)
+
+
+@pytest.mark.parametrize(
+    "make,args",
+    NORMALIZED_CASES + [(ground_setup, (doc, 5)) for doc in WORD_MASK_DOCS],
+    ids=NORMALIZED_IDS + [doc["name"] for doc in WORD_MASK_DOCS],
+)
+def test_word_masks_are_the_degeneracy_images(make, args):
+    # s_i hits a simplex exactly when i is in its degeneracy word
+    # (Eilenberg-Zilber), so _masks reads the words; against the masks
+    # built from where each s_i lands, to level N + 1
+    setup = make(*args)
+    for n in range(setup.max_degree + 2):
+        every, images = setup._masks(n)
+        assert every == (1 << n) - 1, n
+        assert images == position_masks(setup, n), n
 
 
 def test_wedge_four_classes_identities_hold():

@@ -139,13 +139,28 @@ def test_module_key_mismatch_errors():
         parse_module(doc2, alg, partition)
 
 
-def test_module_must_be_unital():
+@pytest.mark.parametrize(
+    "unit",
+    [[[1, 0], [0, 0]], [[1, 1], [0, 1]], [[0, 1], [1, 0]], [[1, 0], [0, 2]]],
+    ids=["entry-missing", "entry-off-diagonal", "off-diagonal-only", "entry-not-1"],
+)
+def test_module_must_be_unital(unit):
     space, partition = space_and_partition("circle")
     alg = dual_numbers()
     doc = regular_doc(alg, partition.class_ids)
-    doc["actions"]["e.0"][0] = [[1, 0], [0, 0]]
-    with pytest.raises(ValidationError, match="unit"):
+    doc["actions"]["e.0"][0] = unit
+    with pytest.raises(ValidationError, match="action of the unit is not the identity"):
         parse_module(doc, alg, partition)
+
+
+def test_unit_action_is_compared_after_reduction_mod_p():
+    # over F_5 the entry 6 is 1, so this unit action is the identity
+    space, partition = space_and_partition("circle")
+    alg = dual_numbers({"Fp": 5})
+    doc = regular_doc(alg, partition.class_ids)
+    doc["actions"]["e.0"][0] = [[6, 0], [0, -4]]
+    module = parse_module(doc, alg, partition)
+    assert module.actions["e.0"][0] == Matrix.identity(alg.field, 2)
 
 
 def test_module_must_be_multiplicative():
