@@ -12,24 +12,30 @@ space admits. Each class keys one action of the coefficient module
 class, partition_from_pairs(enumerate_slots(space), ()), keys one action
 per slot.
 
-Faces are read from integer rows, one per simplex (_face_rows): entry k is
-the position of d_k s among the faces below, or ~p where d_k s is the
-basepoint and p is the number of its slot in enumerate_slots(space), the
-order of every ActionPartition.slots of the space. This row format is the
-public interface of level_rows, which tabulates every non-basepoint simplex
-level by level, so each face is found once and none is built as a Simplex;
-only this module decides which slot carries a basepoint face, and a reader
-of the rows only tells a position (f >= 0) from a slot number (f < 0). One
-pair routine on the rows (row_pairs) serves the sweep, the paranoid scan
-and the cosimplicial identity check. The paranoid scan holds two levels at
-a time, and a cochain setup keeps the rows of every level for its cofaces
-and its identity check. The paranoid scan of the benchmark's actions-scan
-space (seed 1) to dimension 8 takes 0.04-0.08 s in a fresh process (median
-0.07 s of 8; 2-vCPU host, Python 3.11).
+Faces are read from integer rows, one per simplex: entry k is the position
+of d_k s among the faces below, or ~p where d_k s is the basepoint and p is
+the number of its slot in enumerate_slots(space), the order of every
+ActionPartition.slots of the space. This row format is the public interface
+of level_rows, which tabulates every non-basepoint simplex level by level.
+The simplices over the generators of one dimension share their degeneracy
+words, so a level walks each word once per face index (_template), merges
+each kept word once per face index and face, and reads each generator's
+rows out of one list of face positions and slot numbers; no face is built
+as a Simplex. The sweep, which needs only the generators and their faces,
+builds its rows simplex by simplex (_face_rows). Only this module decides
+which slot carries a basepoint face, and a reader of the rows only tells a
+position (f >= 0) from a slot number (f < 0). One pair routine on the rows
+(row_pairs) serves the sweep, the paranoid scan and the cosimplicial
+identity check. The paranoid scan holds two levels at a time, and a cochain
+setup keeps the rows of every level for its cofaces and its identity check.
+The paranoid scan of the benchmark's actions-scan space (seed 1) to
+dimension 8 takes 0.03-0.07 s in a fresh process (median 0.05 s of 15;
+2-vCPU host, Python 3.11).
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import comb
 from operator import itemgetter
 from typing import NamedTuple
@@ -38,11 +44,11 @@ from .errors import InternalError, _abridged
 from .simplicial import Generator, Simplex, SimplicialSpace, _merge, _walk
 
 
-# most face-pair visits paranoid_closure makes (paranoid_visits): at the
-# limit 0.6-0.8 s on the circle or the torus (0.15-0.19 microseconds a
-# visit) and 1.8-2.5 s on sphere12, where most pairs reach the basepoint
-# (0.45-0.62 microseconds a visit; 4,434,144 visits to dimension 18 took
-# 2.0-2.7 s and 87 MiB); 2-vCPU host, Python 3.11
+# most face-pair visits paranoid_closure makes (paranoid_visits), timed
+# with the face rows built: at the limit 0.4-0.6 s on the circle or the
+# torus (0.10-0.16 microseconds a visit) and 2.6-3.0 s on sphere12, where
+# most pairs reach the basepoint (0.66-0.75 microseconds a visit; 4,434,144
+# visits to dimension 18 took 2.9-3.3 s and 72 MiB); 2-vCPU host, Python 3.11
 PARANOID_LIMIT = 4_000_000
 
 
@@ -50,7 +56,7 @@ class ActionSlot(NamedTuple):
     """A generator together with a face index pointing at the basepoint.
 
     A tuple, so it hashes and compares like the plain (generator, index)
-    pair, by which _face_rows looks it up.
+    pair, by which _face_rows and level_rows look it up.
     """
 
     generator: Generator
@@ -284,7 +290,10 @@ def closure_pairs(space: SimplicialSpace) -> list[tuple[ActionSlot, ActionSlot]]
     """All identifications from scanning the generators of dimension >= 2.
 
     The generators' faces and those faces' faces are positioned in order of
-    first use, since they need not fill whole levels.
+    first use, since they need not fill whole levels, and their rows are
+    found simplex by simplex (_face_rows): level_rows would walk every word
+    of a level, C(19, 10) = 92,378 of them for a 20-cell with a face over a
+    10-cell.
     """
     cells = [
         Simplex((), g)
@@ -299,6 +308,43 @@ def closure_pairs(space: SimplicialSpace) -> list[tuple[ActionSlot, ActionSlot]]
     return [(slots[a], slots[b]) for _, _, a, b in row_pairs(cells, rows, lower)]
 
 
+def _template(n: int, d: int, below):
+    """(words, getters, kept) shared by the n-simplices over every generator
+    of dimension d.
+
+    words numbers the words of those simplices in space.simplices order;
+    below numbers the words of the (n - 1)-simplices over such a generator
+    (None when d = n). A generator's rows are read from one value list: the
+    positions of its own block of the level below, then for each face index
+    k one entry per word of kept[k], the kept indices that walks leaving
+    face k of the generator carry. getters[p] reads the row of words' p-th
+    word from that list (_walk, once per word and face index).
+
+    kept[k] holds every word u of the (n - 1)-simplices over a (d - 1)-cell,
+    C(n - 1, d - 1) of them, so each block's place in the value list is
+    known before the walks fill it: s_u d_k is a monotone map [n - 1] -> [d]
+    that misses k, and so a surjection [n] -> [d] after the coface that
+    inserts a point sent to k, that is d_i s_w for some word w and index i.
+    """
+    own = len(below) if below else 0
+    size = comb(n - 1, d - 1) if d else 0
+    words = {}
+    kept = [{} for _ in range(d + 1)]
+    getters = []
+    for combo in combinations(range(n), n - d):
+        word = combo[::-1]
+        words[word] = len(words)
+        entries = []
+        for i in range(n + 1):
+            rest, k = _walk(word, i)
+            if k is None:
+                entries.append(below[rest])
+            else:
+                entries.append(own + k * size + kept[k].setdefault(rest, len(kept[k])))
+        getters.append(itemgetter(*entries))
+    return words, getters, kept
+
+
 def level_rows(space: SimplicialSpace, top: int):
     """(simplices, rows) for the non-basepoint n-simplices, n = 0..top.
 
@@ -308,14 +354,42 @@ def level_rows(space: SimplicialSpace, top: int):
     is the basepoint, carried by the slot enumerate_slots(space)[~f]. Only
     the level below is held to build a level; basepoint simplices, whose
     faces row_pairs never asks for, get no row.
+
+    The simplices over generators of one dimension d share their words, so
+    each level builds one _template per d and each generator one value list:
+    ~slot where face k of the generator is the basepoint, else the place of
+    each kept word merged over face k, merged once per level, face index
+    and face (word, dimension). Each row is then one itemgetter call.
     """
+    basepoint = space.basepoint
     numbers = {slot: k for k, slot in enumerate(enumerate_slots(space))}
-    level = tuple(s for s in space.simplices(0) if not space.is_basepoint(s))
+    generators = sorted(space.generators, key=lambda g: g.name)
+    generators.remove(basepoint)
+    level = tuple(s for s in space.simplices(0) if s.base is not basepoint)
     yield level, [()] * len(level)
+    offsets = {s.base: p for p, s in enumerate(level)}
+    words = {0: {(): 0}}
     for n in range(1, top + 1):
-        position = {s: p for p, s in enumerate(level)}
-        level = tuple(s for s in space.simplices(n) if not space.is_basepoint(s))
-        yield level, _face_rows(space, level, position, numbers)
+        cells = [g for g in generators if g.dim <= n]
+        templates = {d: _template(n, d, words.get(d)) for d in {g.dim for g in cells}}
+        below, offsets = offsets, {}
+        merged, rows = {}, []
+        for g in cells:
+            _, getters, kept = templates[g.dim]
+            offsets[g], start = len(rows), below.get(g, 0)
+            values = list(range(start, start + len(words.get(g.dim, ()))))
+            for k, f in enumerate(g.faces):
+                if f.base is basepoint:
+                    values += [~numbers[g, k]] * len(kept[k])
+                    continue
+                key = (k, f.word, f.base.dim)
+                if key not in merged:
+                    merged[key] = [words[f.base.dim][_merge(w, f.word)] for w in kept[k]]
+                values += [below[f.base] + j for j in merged[key]]
+            rows += [get(values) for get in getters]
+        words = {d: template[0] for d, template in templates.items()}
+        level = tuple(s for s in space.simplices(n) if s.base is not basepoint)
+        yield level, rows
 
 
 def partition_from_pairs(slots, pairs) -> ActionPartition:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .errors import DEFAULT_BUDGET, BudgetError, FormatError, ValidationError, _abridged
@@ -60,12 +61,16 @@ def __getattr__(name):
 
 
 def _int(text: str) -> int:
-    """int(text) for an integer option. A refused text is echoed abridged:
-    with type=int argparse would repeat all of it."""
+    """int(text) for an integer option spelled -?[0-9]+ in ASCII digits, as
+    scalars and --field are; int() alone would also take other scripts'
+    digits, spaces and underscores. A refused text is echoed abridged: with
+    type=int argparse would repeat all of it."""
     try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {_abridged(text)}") from None
+        if re.fullmatch(r"-?[0-9]+", text):
+            return int(text)
+    except ValueError:  # past the interpreter's digit limit
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {_abridged(text)}")
 
 
 def _add_space_args(parser):

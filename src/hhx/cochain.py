@@ -102,8 +102,8 @@ from .simplicial import SimplicialSpace
 
 # most simplex-pair visits check_cosimplicial_identities may make, counted
 # as for a paranoid scan to dimension N + 1 (actions.paranoid_visits): at the
-# limit 0.2-0.7 s on circle, sphere2, sphere3 or torus over k (0.11-0.34
-# microseconds a visit, the setup's face rows included), 0.65-0.8 s on
+# limit 0.2-0.6 s on circle, sphere2, sphere3 or torus over k (0.12-0.38
+# microseconds a visit, the setup's face rows included), 0.53-0.89 s on
 # sphere12 (-N 16, 1,259,700 visits), where most pairs reach the basepoint;
 # 2-vCPU host, Python 3.11
 IDENTITY_LIMIT = 2_000_000
@@ -364,9 +364,9 @@ class CochainSetup:
         below by one multiply each, and every group of that size reads it.
         """
         alg = self.algebra
-        units = [_unit_vector(alg.dim, t) for t in range(alg.dim)]
         products = self._products
         while len(products) <= size:
+            units = [_unit_vector(alg.dim, t) for t in range(alg.dim)]
             products.append([
                 (digits + (t,), coords)
                 for digits, prev in products[-1]

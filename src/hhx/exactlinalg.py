@@ -162,10 +162,6 @@ class Matrix:
         self._row_index = None
 
     @classmethod
-    def identity(cls, field, n):
-        return cls(field, n, n, {(i, i): 1 for i in range(n)})
-
-    @classmethod
     def from_rows(cls, field, rows_data, rows=None, cols=None):
         """Build from a dense list of rows of scalars."""
         if rows is None:

@@ -183,20 +183,15 @@ class SimplicialSpace:
         """
         cached = self._levels.get(n)
         if cached is None:
-            out = []
-            for g in sorted(self.generators, key=lambda g: g.name):
-                r = n - g.dim
-                if r < 0:
-                    continue
-                if r == 0:
-                    out.append(Simplex((), g))
-                    continue
-                # a reversed r-subset of 0..n-1 is a valid word over a
-                # generator of dimension n - r, and every word is one
-                for combo in itertools.combinations(range(n), r):
-                    out.append(Simplex(combo[::-1], g))
-            cached = tuple(out)
-            self._levels[n] = cached
+            # a reversed r-subset of 0..n-1 is a valid word over a generator
+            # of dimension n - r, and every word is one (r = 0: the empty
+            # word); tuple.__new__ skips the NamedTuple constructor's call
+            cached = self._levels[n] = tuple(
+                tuple.__new__(Simplex, (combo[::-1], g))
+                for g in sorted(self.generators, key=lambda g: g.name)
+                if g.dim <= n
+                for combo in itertools.combinations(range(n), n - g.dim)
+            )
         return cached
 
 

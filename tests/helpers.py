@@ -96,6 +96,40 @@ SLOTLESS_DOC = {
     ],
 }
 
+WEDGE_DOC = {
+    "name": "wedge-of-circles",
+    "basepoint": "pt",
+    "simplices": [
+        {"name": "pt", "dim": 0},
+        {"name": "e", "dim": 1, "faces": [["pt", []], ["pt", []]]},
+        {"name": "f", "dim": 1, "faces": [["pt", []], ["pt", []]]},
+    ],
+}
+
+# a triangle with one side collapsed onto a degenerate non-basepoint vertex
+BALLOON_DOC = {
+    "name": "balloon",
+    "basepoint": "p",
+    "simplices": [
+        {"name": "p", "dim": 0},
+        {"name": "q", "dim": 0},
+        {"name": "f", "dim": 1, "faces": [["q", []], ["p", []]]},
+        {"name": "Z", "dim": 2, "faces": [["q", [0]], ["f", []], ["f", []]]},
+    ],
+}
+
+# a circle of two edges through pt and v
+TWO_EDGE_CIRCLE = {
+    "name": "two-edge-circle",
+    "basepoint": "pt",
+    "simplices": [
+        {"name": "pt", "dim": 0},
+        {"name": "v", "dim": 0},
+        {"name": "e1", "dim": 1, "faces": [["v", []], ["pt", []]]},
+        {"name": "e2", "dim": 1, "faces": [["pt", []], ["v", []]]},
+    ],
+}
+
 # Spaces that break d_i d_j = d_{j-1} d_i, for parse_space(..., validate=False).
 
 # faces of t break d_0 d_1 = d_0 d_0 at the basepoint: d_0 d_1 t = d_0 g = v,
@@ -233,9 +267,14 @@ def coefficient_module(algebra, partition, kind):
     return module
 
 
+def identity_matrix(field, n):
+    """The n x n identity over field."""
+    return Matrix(field, n, n, {(i, i): 1 for i in range(n)})
+
+
 def identity_module(field, m, keys):
     """dim-m module over the 1-dimensional algebra: every key acts trivially."""
-    return MultiModule(m, {key: (Matrix.identity(field, m),) for key in keys})
+    return MultiModule(m, {key: (identity_matrix(field, m),) for key in keys})
 
 
 def space_and_partition(name):
@@ -256,8 +295,8 @@ def random_f5_bimodules(count, seed=20240803):
     g_mod = MultiModule(
         2,
         {
-            "e.0": (Matrix.identity(ground.field, 2),),
-            "e.1": (Matrix.identity(ground.field, 2),),
+            "e.0": (identity_matrix(ground.field, 2),),
+            "e.1": (identity_matrix(ground.field, 2),),
         },
     )
     validate_module(g_mod, ground, ["e.0", "e.1"])
@@ -273,7 +312,7 @@ def random_f5_bimodules(count, seed=20240803):
             continue
         if xl @ xr != xr @ xl:
             continue
-        ident = Matrix.identity(F, m)
+        ident = identity_matrix(F, m)
         module = MultiModule(m, {"e.0": (ident, xl), "e.1": (ident, xr)})
         validate_module(module, dual, ["e.0", "e.1"])
         out.append((dual, module))
@@ -291,7 +330,7 @@ def square_zero_bimodule(p, rng):
     a, b, c = (rng.randrange(1, p) for _ in range(3))
     d = -a * c * pow(b, -1, p) % p  # w.v = c a + d b = 0
     x = Matrix.from_rows(algebra.field, [[a * c, a * d], [b * c, b * d]])
-    ident = Matrix.identity(algebra.field, 2)
+    ident = identity_matrix(algebra.field, 2)
     module = MultiModule(
         2, {"e.0": (ident, x), "e.1": (ident, x.scale(rng.randrange(1, p)))}
     )

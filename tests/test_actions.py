@@ -1,22 +1,27 @@
 import copy
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
 
 from helpers import (
+    BALLOON_DOC,
     BROKEN_AT_BASEPOINT_DOC,
     BROKEN_AWAY_FROM_BASEPOINT_DOC,
     BROKEN_DOCS,
     BROKEN_VIA_I_ONLY_DOC,
     SCAN_LIKE_DOC,
+    SLOTLESS_DOC,
+    TWO_EDGE_CIRCLE,
+    WEDGE_DOC,
     generator,
     ground_field,
     identity_module,
     scan_size,
     slot_at,
 )
-from hhx import actions
+from hhx import actions, cochain
 from hhx.actions import (
     PARANOID_LIMIT,
     ActionSlot,
@@ -144,31 +149,63 @@ def slow_paranoid_closure(space, dim_cap):
 
 
 def record_face_rows(monkeypatch):
-    """(simplices, position, slot numbers, rows) of every later _face_rows
-    call."""
+    """(simplices, faces below, rows) of every later _face_rows call, each
+    given the slot numbering of enumerate_slots(space)."""
     calls = []
     original = actions._face_rows
 
     def recording(space, simplices, position, slots):
+        assert slots == {slot: k for k, slot in enumerate(enumerate_slots(space))}
         rows = original(space, simplices, position, slots)
-        calls.append((list(simplices), dict(position), slots, rows))
+        calls.append((list(simplices), list(position), rows))
         return rows
 
     monkeypatch.setattr(actions, "_face_rows", recording)
     return calls
 
 
-def check_face_rows(space, calls):
-    """Every recorded row entry against space.face and slot_at; the count.
+def level_tables(levels):
+    """(simplices, faces below, rows) of each level n >= 1 of level_rows'
+    (simplices, rows) levels."""
+    return [(level, below, rows) for (below, _), (level, rows) in zip(levels, levels[1:])]
 
-    A basepoint entry ~k names slot k of enumerate_slots(space), the
-    numbering every call is given.
+
+def record_level_rows(monkeypatch, *modules):
+    """The (simplices, rows) levels of every later level_rows call made
+    through the given modules, in order."""
+    levels = []
+
+    def recording(space, top):
+        for level in level_rows(space, top):
+            levels.append(level)
+            yield level
+
+    for module in modules:
+        monkeypatch.setattr(module, "level_rows", recording)
+    return levels
+
+
+def face_rows_by_simplex(space, top):
+    """level_rows from _face_rows: each simplex's row looked up, face by
+    face, among the simplices of the level below."""
+    numbers = {slot: k for k, slot in enumerate(enumerate_slots(space))}
+    level = tuple(s for s in space.simplices(0) if not space.is_basepoint(s))
+    yield level, [()] * len(level)
+    for n in range(1, top + 1):
+        position = {s: p for p, s in enumerate(level)}
+        level = tuple(s for s in space.simplices(n) if not space.is_basepoint(s))
+        yield level, actions._face_rows(space, level, position, numbers)
+
+
+def check_face_rows(space, tables):
+    """Every row entry of (simplices, faces below, rows) tables against
+    space.face and slot_at; the count.
+
+    A basepoint entry ~k names slot k of enumerate_slots(space).
     """
     slots = enumerate_slots(space)
     entries = 0
-    for simplices, position, numbers, rows in calls:
-        assert numbers == {slot: k for k, slot in enumerate(slots)}
-        faces = list(position)
+    for simplices, faces, rows in tables:
         assert len(rows) == len(simplices)
         for s, row in zip(simplices, rows):
             assert len(row) == s.dim + 1
@@ -521,17 +558,20 @@ def test_paranoid_scan_computes_each_face_once(monkeypatch):
         return face(self, s, i)
 
     monkeypatch.setattr(SimplicialSpace, "face", counting)
-    tables = record_face_rows(monkeypatch)
+    levels = record_level_rows(monkeypatch, actions, cochain)
     paranoid_closure(space, 8)
     # the level scan calls no face; it builds one row entry per (simplex,
     # face index), each level once
     assert calls == []
-    built = [(s, k) for simplices, _, _, _ in tables for s in simplices
+    tables = level_tables(levels)
+    built = [(s, k) for simplices, _, _ in tables for s in simplices
              for k in range(s.dim + 1)]
     assert len(built) == len(set(built)) == expected
-    assert sum(len(row) for _, _, _, rows in tables for row in rows) == expected
+    assert sum(len(row) for _, _, rows in tables for row in rows) == expected
+    assert check_face_rows(space, tables) == expected
     # the point space has no non-basepoint simplex, so nothing to look up
-    tables.clear()
+    calls.clear()
+    levels.clear()
     point = parse_space(
         {"name": "point", "basepoint": "pt", "simplices": [{"name": "pt", "dim": 0}]}
     )
@@ -540,7 +580,8 @@ def test_paranoid_scan_computes_each_face_once(monkeypatch):
     setup = CochainSetup(point, alg, identity_module(alg.field, 1, ()), partition, 50)
     assert setup.check_cosimplicial_identities() == []
     assert calls == []
-    assert [row for _, _, _, rows in tables for row in rows] == []
+    assert len(levels) == 52
+    assert [row for _, rows in levels for row in rows] == []
 
 
 def named_space(name):
@@ -573,7 +614,7 @@ def test_basepoint_entries_number_the_slots_of_enumerate_slots(monkeypatch, name
     cells = [Simplex((), g) for g in sorted(space.generators, key=lambda g: g.name)
              if g.dim >= 2]
     if cells:
-        rows, lower = tables[0][3], tables[1][3]
+        rows, lower = tables[0][2], tables[1][2]
         assert pairs == [(slots[a], slots[b])
                          for _, _, a, b in row_pairs(cells, rows, lower)]
         assert pairs == [pair[2:] for s in cells for pair in slot_pairs(space, s)]
@@ -583,14 +624,13 @@ def test_basepoint_entries_number_the_slots_of_enumerate_slots(monkeypatch, name
 def test_face_rows_match_face_and_level_pairs_match_slot_pairs(monkeypatch, name):
     space = named_space(name)
     top = max(8, space.max_dim + 2)
-    tables = record_face_rows(monkeypatch)
     assert mapped_level_pairs(space, top) == list(slow_level_pairs(space, top))
-    assert check_face_rows(space, tables) == sum(
+    assert check_face_rows(space, level_tables(list(level_rows(space, top)))) == sum(
         (n + 1) * sum(1 for s in space.simplices(n) if not space.is_basepoint(s))
         for n in range(1, top + 1)
     )
     # the sweep's rows: the generators', then their faces' in order of use
-    tables.clear()
+    tables = record_face_rows(monkeypatch)
     sweep_closure(space)
     assert (check_face_rows(space, tables) > 0) == (space.max_dim >= 2)
 
@@ -604,15 +644,83 @@ def test_face_rows_match_face_on_drawn_spaces():
     def check(data):
         space = parse_space(_one_vertex_doc(data, st))
         top = space.max_dim + data.draw(st.integers(1, 2))
+        assert mapped_level_pairs(space, top) == list(slow_level_pairs(space, top))
+        levels = list(level_rows(space, top))
+        assert check_face_rows(space, level_tables(levels)) > 0
+        assert levels == list(face_rows_by_simplex(space, top))
         with pytest.MonkeyPatch.context() as monkeypatch:
             tables = record_face_rows(monkeypatch)
-            assert mapped_level_pairs(space, top) == list(slow_level_pairs(space, top))
-            assert check_face_rows(space, tables) > 0
-            tables.clear()
             closure_pairs(space)
             check_face_rows(space, tables)
 
     check()
+
+
+def level_rows_spaces():
+    """(label, space) for comparing level_rows with face_rows_by_simplex:
+    non-basepoint vertices (empty face tables), faces degenerate over
+    non-basepoint generators, and spaces that break the identities."""
+    out = [(name, builtin_space(name)) for name in BUILTINS]
+    docs = (SCAN_LIKE_DOC, WEDGE_DOC, BALLOON_DOC, SLOTLESS_DOC, TWO_EDGE_CIRCLE,
+            multi_vertex_doc())
+    out += [(doc["name"], parse_space(doc)) for doc in docs]
+    out += [(doc["name"], parse_space(doc, validate=False)) for doc in BROKEN_DOCS]
+    return out
+
+
+LEVEL_ROWS_SPACES = level_rows_spaces()
+
+
+@pytest.mark.parametrize("label,space", LEVEL_ROWS_SPACES,
+                         ids=[label for label, _ in LEVEL_ROWS_SPACES])
+def test_level_rows_are_the_rows_of_each_simplex(label, space):
+    top = max(8, space.max_dim + 2)
+    assert list(level_rows(space, top)) == list(face_rows_by_simplex(space, top))
+
+
+def test_level_rows_walk_each_word_once_and_merge_each_face_once(monkeypatch):
+    space = parse_space(SCAN_LIKE_DOC)
+    generators = [g for g in space.generators if g is not space.basepoint]
+    walks, merges = [], []
+    walk, merge = actions._walk, actions._merge
+
+    def walking(word, i):
+        walks.append((word, i))
+        return walk(word, i)
+
+    def merging(outer, word):
+        merges.append((outer, word))
+        return merge(outer, word)
+
+    def no_face(self, s, i):
+        raise AssertionError(f"face {i} of {s!r} asked for")
+
+    monkeypatch.setattr(actions, "_walk", walking)
+    monkeypatch.setattr(actions, "_merge", merging)
+    monkeypatch.setattr(SimplicialSpace, "face", no_face)
+    walked = merged = 0
+    for n, _ in enumerate(level_rows(space, 8)):
+        # one walk per (dimension, word, face index) of the level
+        dims = {g.dim for g in generators if g.dim <= n}
+        words = [(combo[::-1], i) for d in dims
+                 for combo in combinations(range(n), n - d) for i in range(n + 1)]
+        assert sorted(walks) == sorted(words), n
+        # at most one merge per face index, face (word, dimension) and word
+        # kept by a walk that leaves that face index
+        leaving = {}
+        for word, i in words:
+            kept, k = walk(word, i)
+            if k is not None:
+                leaving.setdefault((n - len(word), k), set()).add(kept)
+        faces = {(g.dim, k, f.word, f.base.dim) for g in generators if g.dim <= n
+                 for k, f in enumerate(g.faces) if not space.is_basepoint(f)}
+        assert len(merges) <= sum(len(leaving[d, k]) for d, k, _, _ in faces), n
+        walked += len(walks)
+        merged += len(merges)
+        walks.clear()
+        merges.clear()
+    # against 7,833 row entries
+    assert (walked, merged) == (3963, 84)
 
 
 @pytest.mark.parametrize("label,space,top", ROW_PAIRS_SPACES,

@@ -13,6 +13,7 @@ from helpers import (
     GROUND_DOC,
     SCAN_LIKE_DOC,
     SLOTLESS_DOC,
+    TWO_EDGE_CIRCLE,
     dual_numbers,
     multiplication_module,
 )
@@ -526,6 +527,36 @@ def test_refused_int_option_is_echoed_abridged(capsys, argv, flag):
     assert len(err) < 600
 
 
+@pytest.mark.parametrize("argv,flag", INT_OPTIONS, ids=[flag for _, flag in INT_OPTIONS])
+@pytest.mark.parametrize("text", ["\u0663", "\uff13", " 1_0 ", "1_0", " 3", "3\n", "+3", ""])
+def test_int_option_takes_only_ascii_digits(capsys, argv, flag, text):
+    # int() takes each of these but the empty text; the options take
+    # -?[0-9]+ alone, as scalars, --field and sphere names do
+    status, err = parse_error(capsys, *argv, text)
+    assert status == 2
+    assert err.endswith(f"error: argument {flag}: invalid int value: {text!r}\n")
+
+
+def test_int_options_read_ascii_digits(tmp_path, capsys):
+    status, out, _ = run_cli(
+        capsys, "actions", "--builtin", "sphere2", "--paranoid", "03", "--format", "json"
+    )
+    assert status == 0
+    assert json.loads(out)["paranoid"]["cap"] == 3
+    alg = write_json(tmp_path / "dual.json", DUAL_DOC)
+    mod = write_json(tmp_path / "module.json", regular_module_doc(["e.0", "e.1"]))
+    argv = ("cohomology", "--builtin", "circle", "--algebra", alg, "--module", mod)
+    status, out, _ = run_cli(capsys, *argv, "-N", "02", "--budget", "0100", "--format", "json")
+    assert status == 0
+    assert len(json.loads(out)["hh_dims"]) == 3
+    # a negative value parses, and the command refuses it
+    status, _, err = run_cli(capsys, *argv, "-N", "-1")
+    assert (status, err) == (2, "error: --max-degree must be at least 1\n")
+    status, _, err = run_cli(capsys, *argv, "--budget", "3")
+    assert status == 3
+    assert err.endswith("exceeding the budget of 3 columns\n")
+
+
 def test_huge_module_on_a_slotless_space_is_refused_at_once(tmp_path, capsys):
     # with no slot the module lists no action, so validating it forms no
     # m x m matrix, and the column budget refuses degree 0
@@ -661,18 +692,6 @@ def test_face_limit_refuses_a_deep_point_space_at_once(tmp_path, capsys):
     status, out, _ = run_cli(capsys, *argv, "-N", "250", "--format", "json")
     assert status == 0
     assert json.loads(out)["hh_dims"] == [1] + [0] * 250
-
-
-TWO_EDGE_CIRCLE = {
-    "name": "two-edge-circle",
-    "basepoint": "pt",
-    "simplices": [
-        {"name": "pt", "dim": 0},
-        {"name": "v", "dim": 0},
-        {"name": "e1", "dim": 1, "faces": [["v", []], ["pt", []]]},
-        {"name": "e2", "dim": 1, "faces": [["pt", []], ["v", []]]},
-    ],
-}
 
 
 def test_two_edge_circle_matches_builtin_circle(tmp_path, capsys):

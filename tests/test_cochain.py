@@ -19,6 +19,7 @@ from helpers import (
     degenerate_columns,
     dual_numbers,
     ground_field,
+    identity_matrix,
     identity_module,
     random_f5_bimodules,
     space_and_partition,
@@ -157,9 +158,9 @@ def test_ground_field_cofaces_are_identity():
     setup = CochainSetup(space, alg, module, partition, 3)
     for n in range(3):
         for i in range(n + 2):
-            assert setup.coface(n, i) == Matrix.identity(QQ, 3)
+            assert setup.coface(n, i) == identity_matrix(QQ, 3)
         for i in range(n + 1):
-            assert setup.codegeneracy(n, i) == Matrix.identity(QQ, 3)
+            assert setup.codegeneracy(n, i) == identity_matrix(QQ, 3)
 
 
 def test_circle_codegeneracy_evaluates_at_unit():
@@ -175,7 +176,7 @@ def test_codegeneracy_after_coface_is_identity():
         setup = make_setup(name, dual_numbers(), "regular", 2)
         for n in range(3):
             for i in range(n + 1):
-                ident = Matrix.identity(QQ, setup.hom_dims[n])
+                ident = identity_matrix(QQ, setup.hom_dims[n])
                 assert setup.codegeneracy(n, i) @ setup.coface(n, i) == ident
                 assert setup.codegeneracy(n, i) @ setup.coface(n, i + 1) == ident
 
@@ -222,7 +223,7 @@ def test_ground_field_differentials_alternate():
         if n % 2 == 0:
             assert not delta.entries
         else:
-            assert delta == Matrix.identity(QQ, 2)
+            assert delta == identity_matrix(QQ, 2)
 
 
 def test_differential_squares_to_zero():
@@ -533,7 +534,7 @@ def test_grading_of_a_bimodule_with_no_zero_entry_is_one_block():
     F = algebra.field
     x = Matrix.from_rows(F, [[1, 2], [2, 4]])  # v = (1, 2), w = (1, 2)
     space, partition = space_and_partition("circle")
-    ident = Matrix.identity(F, 2)
+    ident = identity_matrix(F, 2)
     module = MultiModule(2, {"e.0": (ident, x), "e.1": (ident, x.scale(3))})
     validate_module(module, algebra, partition.class_ids)
     weight, module_weight = _grading(algebra, module, 10)
@@ -577,7 +578,7 @@ def test_blocks_keep_the_weight_on_random_graded_fp_modules():
                 for r in range(m) for c in range(m) if degree[r] == degree[c] + 1
             })
 
-        ident = Matrix.identity(F, m)
+        ident = identity_matrix(F, m)
         shift = raising()
         actions_by_class = {}
         for cid in partition.class_ids:
@@ -864,12 +865,12 @@ def test_differential_squares_to_zero_on_random_commuting_fp_modules():
             if cubic:
                 # a polynomial in the shift J (J^3 = 0): all such commute
                 x = shift.scale(data.draw(scalar)) + (shift @ shift).scale(data.draw(scalar))
-                actions_by_class[cid] = (Matrix.identity(F, m), x, x @ x)
+                actions_by_class[cid] = (identity_matrix(F, m), x, x @ x)
             else:
                 # nonzero only from the last m - half coordinates to the
                 # first half: any product of two such is 0
                 block = {(r, c): data.draw(scalar) for r in range(half) for c in range(half, m)}
-                actions_by_class[cid] = (Matrix.identity(F, m), Matrix(F, m, m, block))
+                actions_by_class[cid] = (identity_matrix(F, m), Matrix(F, m, m, block))
         module = MultiModule(m, actions_by_class)
         validate_module(module, algebra, partition.class_ids)
         setup = CochainSetup(space, algebra, module, partition, SQUARE_ZERO_TOPS[name])

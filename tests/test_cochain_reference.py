@@ -20,14 +20,17 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    BALLOON_DOC,
     SCAN_LIKE_DOC,
     SLOTLESS_DOC,
+    WEDGE_DOC,
     coefficient_module,
     cubic_truncation,
     degenerate_columns,
     dual_numbers,
     generator,
     ground_field,
+    identity_matrix,
     identity_module,
     reduced,
     scaled_cubic,
@@ -47,7 +50,12 @@ from hhx.coeffalg import load_algebra, load_module
 from hhx.errors import ValidationError
 from hhx.exactlinalg import Matrix, _eliminate, field_from_text
 from hhx.simplicial import SimplicialSpace, parse_space
-from test_actions import record_face_rows, slow_reduce_slot
+from test_actions import (
+    check_face_rows,
+    level_tables,
+    record_level_rows,
+    slow_reduce_slot,
+)
 from test_cochain import record_calls
 from test_golden import BUILTINS, GOLDEN, OVERRIDES
 
@@ -169,7 +177,7 @@ def slow_check_cosimplicial_identities(setup):
             for j in range(n + 1):
                 lhs = setup.codegeneracy(n, j) @ setup.coface(n, i)
                 if i == j or i == j + 1:
-                    rhs = Matrix.identity(setup.algebra.field, setup.hom_dims[n])
+                    rhs = identity_matrix(setup.algebra.field, setup.hom_dims[n])
                 elif i < j:
                     rhs = setup.coface(n - 1, i) @ setup.codegeneracy(n - 1, j - 1)
                 else:
@@ -329,7 +337,7 @@ def fraction_module_setup():
     algebra = dual_numbers()
     F = algebra.field
     space, partition = space_and_partition("circle")
-    ident = Matrix.identity(F, 2)
+    ident = identity_matrix(F, 2)
     module = MultiModule(
         2,
         {
@@ -450,13 +458,17 @@ def test_identity_verdict_is_scanned_once_and_guards_cohomology(
     monkeypatch, name, override
 ):
     inputs = golden_inputs(name, override)
-    tables = record_face_rows(monkeypatch)
+    levels = record_level_rows(monkeypatch, cochain)
     scanned = record_calls(monkeypatch, cochain, "row_pairs")
     setup = CochainSetup(*inputs)
     report = setup.report()
     # construction builds the face rows of each level 1..N + 1 once, in
     # order, and report() builds none: the check reads the cofaces' rows
-    scans = [simplices for simplices, _, _, _ in tables]
+    tables = level_tables(levels)
+    assert check_face_rows(setup.space, tables) == sum(
+        (n + 1) * t for n, t in enumerate(setup.t) if n
+    )
+    scans = [simplices for simplices, _, _ in tables]
     assert [len(simplices) for simplices in scans] == setup.t[1:]
     assert all(s.dim == n for n, level in enumerate(scans, 1) for s in level)
     assert (report["identities"] != "pass") == override
@@ -469,6 +481,7 @@ def test_identity_verdict_is_scanned_once_and_guards_cohomology(
     else:
         assert setup.cohomology_dims() == report["hh_dims"]
     assert len(tables) == len(scans) == setup.max_degree + 1
+    assert setup._levels == levels
     # the identity verdict is scanned once: one row_pairs call per level
     # 2..N + 1, through report(), cohomology_dims() and the repeated check
     assert [len(rows) for _, rows, _ in scanned] == setup.t[2:]
@@ -634,7 +647,7 @@ def per_slot_setup(name, scales):
     algebra = dual_numbers()
     F = algebra.field
     partition = partition_from_pairs(enumerate_slots(space), ())
-    ident = Matrix.identity(F, 2)
+    ident = identity_matrix(F, 2)
     module = MultiModule(
         2,
         {
@@ -691,29 +704,6 @@ def test_characteristic_two_circle_dims():
 
 
 # -- non-builtin spaces --------------------------------------------------------
-
-
-WEDGE_DOC = {
-    "name": "wedge-of-circles",
-    "basepoint": "pt",
-    "simplices": [
-        {"name": "pt", "dim": 0},
-        {"name": "e", "dim": 1, "faces": [["pt", []], ["pt", []]]},
-        {"name": "f", "dim": 1, "faces": [["pt", []], ["pt", []]]},
-    ],
-}
-
-# a triangle with one side collapsed onto a degenerate non-basepoint vertex
-BALLOON_DOC = {
-    "name": "balloon",
-    "basepoint": "p",
-    "simplices": [
-        {"name": "p", "dim": 0},
-        {"name": "q", "dim": 0},
-        {"name": "f", "dim": 1, "faces": [["q", []], ["p", []]]},
-        {"name": "Z", "dim": 2, "faces": [["q", [0]], ["f", []], ["f", []]]},
-    ],
-}
 
 
 def position_masks(setup, n):

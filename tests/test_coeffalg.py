@@ -9,6 +9,7 @@ from helpers import (
     cubic_truncation,
     dual_numbers,
     ground_field,
+    identity_matrix,
     negating_twist,
     space_and_partition,
 )
@@ -113,7 +114,7 @@ def test_parse_module_regular_circle():
     doc = regular_doc(alg, partition.class_ids)
     module = parse_module(doc, alg, partition)
     assert module.dim == 2
-    ident = Matrix.identity(QQ, 2)
+    ident = identity_matrix(QQ, 2)
     assert module.act("e.0", (1, 0)) == ident
     nilp = Matrix.from_rows(QQ, [[0, 0], [1, 0]])
     assert module.act("e.0", (0, 1)) == nilp
@@ -160,7 +161,7 @@ def test_unit_action_is_compared_after_reduction_mod_p():
     doc = regular_doc(alg, partition.class_ids)
     doc["actions"]["e.0"][0] = [[6, 0], [0, -4]]
     module = parse_module(doc, alg, partition)
-    assert module.actions["e.0"][0] == Matrix.identity(alg.field, 2)
+    assert module.actions["e.0"][0] == identity_matrix(alg.field, 2)
 
 
 def test_module_must_be_multiplicative():
@@ -196,7 +197,7 @@ def test_act_unit_is_identity_and_linear():
     space, partition = space_and_partition("pinched-torus")
     alg = cubic_truncation()
     module = coefficient_module(alg, partition, "regular")
-    ident = Matrix.identity(QQ, 3)
+    ident = identity_matrix(QQ, 3)
     for cid in partition.class_ids:
         assert module.act(cid, alg.unit) == ident
     a = (2, Fraction(1, 2), 0)
@@ -241,7 +242,7 @@ def test_endomorphism_bimodule_dual_numbers():
     alg = dual_numbers()
     module = coefficient_module(alg, partition, "end")
     assert module.dim == 4
-    ident = Matrix.identity(QQ, 4)
+    ident = identity_matrix(QQ, 4)
     assert module.actions["e.0"][0] == ident
     assert module.actions["e.1"][0] == ident
     # validated by construction; validate once more explicitly
@@ -251,11 +252,11 @@ def test_endomorphism_bimodule_dual_numbers():
 def test_endomorphism_trivial_case():
     space, partition = space_and_partition("circle")
     alg = ground_field()
-    rho = (Matrix.identity(QQ, 1),)
+    rho = (identity_matrix(QQ, 1),)
     module = endomorphism_module(alg, rho, partition)
     assert module.dim == 1
     for cid in partition.class_ids:
-        assert module.actions[cid][0] == Matrix.identity(QQ, 1)
+        assert module.actions[cid][0] == identity_matrix(QQ, 1)
 
 
 def test_endomorphism_single_class_partition():
@@ -270,7 +271,7 @@ def test_endomorphism_single_class_partition():
 def test_endomorphism_rejects_invalid_input_action():
     space, partition = space_and_partition("circle")
     alg = dual_numbers()
-    bad = (Matrix.identity(QQ, 2), Matrix.from_rows(QQ, [[0, 0], [1, 1]]))
+    bad = (identity_matrix(QQ, 2), Matrix.from_rows(QQ, [[0, 0], [1, 1]]))
     with pytest.raises(ValidationError):
         endomorphism_module(alg, bad, partition)
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import reduced
+from helpers import identity_matrix, reduced
 from hhx.errors import FormatError
 from hhx.exactlinalg import (
     Field,
@@ -132,7 +132,7 @@ def test_prime_field_scalars():
 
 
 def test_product_identity_and_zero():
-    ident = Matrix.identity(QQ, 3)
+    ident = identity_matrix(QQ, 3)
     assert ident @ ident == ident
     a = Matrix.from_rows(QQ, [[1, 2, 3], [4, 5, 6]])
     z = Matrix(QQ, 3, 4)
@@ -166,7 +166,7 @@ def test_stored_entries_are_nonzero():
 
 def test_rank_examples():
     assert Matrix(QQ, 4, 5).rank() == 0
-    assert Matrix.identity(QQ, 5).rank() == 5
+    assert identity_matrix(QQ, 5).rank() == 5
     assert Matrix.from_rows(QQ, [[1, 2], [2, 4]]).rank() == 1
     assert Matrix(QQ, 0, 3).rank() == Matrix(QQ, 3, 0).rank() == 0
 
@@ -175,7 +175,7 @@ def test_kernel_examples():
     # the kernel dimension is cols - rank, as the cochain engine reads it
     for m, kernel in (
         (Matrix(QQ, 4, 5), 5),
-        (Matrix.identity(QQ, 5), 0),
+        (identity_matrix(QQ, 5), 0),
         (Matrix.from_rows(QQ, [[1, 2], [2, 4]]), 1),
     ):
         assert m.cols - m.rank() == kernel
@@ -449,7 +449,7 @@ def test_matmul_over_prime_field():
 
 
 def test_field_mismatch_rejected():
-    a = Matrix.identity(QQ, 2)
-    b = Matrix.identity(PrimeField(5), 2)
+    a = identity_matrix(QQ, 2)
+    b = identity_matrix(PrimeField(5), 2)
     with pytest.raises(ValueError):
         a @ b

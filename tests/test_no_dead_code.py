@@ -4,7 +4,9 @@ has a user.
 A definition counts as used when src/hhx or perfbench/ reads its name (as
 an ast.Name that is loaded, an ast.Attribute, or a string constant:
 perfbench's tracer names the methods it wraps as strings), or when
-hhx.__all__ exports it. A module-level name is one that an assignment at
+hhx.__all__ exports it. A method is reached only through an attribute or a
+string, so a loaded bare name (a local variable that shares its name) does
+not count for it. A module-level name is one that an assignment at
 the top level of a module binds. Dunder names are exempt, since the
 interpreter reads them. Tests do not count as users: a name only tests read
 is code the program does not need.
@@ -41,29 +43,38 @@ def _module_level_names(tree):
 
 def unused_definitions() -> list[str]:
     """'path:line name' for every definition in src/hhx with no user."""
-    defined = []
-    used = set(hhx.__all__)
+    defined = []  # (name, where, is a method)
+    named = set(hhx.__all__)  # attributes, strings and exports
+    read = set()  # loaded bare names
     for folder in ("src/hhx", "perfbench"):
         for path, tree in _trees(folder):
+            methods = {
+                item
+                for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                for item in node.body if isinstance(item, DEFINITIONS)
+            }
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name):
                     # an assignment's own target is no use of the name
                     if not isinstance(node.ctx, ast.Store):
-                        used.add(node.id)
+                        read.add(node.id)
                 elif isinstance(node, ast.Attribute):
-                    used.add(node.attr)
+                    named.add(node.attr)
                 elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    used.add(node.value)
+                    named.add(node.value)
                 elif isinstance(node, DEFINITIONS) and folder == "src/hhx":
-                    defined.append((node.name, f"{path}:{node.lineno}"))
+                    defined.append((node.name, f"{path}:{node.lineno}", node in methods))
             if folder == "src/hhx":
                 defined.extend(
-                    (name, f"{path}:{line}") for name, line in _module_level_names(tree)
+                    (name, f"{path}:{line}", False)
+                    for name, line in _module_level_names(tree)
                 )
     return sorted(
         f"{where} {name}"
-        for name, where in defined
-        if name not in used and not (name.startswith("__") and name.endswith("__"))
+        for name, where, method in defined
+        if name not in named
+        and (method or name not in read)
+        and not (name.startswith("__") and name.endswith("__"))
     )
 
 
