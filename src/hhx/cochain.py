@@ -65,6 +65,23 @@ C^k. The popped vectors lie in N^n, so each of δ_{n-1}'s pivots has mask
 clearing is exact on N as on C. On the circle N^n holds m (d - 1)^n of the
 m d^n columns.
 
+Direct summands: every action maps the span of each connected component of
+the module basis under the action entries into itself (_summands), so M is
+the direct sum of the components' spans and the complex, with its cofaces
+and codegeneracies, is the direct sum of the complexes with coefficients in
+each: HH(X; A, M ⊕ N) = HH(X; A, M) ⊕ HH(X; A, N). Two components whose
+action matrices, relabelled in order, agree for every class are isomorphic
+summands with isomorphic complexes. So cohomology_dims forms δ_n only at
+the module indices of the first component of each group of identical ones
+(_coface_terms keeps only their module entries) and counts each pivot j
+with copies[j mod m], the size of its group. This is exact: a column at
+module index c has its rows at indices of c's component, so the
+elimination never combines two components, and the pivots at a
+component's rows number the rank of its block; clearing and normalization
+hold on each summand as on the whole. dim N^n, the pivot guard and
+everything else read the full module. With no repeated summand every
+count is 1 and δ_n is formed whole.
+
 Faces come from one table: a setup keeps the integer face rows of the
 non-basepoint simplices of every level 0..N + 1 (actions.level_rows), built
 once. A coface d^i reads entry i of each row of the level above: a position
@@ -83,8 +100,7 @@ it.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd
 from operator import mul
 
 from .actions import ActionPartition, enumerate_slots, level_rows, paranoid_visits, row_pairs
@@ -125,12 +141,13 @@ class CochainSetup:
     as it depends on N alone), a hom space within the cap exceeds the column
     budget (which counts all columns of C^n, not those of its largest weight
     block), or the identity check would make more than IDENTITY_LIMIT
-    simplex-pair visits. Next it looks up the action of each slot's class,
-    by slot number, and raises InternalError if the module supplies none
-    for a class. It then solves for the finest internal grading of the
-    algebra and the module (_grading): the null space over Q of the linear
-    equations every nonzero structure constant and action entry imposes on
-    the weights. Last it builds the face rows of levels 0..N + 1
+    simplex-pair visits. Next it finds the module's direct summands and
+    groups the identical ones (_summands), then looks up the action of each
+    slot's class, by slot number, and raises InternalError if the module
+    supplies none for a class. It then solves for the finest internal
+    grading of the algebra and the module (_grading): the null space over Q
+    of the linear equations every nonzero structure constant and action
+    entry imposes on the weights. Last it builds the face rows of levels 0..N + 1
     (actions.level_rows), which the cofaces and the identity check read.
     """
 
@@ -180,6 +197,9 @@ class CochainSetup:
                 f"the cosimplicial identity check would visit {visits} "
                 f"simplices, exceeding the limit of {IDENTITY_LIMIT}"
             )
+        # how many identical direct summands of the module each basis index
+        # stands for: 0 outside the representatives cohomology_dims forms
+        self._copies = _summands(module)
         # the action matrices of each slot's class, by slot number
         self._slot_actions = []
         for slot in enumerate_slots(space):
@@ -270,20 +290,23 @@ class CochainSetup:
             {(r, c): v for c, column in columns.items() for r, v in column.items()},
         )
 
-    def _delta_blocks(self, n: int, skip=frozenset(), masks=None):
+    def _delta_blocks(self, n: int, skip=frozenset(), masks=None, kept=None):
         """(weight, columns) for each weight block of δ_n = Σ (-1)^i d^i.
 
         The n + 2 cofaces are expanded and split by weight now, once; each
         block's nonzero columns not in skip are assembled only when the
         returned generator reaches it. With masks, _masks(n), only the
         columns of N^n are formed; without, every = 0 and all of C^n is.
+        With kept, a set of module basis indices closed under every action,
+        only the columns and rows at those module indices are formed (the
+        direct summand they span); without, every index is kept.
         """
         every, images = masks or (0, [0] * self.t[n])
         expansions = []
         if self.module.dim:
             expansions = [
                 self._expansion(
-                    (-1) ** i, every, *self._coface_terms(n, i, every, images)
+                    (-1) ** i, every, *self._coface_terms(n, i, every, images, kept)
                 )
                 for i in range(n + 2)
             ]
@@ -302,14 +325,19 @@ class CochainSetup:
                 self._expand(columns, expansion, weight, skip)
             yield weight, columns
 
-    def _coface_terms(self, n: int, i: int, every: int, images: list[int]):
+    def _coface_terms(self, n: int, i: int, every: int, images: list[int], kept=None):
         """(blocks, factors) of d^i out of degree n for _expansion; needs m > 0.
 
         A factor's term with column digit t at source position q carries the
-        mask images[q] if t is not the unit 0, else every (see _masks).
+        mask images[q] if t is not the unit 0, else every (see _masks). The
+        blocks hold only the module entries whose column is in kept (all
+        when kept is None); as kept is closed under the actions, so are
+        their rows.
         """
         d = self.algebra.dim
         m = self.module.dim
+        if kept is None:
+            kept = range(m)
         weight = self._weights[0]
         src = self._levels[n][0]
         rows = self._levels[n + 1][1]
@@ -331,10 +359,11 @@ class CochainSetup:
             else:
                 groups[f].append(place)
 
-        identity = [(u, u, 1) for u in range(m)]
+        identity = [(u, u, 1) for u in range(m) if u in kept]
         blocks = [
             (row, identity if mat is None
-             else [(r, c, v) for (r, c), v in sorted(mat.entries.items())])
+             else [(r, c, v) for (r, c), v in sorted(mat.entries.items())
+                   if c in kept])
             for row, mat in acts
         ]
 
@@ -520,7 +549,12 @@ class CochainSetup:
         block is assembled, so at most one block is held. rank δ_n is the
         number of pivots over all blocks, and dim N^n, the binomial
         inversion of the hom dims (cosimplicial Dold-Kan), stands for dim
-        C^n. Clearing is exact as δδ = 0, and normalizing as δ N^n ⊂
+        C^n. δ_n is formed only on one representative of each group of
+        identical direct summands of the module (_summands), and each pivot
+        counts as many times as its group has members: the complex is the
+        direct sum of the complexes of the summands, HH(X; A, M ⊕ N) =
+        HH(X; A, M) ⊕ HH(X; A, N), and no pivot's vector leaves its
+        summand. Clearing is exact as δδ = 0, and normalizing as δ N^n ⊂
         N^{n+1} with the same cohomology; both need the cosimplicial
         identities, so a setup whose identities fail raises
         ValidationError. A pivot of δ_{n-1} whose decoded mask is not 0
@@ -535,6 +569,8 @@ class CochainSetup:
         p = self.algebra.field.p
         d = self.algebra.dim
         m = self.module.dim
+        copies = self._copies
+        kept = {c for c, k in enumerate(copies) if k}
         ranks = []
         pivots = frozenset()
         for n in range(self.max_degree + 1):
@@ -542,10 +578,11 @@ class CochainSetup:
             if any(_column_mask(j // m, d, *masks) for j in pivots):
                 raise InternalError(f"δ_{n - 1} has a pivot outside N^{n}")
             found = set()
-            for _, columns in self._delta_blocks(n, pivots, masks):
+            for _, columns in self._delta_blocks(n, pivots, masks, kept):
                 found |= _eliminate(columns, p)
             pivots = found
-            ranks.append(len(pivots))
+            # a pivot lies at a row of the summand its column came from
+            ranks.append(sum(copies[j % m] for j in pivots))
         # C^n = ⊕ N^k over the surjections [n] -> [k] (cosimplicial Dold-Kan)
         dims = [
             sum((-1) ** (n - k) * comb(n, k) * self.hom_dims[k] for k in range(n + 1))
@@ -574,7 +611,7 @@ def _grading(algebra: Algebra, module: MultiModule, most: int) -> tuple[list, li
     of a has a nonzero (r, c) entry; then every coface and codegeneracy
     keeps the weight w_M(c) - Σ w(digits) of a hom basis element. The
     solutions are the null space over Q of these equations (_eliminate, then
-    back-substitution through its echelon vectors), and each basis
+    back-substitution in integers through its echelon vectors), and each basis
     element's weight is its tuple of coordinates in the basis of that space
     that sets one free unknown to 1, so no grading is finer and each module
     component gets its own offset. The tuples are scaled to integers and
@@ -603,21 +640,81 @@ def _grading(algebra: Algebra, module: MultiModule, most: int) -> tuple[list, li
     pivots = _eliminate(dict(enumerate(equations)), 0, echelon)
     free = [u for u in range(d + module.dim) if u not in pivots]
     # each unknown as a combination of the free ones; an echelon vector is
-    # zero at the pivots popped before it, so solve the last popped first
-    solved = {u: {u: 1} for u in free}
+    # zero at the pivots popped before it, so solve the last popped first.
+    # In integers: an unknown is (s, numerators), its value numerators / s,
+    # where s is the product of the pivots used when it was solved, so s
+    # divides scale, the product of them all
+    scale = 1
+    solved = {u: (1, {u: 1}) for u in free}
     for col, piv, rest in reversed(echelon):
         value = {}
         for u, v in rest.items():
-            for f, x in solved[u].items():
-                value[f] = value.get(f, 0) - Fraction(v, piv) * x
-        solved[col] = value
-    scale = lcm(*(Fraction(x).denominator for v in solved.values() for x in v.values()))
+            s, vector = solved[u]
+            for f, x in vector.items():
+                value[f] = value.get(f, 0) - v * x * (scale // s)
+        scale *= piv
+        solved[col] = scale, value
     vectors = [
-        [int(solved[u].get(f, 0) * scale) for f in free] for u in range(d + module.dim)
+        [vector.get(f, 0) * (scale // s) for f in free]
+        for s, vector in map(solved.get, range(d + module.dim))
     ]
+    # the values are vectors / scale: scale them by the least positive
+    # integer that clears every denominator, |scale| / gcd(scale, vectors)
+    common = gcd(scale, *itertools.chain.from_iterable(vectors))
+    if scale < 0:
+        common = -common
+    vectors = [[x // common for x in v] for v in vectors]
     base = 2 * (most + 1) * max((abs(x) for v in vectors for x in v), default=0) + 1
     weights = [sum(x * base**k for k, x in enumerate(v)) for v in vectors]
     return weights[:d], weights[d:]
+
+
+def _summands(module: MultiModule) -> list[int]:
+    """copies[c] for each module basis index c: the number of identical
+    direct summands that c's summand stands for if it is the first of them,
+    else 0.
+
+    The summands are the connected components of the basis under every
+    action entry (r, c), found by union-find in one pass over the entries;
+    every action maps a component's span into itself. Two components are
+    identical when every class's action matrices, with each component's
+    indices relabelled 0, 1, ... in order, are equal (which fixes the size,
+    as every index of a component larger than one has an entry); the first
+    of each group (by its least index) represents it. With no action at
+    all every basis vector is its own component, and all of them are
+    identical.
+    """
+    m = module.dim
+    matrices = [mat for mats in module.actions.values() for mat in mats]
+    # union-find with path halving; a root is its component's least index
+    root = list(range(m))
+    for mat in matrices:
+        for r, c in mat.entries:
+            while r != root[r]:
+                root[r] = r = root[root[r]]
+            while c != root[c]:
+                root[c] = c = root[root[c]]
+            root[max(r, c)] = min(r, c)
+    # root[u] <= u, so in increasing order root[root[u]] is already final;
+    # each component, by its root, as (indices, entries relabelled by place)
+    parts = {}
+    place = []
+    for u in range(m):
+        root[u] = root[root[u]]
+        indices = parts.setdefault(root[u], ([], []))[0]
+        place.append(len(indices))
+        indices.append(u)
+    for k, mat in enumerate(matrices):
+        for (r, c), v in mat.entries.items():
+            parts[root[r]][1].append((k, place[r], place[c], v))
+    groups = {}
+    for indices, entries in parts.values():
+        groups.setdefault(frozenset(entries), []).append(indices)
+    copies = [0] * m
+    for same in groups.values():
+        for u in same[0]:
+            copies[u] = len(same)
+    return copies
 
 
 def _choices(start, factors, p, every, rest) -> dict:

@@ -3,7 +3,8 @@
 A field is its characteristic p: 0 for the rationals, a prime for F_p.
 Scalars are plain Python numbers: over the rationals an element is an int
 whenever it is integral and a fractions.Fraction otherwise (the two mix
-exactly and compare/hash equal); over F_p an element is an int in [0, p).
+exactly and compare/hash equal; the module is loaded only when a "p/q"
+literal is read); over F_p an element is an int in [0, p).
 Arithmetic on them is Python's own, and the one reduction rule is "% p if
 p": a Matrix reduces its entries mod p and drops the zeros as it is
 constructed, so its sums and products add and multiply plain numbers. No
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 
@@ -62,13 +62,20 @@ class Field:
         optional "/" and denominator: no exponent, decimal point, sign "+",
         space, underscore or non-ASCII digit, since Fraction would take an
         exponent such as "1e10000000" at a cost that grows without bound.
+        An int or a string of digits is read by int(); only a string with a
+        "/" loads the fractions module, so integer input never does.
         """
         if isinstance(value, bool) or not isinstance(value, (int, str)):
             raise FormatError(f"not an exact scalar: {_abridged(value)}")
         if isinstance(value, str) and not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", value):
             raise FormatError(f"bad scalar literal {_abridged(value)}")
         try:
-            f = Fraction(value)
+            if isinstance(value, int) or "/" not in value:
+                f = int(value)
+            else:
+                from fractions import Fraction
+
+                f = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"bad scalar literal {_abridged(value)}") from exc
         p = self.p

@@ -5,12 +5,12 @@ newline, an indent or a dedent, and ast does not place it inside a module,
 class or function docstring. A token that spans lines (a triple-quoted
 string) puts each of them on the count.
 
-Run from the repository root, or give another source folder:
+Run from any directory; the folder defaults to src/hhx of this repository:
 
     python tests/code_lines.py [FOLDER]
 
-It prints one line per module and the total. Not a test: pytest collects
-only test_*.py files.
+It prints one line per module and the total, and exits with status 2 if the
+folder holds no *.py file. Not a test: pytest collects only test_*.py files.
 """
 
 import ast
@@ -54,10 +54,17 @@ def code_lines(source: str) -> int:
     return len(lines - docstring_lines(ast.parse(source)))
 
 
+DEFAULT = Path(__file__).resolve().parent.parent / "src" / "hhx"
+
+
 def main(argv) -> int:
-    root = Path(argv[1] if len(argv) > 1 else "src/hhx")
+    root = Path(argv[1]) if len(argv) > 1 else DEFAULT
+    paths = sorted(root.glob("*.py"))
+    if not paths:
+        print(f"code_lines: no *.py file in {root}", file=sys.stderr)
+        return 2
     total = 0
-    for path in sorted(root.glob("*.py")):
+    for path in paths:
         count = code_lines(path.read_text())
         total += count
         print(f"{path.name:16} {count:6,}")

@@ -2,7 +2,8 @@
 
 import itertools
 import random
-from math import comb
+from fractions import Fraction
+from math import comb, lcm
 
 from hhx import (
     ActionSlot,
@@ -15,7 +16,7 @@ from hhx import (
     sweep_closure,
     validate_module,
 )
-from hhx.exactlinalg import Matrix
+from hhx.exactlinalg import Matrix, _eliminate
 
 DUAL_DOC = {
     "field": "Q",
@@ -354,3 +355,68 @@ def degenerate_columns(setup, n):
             value = sum(t * place for t, place in zip(digits, places))
             out.update(value * m + c for c in range(m))
     return out
+
+
+def direct_sum(*modules):
+    """The block-diagonal sum of modules acting through the same class ids."""
+    dims = [module.dim for module in modules]
+    offsets = list(itertools.accumulate(dims, initial=0))
+    m = offsets[-1]
+    first = modules[0]
+    actions = {}
+    for key, mats in first.actions.items():
+        field = mats[0].field
+        actions[key] = tuple(
+            Matrix(field, m, m, {
+                (offset + r, offset + c): v
+                for module, offset in zip(modules, offsets)
+                for (r, c), v in module.actions[key][t].entries.items()
+            })
+            for t in range(len(mats))
+        )
+    return MultiModule(m, actions)
+
+
+def reference_grading(algebra, module, most):
+    """The weights of cochain._grading, back-substituted over Fraction.
+
+    The same equations and elimination, then each unknown solved as a
+    combination of the free ones in Fractions, and every tuple scaled by the
+    lcm of all denominators: the solve the engine did before it kept
+    integers throughout.
+    """
+    d = algebra.dim
+    equations = []
+
+    def equation(plus, *minus):
+        vector = {plus: 1}
+        for u in minus:
+            vector[u] = vector.get(u, 0) - 1
+        equations.append({u: v for u, v in vector.items() if v})
+
+    for a in range(d):
+        for b in range(a, d):
+            for c, v in enumerate(algebra.mul[a][b]):
+                if v != 0:
+                    equation(c, a, b)
+    for mats in module.actions.values():
+        for a, mat in enumerate(mats):
+            for r, c in mat.entries:
+                equation(d + r, a, d + c)
+    echelon = []
+    pivots = _eliminate(dict(enumerate(equations)), 0, echelon)
+    free = [u for u in range(d + module.dim) if u not in pivots]
+    solved = {u: {u: 1} for u in free}
+    for col, piv, rest in reversed(echelon):
+        value = {}
+        for u, v in rest.items():
+            for f, x in solved[u].items():
+                value[f] = value.get(f, 0) - Fraction(v, piv) * x
+        solved[col] = value
+    scale = lcm(*(Fraction(x).denominator for v in solved.values() for x in v.values()))
+    vectors = [
+        [int(solved[u].get(f, 0) * scale) for f in free] for u in range(d + module.dim)
+    ]
+    base = 2 * (most + 1) * max((abs(x) for v in vectors for x in v), default=0) + 1
+    weights = [sum(x * base**k for k, x in enumerate(v)) for v in vectors]
+    return weights[:d], weights[d:]

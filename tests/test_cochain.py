@@ -336,8 +336,8 @@ def test_report_assembles_each_delta_once_and_keeps_none(monkeypatch):
     built = []
     original_blocks = CochainSetup._delta_blocks
 
-    def recording_blocks(self, n, skip, masks):
-        for weight, columns in original_blocks(self, n, skip, masks):
+    def recording_blocks(self, n, skip, masks, kept):
+        for weight, columns in original_blocks(self, n, skip, masks, kept):
             built.append((n, weight, columns))
             yield weight, columns
 

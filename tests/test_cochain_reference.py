@@ -608,33 +608,51 @@ def test_counted_normalized_dims_leave_out_the_degenerate_columns(
             assert decoded == degenerate, n
 
 
-@pytest.mark.parametrize("make,args", NORMALIZED_CASES, ids=NORMALIZED_IDS)
-def test_normalized_blocks_are_the_reference_delta_off_d_and_the_pivots(make, args):
-    # cohomology_dims' blocks: δ_n formed on N^n only, cleared of δ_{n-1}'s
-    # pivots, against the reference δ_n with the columns of D^n and the
-    # pivots left out
-    setup = make(*args)
+def check_normalized_blocks(setup, kept=None):
+    """cohomology_dims' blocks: δ_n formed on N^n only, cleared of δ_{n-1}'s
+    pivots and, given kept, formed only at those module indices, against
+    the reference δ_n with the columns of D^n, the pivots and every other
+    module index left out."""
     p = setup.algebra.field.p
+    m = setup.module.dim
+    indices = range(m) if kept is None else kept
     pivots = set()
     checked = []
     for n in range(setup.max_degree + 1):
-        blocks = list(setup._delta_blocks(n, pivots, setup._masks(n)))
+        blocks = list(setup._delta_blocks(n, pivots, setup._masks(n), kept))
         # the reference visits every (target, source) basis pair
         if setup.hom_dims[n + 1] * setup.hom_dims[n] <= 2**15:
             left_out = degenerate_columns(setup, n) | pivots
             expected = {
                 (r, c): v for (r, c), v in slow_differential(setup, n).entries.items()
-                if c not in left_out
+                if c not in left_out and c % m in indices
             }
             entries = {
                 (r, c): v for c, column in cochain._merged(blocks).items()
                 for r, v in column.items()
             }
             assert entries == expected, n
+            # a summand's rows are its own
+            assert all(r % m in indices for r, _ in entries), n
             checked.append(n)
         pivots = set().union(*(_eliminate(columns, p) for _, columns in blocks))
     # every setup has a degree n >= 1, with pivots and D^n to leave out
     assert checked[-1] >= 1, checked
+
+
+@pytest.mark.parametrize("make,args", NORMALIZED_CASES, ids=NORMALIZED_IDS)
+def test_normalized_blocks_are_the_reference_delta_off_d_and_the_pivots(make, args):
+    check_normalized_blocks(make(*args))
+
+
+@pytest.mark.parametrize("make,args", NORMALIZED_CASES, ids=NORMALIZED_IDS)
+def test_restricted_blocks_are_the_reference_delta_at_the_representatives(make, args):
+    # kept as cohomology_dims passes it: one representative of each group
+    # of identical summands. The one-class "end" setups keep one of two
+    # summands (test_summands checks their copies); the others keep every
+    # index
+    setup = make(*args)
+    check_normalized_blocks(setup, {c for c, k in enumerate(setup._copies) if k})
 
 
 # top degree of each space in the per-slot module draws

@@ -20,6 +20,8 @@ from helpers import DUAL_DOC, SCAN_LIKE_DOC
 SRC = Path(__file__).resolve().parent.parent / "src"
 ENV = dict(os.environ, PYTHONPATH=str(SRC))
 ALGEBRA_SIDE = {"hhx.coeffalg", "hhx.exactlinalg", "hhx.cochain"}
+# what `from fractions import Fraction` loads; integer input needs none of it
+NUMERIC = {"fractions", "decimal", "numbers"}
 
 # hhx.__all__ as published; the lazy namespace must keep it, in this order
 EXPORTS = [
@@ -66,14 +68,17 @@ try:
     runpy.run_module("hhx", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     status = exc.code
-print(json.dumps([status, sorted(m for m in sys.modules if m.startswith("hhx"))]))
+print(json.dumps([status, sorted(
+    m for m in sys.modules if m.startswith("hhx") or m in NUMERIC
+)]))
 """
 
 
 def hhx_modules_loaded(*argv):
-    """The hhx modules a fresh `python -m hhx argv` process imports."""
+    """The hhx modules, and those of NUMERIC, that a fresh `python -m hhx
+    argv` process imports."""
     proc = subprocess.run(
-        [sys.executable, "-c", RUN_AND_LIST, *argv],
+        [sys.executable, "-c", f"NUMERIC = {sorted(NUMERIC)}\n" + RUN_AND_LIST, *argv],
         capture_output=True, text=True, env=ENV, timeout=120, check=True,
     )
     status, loaded = json.loads(proc.stdout.splitlines()[-1])
@@ -109,6 +114,43 @@ def test_template_and_cohomology_load_the_algebra_side(tmp_path):
         "--algebra", str(algebra), "--module", str(module),
     )
     assert ALGEBRA_SIDE <= loaded
+
+
+@pytest.mark.parametrize("field", [[], ["--field", "F5"]], ids=["Q", "F5"])
+def test_integer_cohomology_loads_no_fraction_module(tmp_path, field):
+    # every scalar of the documents is an int, so no "p/q" literal is read
+    algebra = tmp_path / "dual.json"
+    algebra.write_text(json.dumps(DUAL_DOC), encoding="utf-8")
+    module = tmp_path / "module.json"
+    assert cli.main([
+        "actions", "--builtin", "torus",
+        "--algebra", str(algebra), "--emit-template", str(module),
+    ]) == 0
+    loaded = hhx_modules_loaded(
+        "cohomology", "--builtin", "torus",
+        "--algebra", str(algebra), "--module", str(module), "-N", "1", *field,
+    )
+    assert ALGEBRA_SIDE <= loaded
+    assert not loaded & NUMERIC
+
+
+def test_fractional_literal_loads_fractions_and_parses_exactly():
+    script = (
+        "import sys\n"
+        "from hhx.exactlinalg import QQ, PrimeField\n"
+        "before = 'fractions' in sys.modules\n"
+        "whole = QQ.parse('-12'), QQ.parse(7), PrimeField(5).parse('-12')\n"
+        "between = 'fractions' in sys.modules\n"
+        "half = QQ.parse('1/2')\n"
+        "from fractions import Fraction\n"
+        "print(before, between, whole == (-12, 7, 3), type(half) is Fraction, "
+        "half == Fraction(1, 2), PrimeField(5).parse('1/2'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=ENV, timeout=120, check=True,
+    )
+    assert proc.stdout.split() == ["False", "False", "True", "True", "True", "3"]
 
 
 def test_public_names_are_unchanged_listed_and_resolve_lazily():
