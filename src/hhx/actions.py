@@ -4,13 +4,15 @@ A slot is a pair (non-degenerate simplex, face index) whose indexed face is
 the basepoint; slots on degenerate simplices reduce to slots on their
 underlying generator, at the face index that pushing the face through the
 degeneracy word leaves (_face_rows). Scanning every generator of dimension
->= 2 produces forced identifications between slots (closure_pairs); their
-union-find closure is the finest partition compatible with a cosimplicial
-structure, and its class count says what kind of coefficient module the
-space admits. Each class keys one action of the coefficient module
-(ActionPartition.class_of); the partition in which every slot is its own
-class, partition_from_pairs(enumerate_slots(space), ()), keys one action
-per slot.
+>= 2 produces forced identifications between slots (closure_pairs), as
+pairs of slot numbers: slot k is enumerate_slots(space)[k]. Their closure,
+ActionPartition(slots, pairs), is the finest partition compatible with a
+cosimplicial structure, and its class count says what kind of coefficient
+module the space admits; least_roots, the one union-find on integers (the
+module summands of a cochain setup use it too), finds its classes. Each
+class keys one action of the coefficient module (ActionPartition.class_of);
+the partition in which every slot is its own class,
+ActionPartition(enumerate_slots(space), ()), keys one action per slot.
 
 Faces are read from integer rows, one per simplex: entry k is the position
 of d_k s among the faces below, or ~p where d_k s is the basepoint and p is
@@ -63,10 +65,6 @@ class ActionSlot(NamedTuple):
     index: int
 
     @property
-    def key(self) -> tuple[str, int]:
-        return (self.generator.name, self.index)
-
-    @property
     def id(self) -> str:
         return f"{self.generator.name}.{self.index}"
 
@@ -80,52 +78,42 @@ class ActionSlot(NamedTuple):
         return f"ActionSlot({self.id})"
 
 
-class UnionFind:
-    """Plain union-find with path compression over hashable items."""
+def least_roots(size: int, pairs) -> list[int]:
+    """root[u] for u < size: the least member of u's class, the classes
+    being those of the equivalence the pairs (a, b) of ints < size generate.
 
-    def __init__(self, items=()):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-    def classes(self):
-        groups = {}
-        for x in self.parent:
-            groups.setdefault(self.find(x), []).append(x)
-        return list(groups.values())
+    Union-find with path halving in which the least index becomes the root,
+    so root[u] <= u throughout; in increasing order root[root[u]] is then
+    already final, and one pass leaves every root[u] the least member.
+    """
+    root = list(range(size))
+    for a, b in pairs:
+        while a != root[a]:
+            root[a] = a = root[root[a]]
+        while b != root[b]:
+            root[b] = b = root[root[b]]
+        root[max(a, b)] = min(a, b)
+    for u in range(size):
+        root[u] = root[root[u]]
+    return root
 
 
 class ActionPartition:
-    """Slots partitioned into classes; class id = smallest member's id."""
+    """The classes of slots, numbered in order, under pairs of slot numbers.
 
-    def __init__(self, slots, classes):
-        self.slots = tuple(sorted(slots, key=lambda s: s.key))
-        self.classes = tuple(
-            sorted(
-                (tuple(sorted(cls, key=lambda s: s.key)) for cls in classes),
-                key=lambda cls: cls[0].key,
-            )
-        )
-        covered = [s for cls in self.classes for s in cls]
-        if sorted(covered, key=lambda s: s.key) != list(self.slots):
-            raise InternalError("classes do not partition the slot set")
-        self._class_of = {}
-        for cls in self.classes:
-            cid = cls[0].id
-            for slot in cls:
-                self._class_of[slot] = cid
+    slots come in enumerate_slots order, sorted by (generator name, index);
+    least_roots finds the classes, so they come out in order of their least
+    members, each in slot order, and a class id is its least member's id.
+    """
+
+    def __init__(self, slots, pairs):
+        self.slots = tuple(slots)
+        root = least_roots(len(self.slots), pairs)
+        classes = {}
+        for slot, r in zip(self.slots, root):
+            classes.setdefault(r, []).append(slot)
+        self.classes = tuple(map(tuple, classes.values()))
+        self._class_of = {slot: self.slots[r].id for slot, r in zip(self.slots, root)}
 
     @property
     def class_count(self) -> int:
@@ -286,8 +274,9 @@ def row_pairs(simplices, rows, lower):
                 yield i, j, via_j, via_i
 
 
-def closure_pairs(space: SimplicialSpace) -> list[tuple[ActionSlot, ActionSlot]]:
-    """All identifications from scanning the generators of dimension >= 2.
+def closure_pairs(space: SimplicialSpace) -> list[tuple[int, int]]:
+    """All identifications from scanning the generators of dimension >= 2, as
+    pairs of slot numbers.
 
     The generators' faces and those faces' faces are positioned in order of
     first use, since they need not fill whole levels, and their rows are
@@ -300,12 +289,11 @@ def closure_pairs(space: SimplicialSpace) -> list[tuple[ActionSlot, ActionSlot]]
         for g in sorted(space.generators, key=lambda g: g.name)
         if g.dim >= 2
     ]
-    slots = enumerate_slots(space)
-    numbers = {slot: k for k, slot in enumerate(slots)}
+    numbers = {slot: k for k, slot in enumerate(enumerate_slots(space))}
     faces = _Positions()
     rows = _face_rows(space, cells, faces, numbers)
     lower = _face_rows(space, list(faces), _Positions(), numbers)
-    return [(slots[a], slots[b]) for _, _, a, b in row_pairs(cells, rows, lower)]
+    return [pair[2:] for pair in row_pairs(cells, rows, lower)]
 
 
 def _template(n: int, d: int, below):
@@ -392,16 +380,9 @@ def level_rows(space: SimplicialSpace, top: int):
         yield level, rows
 
 
-def partition_from_pairs(slots, pairs) -> ActionPartition:
-    uf = UnionFind(slots)
-    for a, b in pairs:
-        uf.union(a, b)
-    return ActionPartition(slots, uf.classes())
-
-
 def sweep_closure(space: SimplicialSpace) -> ActionPartition:
     """The finest slot partition closed under the face-scan identifications."""
-    return partition_from_pairs(enumerate_slots(space), closure_pairs(space))
+    return ActionPartition(enumerate_slots(space), closure_pairs(space))
 
 
 def paranoid_visits(space: SimplicialSpace, dim_cap: int) -> int:
@@ -448,5 +429,4 @@ def paranoid_closure(space: SimplicialSpace, dim_cap: int) -> ActionPartition:
         if n >= 2:
             pairs.update(map(itemgetter(2, 3), row_pairs(level, rows, lower)))
         lower = rows
-    slots = enumerate_slots(space)
-    return partition_from_pairs(slots, [(slots[a], slots[b]) for a, b in pairs])
+    return ActionPartition(enumerate_slots(space), pairs)

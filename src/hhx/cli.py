@@ -240,7 +240,7 @@ def cmd_actions(args) -> int:
 
 
 def cmd_cohomology(args) -> int:
-    from .actions import enumerate_slots, partition_from_pairs, sweep_closure
+    from .actions import ActionPartition, enumerate_slots, sweep_closure
 
     _bind_algebra_side()
     if args.max_degree < 1:
@@ -250,7 +250,7 @@ def cmd_cohomology(args) -> int:
     space = _load_space(args)
     if args.override_slots:
         # every slot its own class: one action per slot
-        partition = partition_from_pairs(enumerate_slots(space), ())
+        partition = ActionPartition(enumerate_slots(space), ())
     else:
         partition = sweep_closure(space)
     field = field_from_text(args.field) if args.field else None

@@ -103,7 +103,14 @@ import itertools
 from math import comb, gcd
 from operator import mul
 
-from .actions import ActionPartition, enumerate_slots, level_rows, paranoid_visits, row_pairs
+from .actions import (
+    ActionPartition,
+    enumerate_slots,
+    least_roots,
+    level_rows,
+    paranoid_visits,
+    row_pairs,
+)
 from .coeffalg import Algebra, MultiModule, _unit_vector
 from .errors import (
     DEFAULT_BUDGET,
@@ -675,32 +682,22 @@ def _summands(module: MultiModule) -> list[int]:
     else 0.
 
     The summands are the connected components of the basis under every
-    action entry (r, c), found by union-find in one pass over the entries;
-    every action maps a component's span into itself. Two components are
-    identical when every class's action matrices, with each component's
-    indices relabelled 0, 1, ... in order, are equal (which fixes the size,
-    as every index of a component larger than one has an entry); the first
-    of each group (by its least index) represents it. With no action at
-    all every basis vector is its own component, and all of them are
-    identical.
+    action entry (r, c), found by actions.least_roots in one pass over the
+    entries; every action maps a component's span into itself. Two
+    components are identical when every class's action matrices, with each
+    component's indices relabelled 0, 1, ... in order, are equal (which
+    fixes the size, as every index of a component larger than one has an
+    entry); the first of each group (by its least index) represents it.
+    With no action at all every basis vector is its own component, and all
+    of them are identical.
     """
     m = module.dim
     matrices = [mat for mats in module.actions.values() for mat in mats]
-    # union-find with path halving; a root is its component's least index
-    root = list(range(m))
-    for mat in matrices:
-        for r, c in mat.entries:
-            while r != root[r]:
-                root[r] = r = root[root[r]]
-            while c != root[c]:
-                root[c] = c = root[root[c]]
-            root[max(r, c)] = min(r, c)
-    # root[u] <= u, so in increasing order root[root[u]] is already final;
-    # each component, by its root, as (indices, entries relabelled by place)
+    root = least_roots(m, itertools.chain.from_iterable(mat.entries for mat in matrices))
+    # each component by its least index: (indices, entries relabelled by place)
     parts = {}
     place = []
     for u in range(m):
-        root[u] = root[root[u]]
         indices = parts.setdefault(root[u], ([], []))[0]
         place.append(len(indices))
         indices.append(u)

@@ -105,9 +105,9 @@ class PrimeField(Field):
     def __init__(self, p: int):
         # size first: trial division of a prime near 2**61 takes minutes
         if isinstance(p, int) and p >= 2**31:
-            raise FormatError(f"prime-field modulus too large: {p}")
+            raise FormatError(f"prime-field modulus too large: {_abridged(p)}")
         if not isinstance(p, int) or not _is_prime(p):
-            raise FormatError(f"prime-field modulus must be prime, got {p!r}")
+            raise FormatError(f"prime-field modulus must be prime, got {_abridged(p)}")
         super().__init__(p)
 
 
@@ -120,7 +120,7 @@ def field_from_json(obj) -> Field:
         return QQ
     if isinstance(obj, dict) and set(obj) == {"Fp"}:
         return PrimeField(obj["Fp"])
-    raise FormatError(f'bad field spec {obj!r} (expected "Q" or {{"Fp": p}})')
+    raise FormatError(f'bad field spec {_abridged(obj)} (expected "Q" or {{"Fp": p}})')
 
 
 def field_from_text(text: str) -> Field:
@@ -132,8 +132,14 @@ def field_from_text(text: str) -> Field:
     if text == "Q":
         return QQ
     if re.fullmatch(r"F[1-9][0-9]*", text):
+        # the length first: int() refuses more than 4,300 digits
+        if len(text) > 41:
+            raise FormatError(
+                f"prime-field modulus too large: {text[1:41]}... "
+                f"({len(text) - 1} characters)"
+            )
         return PrimeField(int(text[1:]))
-    raise FormatError(f"bad field {text!r} (expected Q or F<p>)")
+    raise FormatError(f"bad field {_abridged(text)} (expected Q or F<p>)")
 
 
 class Matrix:

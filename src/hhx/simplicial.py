@@ -20,7 +20,7 @@ import itertools
 import re
 from typing import NamedTuple
 
-from .errors import FormatError, ValidationError, read_json
+from .errors import FormatError, ValidationError, _abridged, read_json
 
 
 class Generator:
@@ -381,7 +381,7 @@ def _builtin_doc(name: str):
                  "faces": [["a", []], collapsed, ["c", []]]},
             ],
         }
-    raise FormatError(f"unknown builtin space {name!r}")
+    raise FormatError(f"unknown builtin space {_abridged(name)}")
 
 
 def builtin_space(name: str) -> SimplicialSpace:

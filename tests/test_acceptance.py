@@ -19,7 +19,7 @@ from helpers import (
     space_and_partition,
 )
 from hhx import CochainSetup, classical_hochschild_dims, paranoid_closure
-from hhx.actions import partition_from_pairs
+from hhx.actions import ActionPartition
 
 BUILTINS = ("circle", "sphere2", "sphere3", "sphere4", "torus", "pinched-torus")
 
@@ -211,7 +211,7 @@ def test_criterion_7_unequal_slot_actions_break_identity_a():
         unequal = multiplication_module(
             algebra, {"sigma.0": None, "sigma.1": None, "sigma.2": twist}
         )
-        per_slot = partition_from_pairs(partition.slots, ())
+        per_slot = ActionPartition(partition.slots, ())
         setup = CochainSetup(space, algebra, unequal, per_slot, 2)
         failures = setup.check_cosimplicial_identities()
         assert any(f["relation"] == "a" for f in failures)

@@ -24,13 +24,14 @@ from helpers import (
 from hhx import actions, cochain
 from hhx.actions import (
     PARANOID_LIMIT,
+    ActionPartition,
     ActionSlot,
     closure_pairs,
     enumerate_slots,
+    least_roots,
     level_rows,
     paranoid_closure,
     paranoid_visits,
-    partition_from_pairs,
     row_pairs,
     sweep_closure,
 )
@@ -142,10 +143,16 @@ def slow_level_pairs(space, top):
                     yield (n, *pair)
 
 
+def slot_numbers(space, pairs):
+    """Pairs of ActionSlots as pairs of their numbers in enumerate_slots."""
+    numbers = {slot: k for k, slot in enumerate(enumerate_slots(space))}
+    return [(numbers[a], numbers[b]) for a, b in pairs]
+
+
 def slow_paranoid_closure(space, dim_cap):
     """paranoid_closure without the face rows."""
     pairs = [pair[3:] for pair in slow_level_pairs(space, dim_cap)]
-    return partition_from_pairs(enumerate_slots(space), pairs)
+    return ActionPartition(enumerate_slots(space), slot_numbers(space, pairs))
 
 
 def record_face_rows(monkeypatch):
@@ -355,7 +362,6 @@ def test_action_slot_equality_hash_and_class_lookup():
     assert slot != ActionSlot(sigma, 0)
     assert slot != ActionSlot(generator(space, "tau"), 1)
     assert (slot.generator, slot.index) == (sigma, 1)
-    assert slot.key == ("sigma", 1)
     assert slot.id == "sigma.1"
     assert slot.describe() == "sigma.1"
     assert repr(slot) == "ActionSlot(sigma.1)"
@@ -449,11 +455,47 @@ def test_class_ids_are_least_members():
     assert ids(partition.classes[1]) == ["a.1", "c.0", "sigma.1"]
 
 
+def naive_least_members(size, pairs):
+    """The least member of each u's class, by breadth-first search."""
+    neighbours = [set() for _ in range(size)]
+    for a, b in pairs:
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    least = [None] * size
+    for u in range(size):
+        if least[u] is None:
+            least[u], todo = u, [u]
+            while todo:
+                for v in neighbours[todo.pop()]:
+                    if least[v] is None:
+                        least[v] = u
+                        todo.append(v)
+    return least
+
+
+def test_least_roots_matches_a_breadth_first_search():
+    rng = random.Random(26)
+    for trial in range(400):
+        size = trial % 41
+        pairs = [(rng.randrange(size), rng.randrange(size))
+                 for _ in range(rng.randrange(2 * size + 1))] if size else []
+        if size:
+            u = rng.randrange(size)
+            pairs += [(u, u)] + pairs[: rng.randrange(4)]  # a self-pair, repeats
+        rng.shuffle(pairs)
+        root = least_roots(size, pairs)
+        assert root == naive_least_members(size, pairs), (size, pairs)
+        assert all(root[u] <= u and root[root[u]] == root[u] for u in range(size))
+        # the partition does not depend on the order of the pairs or within one
+        flipped = [(b, a) for a, b in reversed(pairs)]
+        assert least_roots(size, flipped) == root
+
+
 def test_closure_idempotent():
     for name in BUILTINS:
         space = builtin_space(name)
         partition = sweep_closure(space)
-        again = partition_from_pairs(partition.slots, closure_pairs(space))
+        again = ActionPartition(partition.slots, closure_pairs(space))
         assert again.same_classes(partition)
 
 
@@ -464,7 +506,7 @@ def test_closure_scan_order_independent():
         for seed in range(5):
             pairs = closure_pairs(space)
             random.Random(seed).shuffle(pairs)
-            shuffled = partition_from_pairs(enumerate_slots(space), pairs)
+            shuffled = ActionPartition(enumerate_slots(space), pairs)
             assert shuffled.same_classes(reference)
 
 
@@ -576,7 +618,7 @@ def test_paranoid_scan_computes_each_face_once(monkeypatch):
         {"name": "point", "basepoint": "pt", "simplices": [{"name": "pt", "dim": 0}]}
     )
     alg = ground_field()
-    partition = partition_from_pairs(enumerate_slots(point), ())
+    partition = ActionPartition(enumerate_slots(point), ())
     setup = CochainSetup(point, alg, identity_module(alg.field, 1, ()), partition, 50)
     assert setup.check_cosimplicial_identities() == []
     assert calls == []
@@ -607,7 +649,7 @@ def test_basepoint_entries_number_the_slots_of_enumerate_slots(monkeypatch, name
                     assert slots[~entry] == slot_at(s, k)
                     numbered.add(~entry)
     assert numbered == set(range(len(slots)))
-    # closure_pairs' rows (check_face_rows) and the pairs it maps from them
+    # closure_pairs' rows (check_face_rows) and the slot numbers it reads off them
     tables = record_face_rows(monkeypatch)
     pairs = closure_pairs(space)
     assert (check_face_rows(space, tables) > 0) == (space.max_dim >= 2)
@@ -615,9 +657,10 @@ def test_basepoint_entries_number_the_slots_of_enumerate_slots(monkeypatch, name
              if g.dim >= 2]
     if cells:
         rows, lower = tables[0][2], tables[1][2]
-        assert pairs == [(slots[a], slots[b])
-                         for _, _, a, b in row_pairs(cells, rows, lower)]
-        assert pairs == [pair[2:] for s in cells for pair in slot_pairs(space, s)]
+        assert pairs == [pair[2:] for pair in row_pairs(cells, rows, lower)]
+        assert pairs == slot_numbers(
+            space, [pair[2:] for s in cells for pair in slot_pairs(space, s)]
+        )
 
 
 @pytest.mark.parametrize("name", ("scan-like", "multi-vertex") + BUILTINS)

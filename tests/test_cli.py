@@ -17,8 +17,12 @@ from helpers import (
     dual_numbers,
     multiplication_module,
 )
-from hhx import actions
+from hhx import actions, classical_hochschild_dims
+from hhx.actions import sweep_closure
 from hhx.cli import main
+from hhx.coeffalg import load_module, parse_algebra
+from hhx.exactlinalg import Matrix, field_from_text
+from hhx.simplicial import builtin_space
 
 
 def run_cli(capsys, *argv):
@@ -386,6 +390,44 @@ def test_cohomology_field_override(tmp_path, capsys):
     assert json.loads(out)["hh_dims"] == [2, 1, 1, 1]
 
 
+# Q[x]/(x^2 - x - 1), basis 1, x: x x = 1 + x, a product with two nonzero
+# coordinates, so the module check adds matrices (MultiModule.act)
+GOLDEN_RATIO_DOC = {
+    "field": "Q",
+    "basis": ["1", "x"],
+    "mul": [[[1, 0], [0, 1]], [[0, 1], [1, 1]]],
+}
+
+
+@pytest.mark.parametrize("field,dims", [("Q", [2, 0, 0, 0]), ("F11", [2, 0, 0, 0]),
+                                        ("F5", [2, 1, 1, 1])])
+def test_cohomology_of_a_non_monomial_algebra_matches_classical_oracle(
+    field, dims, tmp_path, capsys, monkeypatch
+):
+    # the discriminant 5 of x^2 - x - 1 vanishes over F5 only, where the
+    # algebra is F5[x]/(x - 3)^2, the dual numbers again
+    alg_path = write_json(tmp_path / "golden-ratio.json", GOLDEN_RATIO_DOC)
+    mod_path = str(tmp_path / "regular.json")
+    status, _, _ = run_cli(
+        capsys, "actions", "--builtin", "circle", "--algebra", alg_path,
+        "--field", field, "--emit-template", mod_path,
+    )
+    assert status == 0
+    sums = []
+    add = Matrix.__add__
+    monkeypatch.setattr(Matrix, "__add__", lambda a, b: sums.append(1) or add(a, b))
+    status, out, _ = run_cli(
+        capsys, "cohomology", "--builtin", "circle", "--algebra", alg_path,
+        "--module", mod_path, "-N", "3", "--field", field, "--format", "json",
+    )
+    assert status == 0
+    assert sums  # the CLI reaches Matrix.__add__
+    assert json.loads(out)["hh_dims"] == dims
+    algebra = parse_algebra(GOLDEN_RATIO_DOC, field=field_from_text(field))
+    module = load_module(mod_path, algebra, sweep_closure(builtin_space("circle")))
+    assert classical_hochschild_dims(algebra, module, "e.0", "e.1", 3) == dims
+
+
 @pytest.mark.parametrize("value", ["F\u0663", "F\u00b2", "F05", "F0", "F+5", "F 5"])
 def test_field_override_takes_ascii_digits_without_leading_zero(value, tmp_path, capsys):
     # an Arabic-Indic three, a superscript two, a leading zero, a sign and a
@@ -437,6 +479,28 @@ def test_unknown_builtin_is_parse_error(capsys):
     assert status == 2
     assert out == ""
     assert "unknown builtin space 'sphere01'" in err
+
+
+def test_long_builtin_and_field_names_are_echoed_abridged(tmp_path, capsys):
+    alg_path = write_json(tmp_path / "dual.json", DUAL_DOC)
+    mod_path = write_json(
+        tmp_path / "regular.json", regular_module_doc(["e.0", "e.1"])
+    )
+    status, out, err = run_cli(capsys, "validate", "--builtin", "x" * 5000)
+    assert (status, out) == (2, "")
+    assert err.startswith("error: unknown builtin space 'xxxx")
+    assert err.endswith("... (5002 characters)\n")
+    assert len(err) < 200
+    # a name that is no field, and a modulus past the int conversion limit
+    for field, tail in (("F" + "x" * 5000, "... (5003 characters) (expected Q or F<p>)"),
+                        ("F1" + "0" * 5000, "... (5001 characters)")):
+        status, out, err = run_cli(
+            capsys, "cohomology", "--builtin", "circle", "--algebra", alg_path,
+            "--module", mod_path, "--field", field,
+        )
+        assert (status, out) == (2, "")
+        assert err.endswith(tail + "\n")
+        assert len(err) < 200
 
 
 def test_paranoid_cap_too_small_is_parse_error(capsys):

@@ -34,7 +34,7 @@ from hhx import (
     parse_algebra,
     validate_module,
 )
-from hhx.actions import enumerate_slots, paranoid_visits, partition_from_pairs
+from hhx.actions import ActionPartition, enumerate_slots, paranoid_visits
 from hhx.cochain import FACE_LIMIT, _grading
 from hhx.errors import BudgetError, InternalError, ValidationError
 from hhx.exactlinalg import Matrix, QQ, _eliminate
@@ -282,7 +282,7 @@ def test_override_slots_breaks_identity_a():
     unequal = multiplication_module(
         alg, {"sigma.0": None, "sigma.1": None, "sigma.2": twist}
     )
-    per_slot = partition_from_pairs(partition.slots, ())
+    per_slot = ActionPartition(partition.slots, ())
     setup = CochainSetup(space, alg, unequal, per_slot, 2)
     failures = setup.check_cosimplicial_identities()
     assert {"relation": "a", "n": 0, "i": 0, "j": 2} in failures
@@ -406,7 +406,7 @@ def test_star_products_share_prefixes(monkeypatch):
 def broken_space_setup(doc=BROKEN_AT_BASEPOINT_DOC):
     """doc unvalidated, every slot its own class."""
     space = parse_space(doc, validate=False)
-    partition = partition_from_pairs(enumerate_slots(space), ())
+    partition = ActionPartition(enumerate_slots(space), ())
     module = coefficient_module(dual_numbers(), partition, "regular")
     return CochainSetup(space, dual_numbers(), module, partition, 1)
 
@@ -445,7 +445,7 @@ def test_identity_check_on_point_space_is_fast():
         {"name": "point", "basepoint": "pt", "simplices": [{"name": "pt", "dim": 0}]}
     )
     alg = ground_field()
-    partition = partition_from_pairs(enumerate_slots(point), ())
+    partition = ActionPartition(enumerate_slots(point), ())
     setup = CochainSetup(point, alg, identity_module(alg.field, 1, ()), partition, 200)
     start = time.perf_counter()
     assert setup.check_cosimplicial_identities() == []
@@ -606,7 +606,7 @@ def test_face_limit_counts_every_coface_expansion():
         {"name": "point", "basepoint": "pt", "simplices": [{"name": "pt", "dim": 0}]}
     )
     alg = ground_field()
-    partition = partition_from_pairs(enumerate_slots(point), ())
+    partition = ActionPartition(enumerate_slots(point), ())
     module = identity_module(alg.field, 1, ())
     # δ_0..δ_N expand Σ (n + 2) = (N + 1)(N + 4) / 2 cofaces
     assert sum(n + 2 for n in range(445)) == 99_680 <= FACE_LIMIT
@@ -802,7 +802,7 @@ def test_report_on_failure_omits_cohomology():
     module = multiplication_module(
         alg, {"sigma.0": None, "sigma.1": None, "sigma.2": twist}
     )
-    per_slot = partition_from_pairs(partition.slots, ())
+    per_slot = ActionPartition(partition.slots, ())
     setup = CochainSetup(space, alg, module, per_slot, 2)
     report = setup.report()
     assert report["identities"] != "pass"

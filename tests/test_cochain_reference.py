@@ -45,7 +45,7 @@ from hhx import (
     validate_module,
 )
 from hhx import cochain
-from hhx.actions import enumerate_slots, partition_from_pairs, sweep_closure
+from hhx.actions import ActionPartition, enumerate_slots, sweep_closure
 from hhx.coeffalg import load_algebra, load_module
 from hhx.errors import ValidationError
 from hhx.exactlinalg import Matrix, _eliminate, field_from_text
@@ -242,7 +242,7 @@ def test_override_cofaces_match_reference():
     module = multiplication_module(
         algebra, {"sigma.0": None, "sigma.1": twist, "sigma.2": twist}
     )
-    per_slot = partition_from_pairs(partition.slots, ())
+    per_slot = ActionPartition(partition.slots, ())
     setup = CochainSetup(space, algebra, module, per_slot, 2)
     for n in range(3):
         for i in range(n + 2):
@@ -327,7 +327,7 @@ def point_space_setup():
         {"name": "point", "basepoint": "pt", "simplices": [{"name": "pt", "dim": 0}]}
     )
     algebra = ground_field()
-    partition = partition_from_pairs(enumerate_slots(point), ())
+    partition = ActionPartition(enumerate_slots(point), ())
     module = identity_module(algebra.field, 1, ())
     return CochainSetup(point, algebra, module, partition, 4)
 
@@ -399,7 +399,7 @@ def golden_inputs(name, override, field=None):
         str(GOLDEN / "dual-q.json"), field=field and field_from_text(field)
     )
     if override:
-        partition = partition_from_pairs(enumerate_slots(space), ())
+        partition = ActionPartition(enumerate_slots(space), ())
         module_path, top = GOLDEN / f"override-{name}.json", 2
     else:
         partition = sweep_closure(space)
@@ -664,7 +664,7 @@ def per_slot_setup(name, scales):
     space = builtin_space(name)
     algebra = dual_numbers()
     F = algebra.field
-    partition = partition_from_pairs(enumerate_slots(space), ())
+    partition = ActionPartition(enumerate_slots(space), ())
     ident = identity_matrix(F, 2)
     module = MultiModule(
         2,

@@ -88,6 +88,19 @@ def test_prime_field_modulus_stops_below_two_to_the_31():
             with pytest.raises(FormatError, match=f"modulus too large: {p}"):
                 parse()
         assert time.perf_counter() - start < 1.0
+    # a modulus past 40 digits is echoed abridged, and one past the int
+    # conversion limit of 4,300 digits is never converted
+    for parse in (lambda: field_from_text("F1" + "0" * 5000),
+                  lambda: field_from_json({"Fp": 10**3000})):
+        with pytest.raises(FormatError, match=r"too large: 1000.*characters\)$") as info:
+            parse()
+        assert len(str(info.value)) < 120
+    # a field spec that is no field, or whose modulus is no int, likewise
+    for doc, message in (("Q" * 5000, "bad field spec 'QQQQ"),
+                         ({"Fp": "7" * 5000}, "must be prime, got '7777")):
+        with pytest.raises(FormatError, match=message) as info:
+            field_from_json(doc)
+        assert len(str(info.value)) < 120
 
 
 def test_fields_compare_and_hash_by_characteristic():

@@ -7,9 +7,10 @@ one slot twisted by x -> -x, whose cosimplicial identities fail
 (override-<space>.json), and a one-vertex space with
 degenerate triangle faces and cells up to dimension 6 for the paranoid scan
 (scan-like.json). Case <name> keeps its stdout in <name>.out and its exit
-status in status.json. One case of each command path also runs as a fresh
-`python -m hhx` process, where a name the CLI binds only on first use is
-not already loaded by another test.
+status in status.json; the --help text of hhx and of each command is kept
+in help[-<command>].out, printed at COLUMNS=80. One case of each command
+path also runs as a fresh `python -m hhx` process, where a name the CLI
+binds only on first use is not already loaded by another test.
 
 To re-record after an intended output change:
 
@@ -82,6 +83,15 @@ def _cases():
 
 CASES = _cases()
 
+# help text -> the command line that prints it; argparse wraps it to the
+# terminal width, so it is recorded and compared at COLUMNS=80
+HELP_CASES = {
+    "help": ["--help"],
+    "help-validate": ["validate", "--help"],
+    "help-actions": ["actions", "--help"],
+    "help-cohomology": ["cohomology", "--help"],
+}
+
 # one case per command path that imports a different set of modules
 FRESH_CASES = (
     "validate-torus-text",
@@ -106,6 +116,15 @@ def run_case(argv, fresh=False):
     return status, out.getvalue().encode("utf-8")
 
 
+def run_help(argv):
+    """stdout bytes of `hhx argv --help`, which exits with status 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    return out.getvalue().encode("utf-8")
+
+
 def check_golden(name, fresh=False):
     expected = json.loads((GOLDEN / "status.json").read_text(encoding="utf-8"))
     status, out = run_case(CASES[name], fresh)
@@ -121,6 +140,15 @@ def test_cli_output_matches_golden(name):
 @pytest.mark.parametrize("name", FRESH_CASES)
 def test_fresh_process_output_matches_golden(name):
     check_golden(name, fresh=True)
+
+
+# Python 3.13's argparse prints a metavar once per option ("-N,
+# --max-degree MAX_DEGREE"); the texts were recorded with Python 3.11
+@pytest.mark.skipif(sys.version_info >= (3, 13), reason="argparse help format")
+@pytest.mark.parametrize("name", sorted(HELP_CASES))
+def test_help_matches_golden(name, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_help(HELP_CASES[name]) == (GOLDEN / f"{name}.out").read_bytes()
 
 
 def test_fresh_process_template_matches_golden(tmp_path):
@@ -171,6 +199,9 @@ def record():
         statuses[name], out = run_case(argv)
         (GOLDEN / f"{name}.out").write_bytes(out)
     write("status.json", statuses)
+    os.environ["COLUMNS"] = "80"
+    for name, argv in HELP_CASES.items():
+        (GOLDEN / f"{name}.out").write_bytes(run_help(argv))
 
 
 if __name__ == "__main__":
