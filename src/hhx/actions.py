@@ -28,11 +28,11 @@ builds its rows simplex by simplex (_face_rows). Only this module decides
 which slot carries a basepoint face, and a reader of the rows only tells a
 position (f >= 0) from a slot number (f < 0). One pair routine on the rows
 (row_pairs) serves the sweep, the paranoid scan and the cosimplicial
-identity check. The paranoid scan holds two levels at a time, and a cochain
-setup keeps the rows of every level for its cofaces and its identity check.
-The paranoid scan of the benchmark's actions-scan space (seed 1) to
-dimension 8 takes 0.03-0.07 s in a fresh process (median 0.05 s of 15;
-2-vCPU host, Python 3.11).
+identity check; it yields no pair of a slot with itself. The paranoid scan
+holds two levels at a time, and a cochain setup keeps the rows of every
+level for its cofaces and its identity check. The paranoid scan of the
+benchmark's actions-scan space (seed 1) to dimension 8 takes 27-39 ms in a
+fresh process (median 31 ms of 15; 2-vCPU host, Python 3.11).
 """
 
 from __future__ import annotations
@@ -47,10 +47,10 @@ from .simplicial import Generator, Simplex, SimplicialSpace, _merge, _walk
 
 
 # most face-pair visits paranoid_closure makes (paranoid_visits), timed
-# with the face rows built: at the limit 0.4-0.6 s on the circle or the
-# torus (0.10-0.16 microseconds a visit) and 2.6-3.0 s on sphere12, where
-# most pairs reach the basepoint (0.66-0.75 microseconds a visit; 4,434,144
-# visits to dimension 18 took 2.9-3.3 s and 72 MiB); 2-vCPU host, Python 3.11
+# with the face rows built: at the limit 0.24-0.48 s on the circle or the
+# torus (0.06-0.12 microseconds a visit) and 1.2-2.0 s on sphere12, where
+# most pairs reach the basepoint (0.30-0.49 microseconds a visit; 4,434,144
+# visits to dimension 18 took 1.3-1.9 s and 72 MiB); 2-vCPU host, Python 3.11
 PARANOID_LIMIT = 4_000_000
 
 
@@ -218,10 +218,13 @@ def _face_rows(space: SimplicialSpace, simplices, position, slots) -> list[tuple
 
 
 def row_pairs(simplices, rows, lower):
-    """(i, j, via_j, via_i) for each basepoint face d_i d_j s, s of dim >= 2.
+    """(i, j, via_j, via_i) for each basepoint face d_i d_j s, s of dim >= 2,
+    reached through two different slots (via_j != via_i).
 
     rows are the simplices' _face_rows and lower the rows of the faces they
-    point at; via_j and via_i are slot numbers, as in the rows.
+    point at; via_j and via_i are slot numbers, as in the rows. A pair of a
+    slot with itself identifies nothing and acts alike in any module, so it
+    is not yielded.
 
     For i < j the face d_i d_j s = d_{j-1} d_i s is reached two ways. When
     it is the basepoint, via_j is the slot carrying it via j (on s if d_j s
@@ -237,7 +240,7 @@ def row_pairs(simplices, rows, lower):
     basepoint entry, an index j whose face's row holds none either yields
     nothing, and is passed over in one test instead of one per i; whether
     a row (never empty: every face has dim >= 1) holds one is found once per
-    call.
+    call. Where d_j s is the basepoint, via_j is read once per j.
     """
     lower_clean = [min(row) >= 0 for row in lower]
     for s, row in zip(simplices, rows):
@@ -245,27 +248,28 @@ def row_pairs(simplices, rows, lower):
         clean = not both_ways and min(row) >= 0
         for j in range(1, len(row)):
             at_j = row[j]
-            if at_j >= 0:
-                if clean and lower_clean[at_j]:
-                    continue
+            if at_j < 0:
+                via_j = ~at_j
+            elif clean and lower_clean[at_j]:
+                continue
+            else:
                 below_j = lower[at_j]
             for i in range(j):
                 at_i = row[i]
-                if at_j < 0:
-                    via_j = ~at_j
-                elif (by_j := below_j[i]) < 0:
-                    via_j = ~by_j
-                elif at_i < 0 or both_ways:
-                    via_j = None
-                else:
-                    continue
+                if at_j >= 0:
+                    if (by_j := below_j[i]) < 0:
+                        via_j = ~by_j
+                    elif at_i < 0 or both_ways:
+                        via_j = None
+                    else:
+                        continue
                 if at_i < 0:
                     via_i = ~at_i
                 elif (by_i := lower[at_i][j - 1]) < 0:
                     via_i = ~by_i
                 else:
                     via_i = None
-                if via_j is None and via_i is None and by_j == by_i:
+                if via_j == via_i and (via_j is not None or by_j == by_i):
                     continue
                 if via_j is None or via_i is None:
                     raise InternalError(
@@ -341,19 +345,20 @@ def level_rows(space: SimplicialSpace, top: int):
     the position of d_k s in the level below's tuple, and f < 0 says d_k s
     is the basepoint, carried by the slot enumerate_slots(space)[~f]. Only
     the level below is held to build a level; basepoint simplices, whose
-    faces row_pairs never asks for, get no row.
+    faces row_pairs never asks for, are neither built nor given a row.
 
     The simplices over generators of one dimension d share their words, so
     each level builds one _template per d and each generator one value list:
     ~slot where face k of the generator is the basepoint, else the place of
     each kept word merged over face k, merged once per level, face index
-    and face (word, dimension). Each row is then one itemgetter call.
+    and face (word, dimension). Each row is then one itemgetter call, and
+    each simplex one tuple of a template word and its generator.
     """
     basepoint = space.basepoint
     numbers = {slot: k for k, slot in enumerate(enumerate_slots(space))}
     generators = sorted(space.generators, key=lambda g: g.name)
     generators.remove(basepoint)
-    level = tuple(s for s in space.simplices(0) if s.base is not basepoint)
+    level = tuple(Simplex((), g) for g in generators if not g.dim)
     yield level, [()] * len(level)
     offsets = {s.base: p for p, s in enumerate(level)}
     words = {0: {(): 0}}
@@ -361,9 +366,10 @@ def level_rows(space: SimplicialSpace, top: int):
         cells = [g for g in generators if g.dim <= n]
         templates = {d: _template(n, d, words.get(d)) for d in {g.dim for g in cells}}
         below, offsets = offsets, {}
-        merged, rows = {}, []
+        merged, level, rows = {}, [], []
         for g in cells:
-            _, getters, kept = templates[g.dim]
+            cell_words, getters, kept = templates[g.dim]
+            level += [tuple.__new__(Simplex, (word, g)) for word in cell_words]
             offsets[g], start = len(rows), below.get(g, 0)
             values = list(range(start, start + len(words.get(g.dim, ()))))
             for k, f in enumerate(g.faces):
@@ -376,8 +382,7 @@ def level_rows(space: SimplicialSpace, top: int):
                 values += [below[f.base] + j for j in merged[key]]
             rows += [get(values) for get in getters]
         words = {d: template[0] for d, template in templates.items()}
-        level = tuple(s for s in space.simplices(n) if s.base is not basepoint)
-        yield level, rows
+        yield tuple(level), rows
 
 
 def sweep_closure(space: SimplicialSpace) -> ActionPartition:
@@ -410,7 +415,9 @@ def paranoid_closure(space: SimplicialSpace, dim_cap: int) -> ActionPartition:
     Scans dimensions 2..dim_cap and reduces each slot to its generator; the
     result should always equal sweep_closure, which only trusts generators.
     A scan of more than PARANOID_LIMIT face-pair visits (paranoid_visits)
-    is refused before it starts.
+    is refused before it starts. A scan with no visit to make, such as the
+    point's, builds no level past dimension 1, since no level 2..dim_cap
+    holds a non-basepoint simplex; so any cap costs the same.
     """
     if dim_cap < space.max_dim + 1:
         raise ValueError(
@@ -425,7 +432,7 @@ def paranoid_closure(space: SimplicialSpace, dim_cap: int) -> ActionPartition:
             f"{PARANOID_LIMIT}"
         )
     pairs = set()
-    for n, (level, rows) in enumerate(level_rows(space, dim_cap)):
+    for n, (level, rows) in enumerate(level_rows(space, dim_cap if visits else 1)):
         if n >= 2:
             pairs.update(map(itemgetter(2, 3), row_pairs(level, rows, lower)))
         lower = rows

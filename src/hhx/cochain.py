@@ -125,8 +125,8 @@ from .simplicial import SimplicialSpace
 
 # most simplex-pair visits check_cosimplicial_identities may make, counted
 # as for a paranoid scan to dimension N + 1 (actions.paranoid_visits): at the
-# limit 0.2-0.6 s on circle, sphere2, sphere3 or torus over k (0.12-0.38
-# microseconds a visit, the setup's face rows included), 0.53-0.89 s on
+# limit 0.17-0.50 s on circle, sphere2, sphere3 or torus over k (0.09-0.31
+# microseconds a visit, the setup's face rows included), 0.38-0.60 s on
 # sphere12 (-N 16, 1,259,700 visits), where most pairs reach the basepoint;
 # 2-vCPU host, Python 3.11
 IDENTITY_LIMIT = 2_000_000

@@ -537,6 +537,36 @@ def test_paranoid_limit_counts_face_pairs_not_simplices(capsys):
     assert "would make 125417041749 face-pair visits" in err
 
 
+@pytest.mark.parametrize("cap", ["1000000000", "1" + "0" * 1199])
+def test_paranoid_scan_of_the_point_space_stops_at_once(tmp_path, capsys, monkeypatch, cap):
+    # the point has no simplex to visit, so the face-pair visit limit does
+    # not bound the scan; no level past dimension 1 may be built, and one
+    # that is fails here instead of running for hours
+    space = write_json(tmp_path / "point.json", {
+        "name": "point", "basepoint": "pt", "simplices": [{"name": "pt", "dim": 0}],
+    })
+    level_rows = actions.level_rows
+
+    def two_levels_at_most(space, top):
+        for n, level in enumerate(level_rows(space, top)):
+            assert n <= 1, f"level {n} of the point space built"
+            yield level
+
+    monkeypatch.setattr(actions, "level_rows", two_levels_at_most)
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, "actions", "--space", space, "--paranoid", cap)
+    assert time.perf_counter() - start < 0.5
+    assert (status, err) == (0, "")
+    assert out.endswith(
+        f"paranoid scan to dimension {cap}: 0 classes, agrees with the generator scan\n"
+    )
+    status, out, _ = run_cli(
+        capsys, "actions", "--space", space, "--paranoid", cap, "--format", "json"
+    )
+    assert status == 0
+    assert json.loads(out)["paranoid"] == {"cap": int(cap), "class_count": 0, "agrees": True}
+
+
 def test_sphere_above_limit_is_usage_error(capsys):
     start = time.perf_counter()
     status, out, err = run_cli(capsys, "validate", "--builtin", "sphere257")
