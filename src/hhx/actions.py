@@ -30,9 +30,13 @@ position (f >= 0) from a slot number (f < 0). One pair routine on the rows
 (row_pairs) serves the sweep, the paranoid scan and the cosimplicial
 identity check; it yields no pair of a slot with itself. The paranoid scan
 holds two levels at a time, and a cochain setup keeps the rows of every
-level for its cofaces and its identity check. The paranoid scan of the
-benchmark's actions-scan space (seed 1) to dimension 8 takes 27-39 ms in a
-fresh process (median 31 ms of 15; 2-vCPU host, Python 3.11).
+level for its cofaces and its identity check. Generators whose faces look
+alike from the basepoint fall into one class, and the paranoid scan reads
+the degenerate simplices of one generator per class (paranoid_closure): on
+the benchmark's actions-scan space (seed 1), whose 94 generators fall into
+16 classes, it reads 1,316 of the 6,398 degenerate simplices to dimension
+8, and the scan takes 28-34 ms in a fresh process (median 28 ms of 15,
+where the parent's took 38-43 ms, median 40 ms; 2-vCPU host, Python 3.11).
 """
 
 from __future__ import annotations
@@ -46,11 +50,13 @@ from .errors import InternalError, _abridged
 from .simplicial import Generator, Simplex, SimplicialSpace, _merge, _walk
 
 
-# most face-pair visits paranoid_closure makes (paranoid_visits), timed
-# with the face rows built: at the limit 0.24-0.48 s on the circle or the
-# torus (0.06-0.12 microseconds a visit) and 1.2-2.0 s on sphere12, where
-# most pairs reach the basepoint (0.30-0.49 microseconds a visit; 4,434,144
-# visits to dimension 18 took 1.3-1.9 s and 72 MiB); 2-vCPU host, Python 3.11
+# most face-pair visits a paranoid scan may count (paranoid_visits): every
+# pair i < j on every simplex, which bounds from above what row_pairs reads
+# now that it reads one generator's degenerate simplices per class. Timed
+# with the face rows built: the circle to dimension 74 (3,919,224 visits)
+# 0.33-0.67 s, the torus to 31 (3,478,197) 0.21-0.50 s, and sphere12, where
+# most pairs reach the basepoint, to 18 (4,434,144) 1.36-2.12 s and 71 MiB;
+# 2-vCPU host, Python 3.11
 PARANOID_LIMIT = 4_000_000
 
 
@@ -217,7 +223,7 @@ def _face_rows(space: SimplicialSpace, simplices, position, slots) -> list[tuple
     return rows
 
 
-def row_pairs(simplices, rows, lower):
+def row_pairs(simplices, rows, lower, lower_clean=None):
     """(i, j, via_j, via_i) for each basepoint face d_i d_j s, s of dim >= 2,
     reached through two different slots (via_j != via_i).
 
@@ -240,9 +246,10 @@ def row_pairs(simplices, rows, lower):
     basepoint entry, an index j whose face's row holds none either yields
     nothing, and is passed over in one test instead of one per i; whether
     a row (never empty: every face has dim >= 1) holds one is found once per
-    call. Where d_j s is the basepoint, via_j is read once per j.
+    call, unless the caller passes lower_clean, whether each lower row holds
+    none. Where d_j s is the basepoint, via_j is read once per j.
     """
-    lower_clean = [min(row) >= 0 for row in lower]
+    lower_clean = lower_clean or [min(row) >= 0 for row in lower]
     for s, row in zip(simplices, rows):
         both_ways = not s.word
         clean = not both_ways and min(row) >= 0
@@ -409,6 +416,27 @@ def paranoid_visits(space: SimplicialSpace, dim_cap: int) -> int:
     )
 
 
+def _neighbourhood(g: Generator, basepoint: Generator, numbers):
+    """(key, slots) of a generator g for paranoid_closure's classes.
+
+    Entry k of key is None where d_k g is the basepoint, else (word, B(base),
+    local id of the base): B(x) lists the indices of x's basepoint faces,
+    and local ids number the distinct face bases in order of first
+    appearance. The key holds no dimension, since its length fixes g's and
+    a word's length then fixes its base's. slots lists the slot numbers of
+    g's basepoint faces, then those of each distinct face base, in order.
+    """
+    def own(x):
+        return tuple(k for k, f in enumerate(x.faces) if f.base is basepoint)
+
+    bases = list(dict.fromkeys(f.base for f in g.faces if f.base is not basepoint))
+    key = tuple(
+        None if f.base is basepoint else (f.word, own(f.base), bases.index(f.base))
+        for f in g.faces
+    )
+    return key, [numbers[x, k] for x in (g, *bases) for k in own(x)]
+
+
 def paranoid_closure(space: SimplicialSpace, dim_cap: int) -> ActionPartition:
     """Same closure, but scanning every simplex (degenerate included).
 
@@ -418,6 +446,19 @@ def paranoid_closure(space: SimplicialSpace, dim_cap: int) -> ActionPartition:
     is refused before it starts. A scan with no visit to make, such as the
     point's, builds no level past dimension 1, since no level 2..dim_cap
     holds a non-basepoint simplex; so any cap costs the same.
+
+    Generators with one key (_neighbourhood) form a class, and row_pairs
+    reads the degenerate block of only the first by name of each class at
+    each level; a later member takes those (via_j, via_i) pairs relabelled
+    slot for slot, sigma = dict(zip(slots(first), slots(member))). This is
+    exact. On a degenerate simplex row_pairs reads of the rows only the sign
+    of each entry and slot numbers, which it compares for equality; position
+    equality (by_j == by_i) is read on generators alone, so each generator's
+    own level is scanned directly. The lower rows it reads are those of
+    simplices over g and over the face bases, (merge(kept, f.word), f.base),
+    whose sign patterns the words and B fix; the key fixes those, and which
+    slots coincide. A level lays out C(n, g.dim) simplices per generator in
+    name order, so the first InternalError is raised at the same simplex.
     """
     if dim_cap < space.max_dim + 1:
         raise ValueError(
@@ -431,9 +472,25 @@ def paranoid_closure(space: SimplicialSpace, dim_cap: int) -> ActionPartition:
             f"{_abridged(visits)} face-pair visits, more than the limit of "
             f"{PARANOID_LIMIT}"
         )
+    slots = enumerate_slots(space)
+    numbers = {slot: k for k, slot in enumerate(slots)}
+    generators = sorted(set(space.generators) - {space.basepoint}, key=lambda g: g.name)
+    classes, relabel = {}, {}
+    for g in generators:
+        key, own = _neighbourhood(g, space.basepoint, numbers)
+        first, first_own = classes.setdefault(key, (g, own))
+        relabel[g] = first, dict(zip(first_own, own))
     pairs = set()
     for n, (level, rows) in enumerate(level_rows(space, dim_cap if visits else 1)):
         if n >= 2:
-            pairs.update(map(itemgetter(2, 3), row_pairs(level, rows, lower)))
+            clean, found, stop = [min(row) >= 0 for row in lower], {}, 0
+            for g in (g for g in generators if g.dim <= n):
+                start, stop = stop, stop + comb(n, g.dim)
+                first, sigma = relabel[g]
+                if first is g or g.dim == n:
+                    block = row_pairs(level[start:stop], rows[start:stop], lower, clean)
+                    pairs |= found.setdefault(g, set(map(itemgetter(2, 3), block)))
+                else:
+                    pairs.update((sigma[a], sigma[b]) for a, b in found[first])
         lower = rows
-    return ActionPartition(enumerate_slots(space), pairs)
+    return ActionPartition(slots, pairs)

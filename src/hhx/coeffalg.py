@@ -11,7 +11,7 @@ distinct class actions) are checked eagerly at parse time with witnesses.
 from __future__ import annotations
 
 from .actions import ActionPartition
-from .errors import FormatError, ValidationError, read_json
+from .errors import FormatError, ValidationError, _abridged, _clipped, read_json
 from .exactlinalg import Field, Matrix, field_from_json
 
 
@@ -62,14 +62,15 @@ def validate_algebra(alg: Algebra) -> None:
         raise ValidationError("algebra dimension must be at least 1")
     if not all(alg.mul[0][j] == alg.mul[j][0] == _unit_vector(d, j) for j in range(d)):
         raise ValidationError(
-            f"basis element 0 ({alg.basis[0]!r}) must act as the unit"
+            f"basis element 0 ({_abridged(alg.basis[0])}) must act as the unit"
         )
     for i in range(d):
         for j in range(i + 1, d):
             if alg.mul[i][j] != alg.mul[j][i]:
+                a, b = _clipped(alg.basis[i]), _clipped(alg.basis[j])
                 raise ValidationError(
                     f"multiplication not commutative: "
-                    f"{alg.basis[i]}*{alg.basis[j]} != {alg.basis[j]}*{alg.basis[i]}"
+                    f"{a}*{b} != {b}*{a}"
                 )
     for i in range(d):
         for j in range(d):
@@ -79,7 +80,7 @@ def validate_algebra(alg: Algebra) -> None:
                 if lhs != rhs:
                     raise ValidationError(
                         f"multiplication not associative on the triple "
-                        f"({alg.basis[i]}, {alg.basis[j]}, {alg.basis[l]})"
+                        f"({', '.join(_clipped(alg.basis[t]) for t in (i, j, l))})"
                     )
 
 
@@ -170,22 +171,23 @@ def validate_module(module: MultiModule, algebra: Algebra, expected_keys) -> Non
         extra = [k for k in got if k not in expected]
         parts = []
         if missing:
-            parts.append(f"missing action classes {missing}")
+            parts.append(f"missing action classes [{', '.join(map(_abridged, missing))}]")
         if extra:
-            parts.append(f"unexpected action classes {extra}")
+            parts.append(f"unexpected action classes [{', '.join(map(_abridged, extra))}]")
         raise ValidationError("; ".join(parts))
     d = algebra.dim
     m = module.dim
     for key in expected:
         mats = module.actions[key]
+        name = _abridged(key)
         if len(mats) != d:
             raise ValidationError(
-                f"class {key!r} must supply {d} matrices, got {len(mats)}"
+                f"class {name} must supply {d} matrices, got {len(mats)}"
             )
         for t, mat in enumerate(mats):
             if mat.rows != m or mat.cols != m:
                 raise ValidationError(
-                    f"class {key!r}, basis element {algebra.basis[t]}: "
+                    f"class {name}, basis element {_clipped(algebra.basis[t])}: "
                     f"matrix is {mat.rows}x{mat.cols}, expected {m}x{m}"
                 )
         # the identity is m entries 1 on the diagonal; no m x m one is built
@@ -193,15 +195,15 @@ def validate_module(module: MultiModule, algebra: Algebra, expected_keys) -> Non
         if mats and (
             len(unit) != m or any(r != c or v != 1 for (r, c), v in unit.items())
         ):
-            raise ValidationError(f"class {key!r}: action of the unit is not the identity")
+            raise ValidationError(f"class {name}: action of the unit is not the identity")
         for i in range(d):
             for j in range(d):
                 lhs = mats[i] @ mats[j]
                 rhs = module.act(key, algebra.mul[i][j])
                 if lhs != rhs:
                     raise ValidationError(
-                        f"class {key!r}: action not multiplicative on "
-                        f"({algebra.basis[i]}, {algebra.basis[j]})"
+                        f"class {name}: action not multiplicative on "
+                        f"({_clipped(algebra.basis[i])}, {_clipped(algebra.basis[j])})"
                     )
     for a_idx, key_a in enumerate(expected):
         for key_b in expected[a_idx + 1:]:
@@ -211,8 +213,9 @@ def validate_module(module: MultiModule, algebra: Algebra, expected_keys) -> Non
                 for j in range(d):
                     if mats_a[i] @ mats_b[j] != mats_b[j] @ mats_a[i]:
                         raise ValidationError(
-                            f"actions of classes {key_a!r} and {key_b!r} do not "
-                            f"commute on ({algebra.basis[i]}, {algebra.basis[j]})"
+                            f"actions of classes {_abridged(key_a)} and {_abridged(key_b)} "
+                            f"do not commute on ({_clipped(algebra.basis[i])}, "
+                            f"{_clipped(algebra.basis[j])})"
                         )
 
 
@@ -233,14 +236,14 @@ def parse_module(doc, algebra: Algebra, partition: ActionPartition) -> MultiModu
     actions = {}
     for key, mats in raw_actions.items():
         if not isinstance(mats, list):
-            raise FormatError(f"actions[{key!r}] must be a list of matrices")
+            raise FormatError(f"actions[{_abridged(key)}] must be a list of matrices")
         parsed = []
         for t, rows in enumerate(mats):
             if not isinstance(rows, list) or len(rows) != m or any(
                 not isinstance(row, list) or len(row) != m for row in rows
             ):
                 raise FormatError(
-                    f"actions[{key!r}][{t}] must be an {m}x{m} matrix"
+                    f"actions[{_abridged(key)}][{t}] must be an {m}x{m} matrix"
                 )
             parsed.append(
                 Matrix.from_rows(

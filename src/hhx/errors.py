@@ -30,7 +30,12 @@ def _abridged(value) -> str:
         sign = "-" if value < 0 else ""
         text = sign + str(size // 10 ** (digits - 40))
         return f"{text[:40]}... ({len(sign) + digits} characters)"
-    text = repr(value)
+    return _clipped(repr(value))
+
+
+def _clipped(text: str) -> str:
+    """text, or past 40 characters its first 40 and its length: _abridged for
+    a name a message shows without quotes."""
     if len(text) <= 40:
         return text
     return f"{text[:40]}... ({len(text)} characters)"
@@ -60,11 +65,14 @@ class InternalError(RuntimeError):
 
 
 def read_json(path: str):
-    """The JSON document at path. Invalid JSON, bytes that are not UTF-8 and
-    an integer too long for the interpreter to read (over 4,300 digits)
-    raise FormatError naming the file."""
+    """The JSON document at path. Invalid JSON, bytes that are not UTF-8, an
+    integer too long for the interpreter to read (over 4,300 digits) and
+    nesting too deep for its recursion limit raise FormatError naming the
+    file."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except ValueError as exc:
             raise FormatError(f"{path}: invalid JSON ({exc})") from exc
+        except RecursionError:
+            raise FormatError(f"{path}: invalid JSON (nested too deeply)") from None

@@ -20,7 +20,7 @@ import itertools
 import re
 from typing import NamedTuple
 
-from .errors import FormatError, ValidationError, _abridged, read_json
+from .errors import FormatError, ValidationError, _abridged, _clipped, read_json
 
 
 class Generator:
@@ -248,9 +248,9 @@ def parse_space(doc, *, validate: bool = True) -> SimplicialSpace:
         if not isinstance(gname, str) or not gname:
             raise FormatError("simplex entry needs a string name")
         if not isinstance(gdim, int) or isinstance(gdim, bool) or gdim < 0:
-            raise FormatError(f"simplex {gname!r}: dim must be a natural number")
+            raise FormatError(f"simplex {_abridged(gname)}: dim must be a natural number")
         if gname in by_name:
-            raise FormatError(f"duplicate generator name {gname!r}")
+            raise FormatError(f"duplicate generator name {_abridged(gname)}")
         g = Generator(gname, gdim)
         by_name[gname] = g
         generators.append(g)
@@ -260,39 +260,40 @@ def parse_space(doc, *, validate: bool = True) -> SimplicialSpace:
         raise FormatError('space document needs a "basepoint" naming a generator')
     basepoint = by_name[bp_name]
     if basepoint.dim != 0:
-        raise FormatError(f"basepoint {bp_name!r} must have dimension 0")
+        raise FormatError(f"basepoint {_abridged(bp_name)} must have dimension 0")
 
     for entry, raw in zip(generators, entries):
         raw_faces = raw.get("faces", [])
+        label = _abridged(entry.name)
         if entry.dim == 0:
             if raw_faces:
-                raise FormatError(f"generator {entry.name!r} has dim 0 but lists faces")
+                raise FormatError(f"generator {label} has dim 0 but lists faces")
             continue
         if not isinstance(raw_faces, list) or len(raw_faces) != entry.dim + 1:
             raise FormatError(
-                f"generator {entry.name!r} needs exactly {entry.dim + 1} faces"
+                f"generator {label} needs exactly {entry.dim + 1} faces"
             )
         faces = []
         for i, ref in enumerate(raw_faces):
             if not (isinstance(ref, list) and len(ref) == 2 and isinstance(ref[0], str)):
                 raise FormatError(
-                    f"face {i} of {entry.name!r}: expected [generator, [word...]]"
+                    f"face {i} of {label}: expected [generator, [word...]]"
                 )
             target_name, raw_word = ref
             target = by_name.get(target_name)
             if target is None:
                 raise FormatError(
-                    f"face {i} of {entry.name!r}: unknown generator {target_name!r}"
+                    f"face {i} of {label}: unknown generator {_abridged(target_name)}"
                 )
-            word = _parse_word(raw_word, f"face {i} of {entry.name!r}")
+            word = _parse_word(raw_word, f"face {i} of {label}")
             if not word_is_valid(word, target.dim):
                 raise FormatError(
-                    f"face {i} of {entry.name!r}: word {list(word)} is not in "
-                    f"normal form over {target_name!r}"
+                    f"face {i} of {label}: word {_abridged(list(word))} is not in "
+                    f"normal form over {_abridged(target_name)}"
                 )
             if target.dim + len(word) != entry.dim - 1:
                 raise FormatError(
-                    f"face {i} of {entry.name!r}: has dimension "
+                    f"face {i} of {label}: has dimension "
                     f"{target.dim + len(word)}, expected {entry.dim - 1}"
                 )
             faces.append(Simplex(word, target))
@@ -302,7 +303,7 @@ def parse_space(doc, *, validate: bool = True) -> SimplicialSpace:
     if validate:
         violations = validate_space(space)
         if violations:
-            listing = ", ".join(f"({g}, d{i}, d{j})" for g, i, j in violations)
+            listing = ", ".join(f"({_clipped(g)}, d{i}, d{j})" for g, i, j in violations)
             err = ValidationError(f"simplicial identities violated: {listing}")
             err.violations = violations
             raise err
@@ -334,10 +335,8 @@ def _builtin_doc(name: str):
         digits = m.group(1)
         # the length first: int() refuses more than 4,300 digits
         if len(digits) > len(str(SPHERE_LIMIT)) or int(digits) > SPHERE_LIMIT:
-            if len(digits) > 40:
-                digits = f"{digits[:40]}... ({len(digits)} characters)"
             raise FormatError(
-                f"sphere dimension must be between 1 and {SPHERE_LIMIT}, got {digits}"
+                f"sphere dimension must be between 1 and {SPHERE_LIMIT}, got {_clipped(digits)}"
             )
         n = int(digits)
         bp = ["pt", list(range(n - 2, -1, -1))]

@@ -310,6 +310,42 @@ def multi_vertex_doc():
     return doc
 
 
+def key_fields_doc():
+    """Generators that differ pairwise in one field of paranoid_closure's
+    neighbourhood key, each pair on edges of its own.
+
+    - n0 = (s0 pt, n, n) and n2 = (n, n, s0 pt): which face is the basepoint;
+    - id0 = (i1, i1, i2) and id1 = (i3, i4, i5): which face bases coincide;
+    - B1 = (be, bb, bd) and B2 = (bb, be, ba), over the loop be, the edges
+      bb, bd from pt to v and ba from v to pt: which faces of each face
+      base are the basepoint;
+    - w0 = (s0 wb, s0 wb, s0 wb, wQ) and w1 = (s1 wb, s1 wb, s0 wb, wT),
+      where wQ = (s0 v, s0 v, s0 v), wT = (wb, wb, s0 v) and wb runs from pt
+      to v: the face words; wb's one slot is the only one the two reach, so
+      relabelled pairs would be pairs of a slot with itself.
+
+    The edges bb, bd and ba themselves differ in which face is the basepoint.
+    """
+    loop, bp, v0 = [["pt", []], ["pt", []]], ["pt", [0]], ["v", [0]]
+
+    def cell(name, *faces):
+        faces = [f if isinstance(f, list) else [f, []] for f in faces]
+        return {"name": name, "dim": len(faces) - 1, "faces": faces}
+
+    simplices = [{"name": "pt", "dim": 0}, {"name": "v", "dim": 0}]
+    simplices += [cell(x, *loop) for x in ("be", "i1", "i2", "i3", "i4", "i5", "n")]
+    simplices += [cell(x, "pt", "v") for x in ("bb", "bd", "wb")] + [cell("ba", "v", "pt")]
+    simplices += [
+        cell("n0", bp, "n", "n"), cell("n2", "n", "n", bp),
+        cell("id0", "i1", "i1", "i2"), cell("id1", "i3", "i4", "i5"),
+        cell("B1", "be", "bb", "bd"), cell("B2", "bb", "be", "ba"),
+        cell("wQ", v0, v0, v0), cell("wT", "wb", "wb", v0),
+        cell("w0", ["wb", [0]], ["wb", [0]], ["wb", [0]], "wQ"),
+        cell("w1", ["wb", [1]], ["wb", [1]], ["wb", [0]], "wT"),
+    ]
+    return {"name": "key-fields", "basepoint": "pt", "simplices": simplices}
+
+
 def row_pairs_spaces():
     """(label, space, top) for comparing row_pairs with slow_row_pairs."""
     out = [(f"scan-like-{seed}", parse_space(seeded_scan_like_doc(seed)), 8)
@@ -524,9 +560,16 @@ def test_paranoid_matches_generator_scan(name):
         assert paranoid_closure(space, cap).same_classes(reference)
 
 
-@pytest.mark.parametrize("name", ("scan-like",) + BUILTINS)
+PARANOID_SPACES = (
+    {name: builtin_space(name) for name in BUILTINS}
+    | {label: space for label, space, _ in ROW_PAIRS_SPACES}
+    | {"key-fields": parse_space(key_fields_doc())}
+)
+
+
+@pytest.mark.parametrize("name", PARANOID_SPACES)
 def test_paranoid_matches_slow_reference(name):
-    space = parse_space(SCAN_LIKE_DOC) if name == "scan-like" else builtin_space(name)
+    space = PARANOID_SPACES[name]
     # the scan-like space's cells reach dimension 6, so its caps are 7 and 8
     for cap in (space.max_dim + 1, space.max_dim + 2):
         expected = slow_paranoid_closure(space, cap).to_report()
@@ -630,6 +673,28 @@ def test_paranoid_scan_computes_each_face_once(monkeypatch):
     assert calls == []
     assert len(levels) == 52
     assert [row for _, rows in levels for row in rows] == []
+
+
+def test_paranoid_scan_reads_one_degenerate_block_per_class(monkeypatch):
+    # SCAN_LIKE_DOC's four edges have one neighbourhood key, and each
+    # triangle and cell its own: row_pairs reads e0's degenerate simplices,
+    # not e1's, e2's or e3's (3 x 35 of the 1,006 on levels 2..8), and every
+    # generator at its own level
+    space = parse_space(SCAN_LIKE_DOC)
+    handed = []
+
+    def recording(simplices, rows, lower, *clean):
+        handed.extend(simplices)
+        return row_pairs(simplices, rows, lower, *clean)
+
+    monkeypatch.setattr(actions, "row_pairs", recording)
+    assert paranoid_closure(space, 8).to_report() == slow_paranoid_closure(space, 8).to_report()
+    assert len(handed) == len(set(handed))
+    assert sum(1 for s in handed if s.word) == 901
+    assert sorted(s.base.name for s in handed if not s.word) == [
+        "c3", "c4", "c5", "c6", "t0", "t1", "t2", "t3", "t4", "t5"
+    ]
+    assert {s.base.name for s in handed if s.base.dim == 1} == {"e0"}
 
 
 def named_space(name):

@@ -307,6 +307,78 @@ def test_overlong_json_integer_is_a_format_error_naming_the_file(tmp_path, capsy
     assert err.startswith(f"error: {alg_path}: invalid JSON (Exceeds the limit")
 
 
+@pytest.mark.parametrize("option", ["--space", "--algebra", "--module"])
+def test_deeply_nested_json_is_a_format_error_naming_the_file(tmp_path, capsys, option):
+    # json decodes nesting by recursion, so 200,000 brackets exhaust the stack
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000, encoding="utf-8")
+    if option == "--space":
+        argv = ["validate", "--space", str(deep)]
+    else:
+        paths = {
+            "--algebra": write_json(tmp_path / "dual.json", DUAL_DOC),
+            "--module": write_json(tmp_path / "module.json", regular_module_doc(["e.0", "e.1"])),
+            option: str(deep),
+        }
+        argv = ["cohomology", "--builtin", "circle", "--algebra", paths["--algebra"],
+                "--module", paths["--module"], "-N", "2"]
+    status, out, err = run_cli(capsys, *argv)
+    assert (status, out) == (2, "")
+    assert err == f"error: {deep}: invalid JSON (nested too deeply)\n"
+
+
+def test_long_space_names_and_words_are_echoed_abridged(tmp_path, capsys):
+    name = "x" * 100_000
+    for bad, tail in (
+        ({"name": name, "dim": 1, "faces": [["pt", []]]},
+         "... (100002 characters) needs exactly 2 faces"),
+        ({"name": "t", "dim": 2, "faces": [["pt", [0] * 50_000]] * 3},
+         "... (150000 characters) is not in normal form over 'pt'"),
+    ):
+        doc = {"name": "s", "basepoint": "pt", "simplices": [{"name": "pt", "dim": 0}, bad]}
+        path = write_json(tmp_path / "space.json", doc)
+        status, out, err = run_cli(capsys, "validate", "--space", path)
+        assert (status, out) == (2, "")
+        assert err.endswith(tail + "\n")
+        assert len(err.encode()) < 600
+
+
+def test_long_basis_name_is_echoed_abridged(tmp_path, capsys):
+    # basis element 0 does not act as the unit
+    algebra = json.loads(json.dumps(DUAL_DOC))
+    algebra["basis"] = ["x" * 100_000, "y"]
+    algebra["mul"][0][0] = [0, 1]
+    alg_path = write_json(tmp_path / "dual.json", algebra)
+    mod_path = write_json(tmp_path / "module.json", regular_module_doc(["e.0", "e.1"]))
+    status, out, err = run_cli(
+        capsys, "cohomology", "--builtin", "circle",
+        "--algebra", alg_path, "--module", mod_path, "-N", "2",
+    )
+    assert (status, out) == (1, "")
+    assert err.endswith("... (100002 characters)) must act as the unit\n")
+    assert len(err.encode()) < 600
+
+
+def test_long_module_action_keys_are_echoed_abridged(tmp_path, capsys):
+    alg_path = write_json(tmp_path / "dual.json", DUAL_DOC)
+    regular = regular_module_doc(["e.0", "e.1"])
+    # a well-formed action under a key no class has, then a malformed one
+    for action, expected, tail in (
+        (regular["actions"]["e.0"], 1, "unexpected action classes ['kkkk"),
+        ({}, 2, "] must be a list of matrices"),
+    ):
+        doc = {"dim": regular["dim"], "actions": {**regular["actions"], "k" * 100_000: action}}
+        mod_path = write_json(tmp_path / "module.json", doc)
+        status, out, err = run_cli(
+            capsys, "cohomology", "--builtin", "circle",
+            "--algebra", alg_path, "--module", mod_path, "-N", "2",
+        )
+        assert (status, out) == (expected, "")
+        assert tail in err
+        assert "... (100002 characters)" in err
+        assert len(err.encode()) < 600
+
+
 def test_cohomology_budget_exceeded(tmp_path, capsys):
     alg_path = write_json(tmp_path / "dual.json", DUAL_DOC)
     mod_path = write_json(tmp_path / "mod.json", regular_module_doc(["a.0"]))
