@@ -18,7 +18,8 @@ Faces are read from integer rows, one per simplex: entry k is the position
 of d_k s among the faces below, or ~p where d_k s is the basepoint and p is
 the number of its slot in enumerate_slots(space), the order of every
 ActionPartition.slots of the space. This row format is the public interface
-of level_rows, which tabulates every non-basepoint simplex level by level.
+of level_rows, which tabulates the non-basepoint simplices level by level,
+all of them or those over chosen generators.
 The simplices over the generators of one dimension share their degeneracy
 words, so a level walks each word once per face index (_template), merges
 each kept word once per face index and face, and reads each generator's
@@ -32,11 +33,13 @@ identity check; it yields no pair of a slot with itself. The paranoid scan
 holds two levels at a time, and a cochain setup keeps the rows of every
 level for its cofaces and its identity check. Generators whose faces look
 alike from the basepoint fall into one class, and the paranoid scan reads
-the degenerate simplices of one generator per class (paranoid_closure): on
-the benchmark's actions-scan space (seed 1), whose 94 generators fall into
-16 classes, it reads 1,316 of the 6,398 degenerate simplices to dimension
-8, and the scan takes 28-34 ms in a fresh process (median 28 ms of 15,
-where the parent's took 38-43 ms, median 40 ms; 2-vCPU host, Python 3.11).
+the degenerate simplices of one generator per class (paranoid_closure) and
+builds the rows of only those and of the simplices they point at
+(_scan_blocks): on the benchmark's actions-scan space (seed 1), whose 94
+generators fall into 16 classes, it hands row_pairs 1,380 simplices and
+builds 1,761 of the 6,492 rows to dimension 8, and the scan takes
+10.1-16.9 ms in a fresh process (median 10.6 ms of 15, where building every
+row took 14.4-19.2 ms, median 15.6 ms; 2-vCPU host, Python 3.11).
 """
 
 from __future__ import annotations
@@ -344,7 +347,7 @@ def _template(n: int, d: int, below):
     return words, getters, kept
 
 
-def level_rows(space: SimplicialSpace, top: int):
+def level_rows(space: SimplicialSpace, top: int, blocks=None):
     """(simplices, rows) for the non-basepoint n-simplices, n = 0..top.
 
     Each level is in space.simplices order, with one row per simplex (an
@@ -353,6 +356,13 @@ def level_rows(space: SimplicialSpace, top: int):
     is the basepoint, carried by the slot enumerate_slots(space)[~f]. Only
     the level below is held to build a level; basepoint simplices, whose
     faces row_pairs never asks for, are neither built nor given a row.
+
+    blocks, when given, holds a set of generators per level n = 0..top, and
+    only the n-simplices over those are built, in the same order. The rows
+    over a generator g at level n point at the (n - 1)-simplices over g when
+    g.dim < n and over each face base of g, so blocks must be closed
+    downward: each such generator is in blocks[n - 1]. A row that would
+    point at a block left out fails its lookup (KeyError) instead.
 
     The simplices over generators of one dimension d share their words, so
     each level builds one _template per d and each generator one value list:
@@ -365,20 +375,27 @@ def level_rows(space: SimplicialSpace, top: int):
     numbers = {slot: k for k, slot in enumerate(enumerate_slots(space))}
     generators = sorted(space.generators, key=lambda g: g.name)
     generators.remove(basepoint)
-    level = tuple(Simplex((), g) for g in generators if not g.dim)
+
+    def cells(n):
+        return [g for g in generators if g.dim <= n and (blocks is None or g in blocks[n])]
+
+    level = tuple(Simplex((), g) for g in cells(0))
     yield level, [()] * len(level)
     offsets = {s.base: p for p, s in enumerate(level)}
     words = {0: {(): 0}}
     for n in range(1, top + 1):
-        cells = [g for g in generators if g.dim <= n]
-        templates = {d: _template(n, d, words.get(d)) for d in {g.dim for g in cells}}
+        built = cells(n)
+        templates = {
+            d: _template(n, d, words[d] if d < n else None) for d in {g.dim for g in built}
+        }
         below, offsets = offsets, {}
         merged, level, rows = {}, [], []
-        for g in cells:
+        for g in built:
             cell_words, getters, kept = templates[g.dim]
             level += [tuple.__new__(Simplex, (word, g)) for word in cell_words]
-            offsets[g], start = len(rows), below.get(g, 0)
-            values = list(range(start, start + len(words.get(g.dim, ()))))
+            offsets[g], values = len(rows), []
+            if g.dim < n:
+                values = list(range(below[g], below[g] + len(words[g.dim])))
             for k, f in enumerate(g.faces):
                 if f.base is basepoint:
                     values += [~numbers[g, k]] * len(kept[k])
@@ -437,6 +454,26 @@ def _neighbourhood(g: Generator, basepoint: Generator, numbers):
     return key, [numbers[x, k] for x in (g, *bases) for k in own(x)]
 
 
+def _scan_blocks(space: SimplicialSpace, generators, firsts, top: int) -> list[set]:
+    """blocks[n], n = 0..top: the generators whose n-simplices a paranoid
+    scan to top builds (level_rows' blocks).
+
+    At each level n >= 2 row_pairs reads the block of each first member of
+    a class (firsts) of dim <= n and of each generator of dim n. Level by
+    level from the top down, each level also holds what level_rows' rule
+    asks of the level above: its generators of dim <= n and their face
+    bases, so no row points at a block left out.
+    """
+    blocks, built = [], set()
+    for n in range(top, -1, -1):
+        built = {g for g in built if g.dim <= n} | {f.base for g in built for f in g.faces}
+        if n >= 2:
+            built |= {g for g in generators if g.dim == n or g.dim < n and g in firsts}
+        built.discard(space.basepoint)
+        blocks.append(built)
+    return blocks[::-1]
+
+
 def paranoid_closure(space: SimplicialSpace, dim_cap: int) -> ActionPartition:
     """Same closure, but scanning every simplex (degenerate included).
 
@@ -457,8 +494,10 @@ def paranoid_closure(space: SimplicialSpace, dim_cap: int) -> ActionPartition:
     own level is scanned directly. The lower rows it reads are those of
     simplices over g and over the face bases, (merge(kept, f.word), f.base),
     whose sign patterns the words and B fix; the key fixes those, and which
-    slots coincide. A level lays out C(n, g.dim) simplices per generator in
-    name order, so the first InternalError is raised at the same simplex.
+    slots coincide. level_rows builds only the blocks row_pairs reads and
+    those their rows point at (_scan_blocks), C(n, g.dim) simplices per
+    generator in name order, so the first InternalError is raised at the
+    same simplex.
     """
     if dim_cap < space.max_dim + 1:
         raise ValueError(
@@ -480,12 +519,16 @@ def paranoid_closure(space: SimplicialSpace, dim_cap: int) -> ActionPartition:
         key, own = _neighbourhood(g, space.basepoint, numbers)
         first, first_own = classes.setdefault(key, (g, own))
         relabel[g] = first, dict(zip(first_own, own))
+    top = dim_cap if visits else 1
+    firsts = {first for first, _ in relabel.values()}
+    blocks = _scan_blocks(space, generators, firsts, top)
     pairs = set()
-    for n, (level, rows) in enumerate(level_rows(space, dim_cap if visits else 1)):
+    for n, (level, rows) in enumerate(level_rows(space, top, blocks)):
         if n >= 2:
             clean, found, stop = [min(row) >= 0 for row in lower], {}, 0
             for g in (g for g in generators if g.dim <= n):
-                start, stop = stop, stop + comb(n, g.dim)
+                if g in blocks[n]:
+                    start, stop = stop, stop + comb(n, g.dim)
                 first, sigma = relabel[g]
                 if first is g or g.dim == n:
                     block = row_pairs(level[start:stop], rows[start:stop], lower, clean)

@@ -11,7 +11,7 @@ distinct class actions) are checked eagerly at parse time with witnesses.
 from __future__ import annotations
 
 from .actions import ActionPartition
-from .errors import FormatError, ValidationError, _abridged, _clipped, read_json
+from .errors import FormatError, ValidationError, _abridged, _clipped, _listed, read_json
 from .exactlinalg import Field, Matrix, field_from_json
 
 
@@ -171,9 +171,9 @@ def validate_module(module: MultiModule, algebra: Algebra, expected_keys) -> Non
         extra = [k for k in got if k not in expected]
         parts = []
         if missing:
-            parts.append(f"missing action classes [{', '.join(map(_abridged, missing))}]")
+            parts.append(f"missing action classes [{_listed(missing, _abridged)}]")
         if extra:
-            parts.append(f"unexpected action classes [{', '.join(map(_abridged, extra))}]")
+            parts.append(f"unexpected action classes [{_listed(extra, _abridged)}]")
         raise ValidationError("; ".join(parts))
     d = algebra.dim
     m = module.dim

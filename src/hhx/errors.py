@@ -1,6 +1,6 @@
 """Shared exception types, mapped onto CLI exit statuses, the default column
-budget, the abridging of values echoed in error messages, and the JSON
-document reader that turns unparseable input into FormatError."""
+budget, the abridging of values and lists echoed in error messages, and the
+JSON document reader that turns unparseable input into FormatError."""
 
 import json
 
@@ -39,6 +39,15 @@ def _clipped(text: str) -> str:
     if len(text) <= 40:
         return text
     return f"{text[:40]}... ({len(text)} characters)"
+
+
+def _listed(items, show) -> str:
+    """show(item) for the first 10 items, joined by ", ", then "... and N
+    more" for the rest, so a message names a bounded number of problems."""
+    text = ", ".join(map(show, items[:10]))
+    if len(items) > 10:
+        text += f", ... and {len(items) - 10} more"
+    return text
 
 
 # hom-space columns a cohomology computation may build unless told otherwise;

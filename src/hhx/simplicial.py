@@ -20,7 +20,7 @@ import itertools
 import re
 from typing import NamedTuple
 
-from .errors import FormatError, ValidationError, _abridged, _clipped, read_json
+from .errors import FormatError, ValidationError, _abridged, _clipped, _listed, read_json
 
 
 class Generator:
@@ -303,7 +303,7 @@ def parse_space(doc, *, validate: bool = True) -> SimplicialSpace:
     if validate:
         violations = validate_space(space)
         if violations:
-            listing = ", ".join(f"({_clipped(g)}, d{i}, d{j})" for g, i, j in violations)
+            listing = _listed(violations, lambda v: f"({_clipped(v[0])}, d{v[1]}, d{v[2]})")
             err = ValidationError(f"simplicial identities violated: {listing}")
             err.violations = violations
             raise err

@@ -131,6 +131,23 @@ TWO_EDGE_CIRCLE = {
     ],
 }
 
+# S^2 v S^1 on one vertex: the loop e and the 2-simplex s with every face at
+# s0 pt. The pinched torus has this homotopy type, so symmetric coefficients
+# give both the same HH, but it carries 3 slot classes to the pinched
+# torus's 2.
+SPHERE_CIRCLE_WEDGE_DOC = {
+    "name": "sphere2-wedge-circle",
+    "basepoint": "pt",
+    "simplices": [
+        {"name": "pt", "dim": 0},
+        {"name": "e", "dim": 1, "faces": [["pt", []], ["pt", []]]},
+        {"name": "s", "dim": 2, "faces": [["pt", [0]]] * 3},
+    ],
+}
+
+# HH^0..3 of the pinched torus with Q[x]/x^2 acting on itself, every class alike
+PINCHED_TORUS_REGULAR_HH = [2, 1, 2, 3]
+
 # Spaces that break d_i d_j = d_{j-1} d_i, for parse_space(..., validate=False).
 
 # faces of t break d_0 d_1 = d_0 d_0 at the basepoint: d_0 d_1 t = d_0 g = v,

@@ -188,8 +188,8 @@ def record_level_rows(monkeypatch, *modules):
     through the given modules, in order."""
     levels = []
 
-    def recording(space, top):
-        for level in level_rows(space, top):
+    def recording(space, top, blocks=None):
+        for level in level_rows(space, top, blocks):
             levels.append(level)
             yield level
 
@@ -344,6 +344,30 @@ def key_fields_doc():
         cell("w1", ["wb", [1]], ["wb", [1]], ["wb", [0]], "wT"),
     ]
     return {"name": "key-fields", "basepoint": "pt", "simplices": simplices}
+
+
+def scan_blocks_doc():
+    """A one-vertex space whose scan needs both of level_rows' closure rules.
+
+    The loops a, e, f fall into one class, first a; so do the 3-cells h and
+    k, each with the faces of s1 s0 on its loop (s0 e or s0 f three times,
+    then s1 s0 pt), first h. h's face base e is no class's first, so the
+    scan builds e's n-simplices for h's (n + 1)-simplices. k is read only
+    at its own level 3, where its faces s0 f are over an edge of dimension
+    less than 2: f's 2-simplices are built for k alone, and their rows,
+    d0 s0 f = d1 s0 f = f, ask for f's 1-simplex. The triangle
+    t = (a, s0 pt, e) links a's slots to e's.
+    """
+    loop = [["pt", []], ["pt", []]]
+
+    def cell(name, loop):
+        return {"name": name, "dim": 3, "faces": [[loop, [0]]] * 3 + [["pt", [1, 0]]]}
+
+    simplices = [{"name": "pt", "dim": 0}]
+    simplices += [{"name": x, "dim": 1, "faces": loop} for x in ("a", "e", "f")]
+    simplices += [cell("h", "e"), cell("k", "f")]
+    simplices.append({"name": "t", "dim": 2, "faces": [["a", []], ["pt", [0]], ["e", []]]})
+    return {"name": "scan-blocks", "basepoint": "pt", "simplices": simplices}
 
 
 def row_pairs_spaces():
@@ -564,6 +588,7 @@ PARANOID_SPACES = (
     {name: builtin_space(name) for name in BUILTINS}
     | {label: space for label, space, _ in ROW_PAIRS_SPACES}
     | {"key-fields": parse_space(key_fields_doc())}
+    | {"scan-blocks": parse_space(scan_blocks_doc())}
 )
 
 
@@ -637,9 +662,16 @@ def test_paranoid_matches_slow_reference_and_sweep_on_drawn_spaces():
 
 def test_paranoid_scan_computes_each_face_once(monkeypatch):
     space = parse_space(SCAN_LIKE_DOC)
+    # one row entry per (simplex, face index) over the generators the scan
+    # builds: every generator's n-simplices, n = 1..8, but e1's, e2's and
+    # e3's at 8, since no class has them first (e0 is) and only the rows of
+    # level n + 1 point at their n-simplices
     expected = sum(
-        (n + 1) * sum(1 for s in space.simplices(n) if not space.is_basepoint(s))
+        (n + 1) * comb(n, g.dim)
         for n in range(1, 9)
+        for g in space.generators
+        if g is not space.basepoint and g.dim <= n
+        and not (n == 8 and g.name in ("e1", "e2", "e3"))
     )
     calls = []
     face = SimplicialSpace.face
@@ -695,6 +727,43 @@ def test_paranoid_scan_reads_one_degenerate_block_per_class(monkeypatch):
         "c3", "c4", "c5", "c6", "t0", "t1", "t2", "t3", "t4", "t5"
     ]
     assert {s.base.name for s in handed if s.base.dim == 1} == {"e0"}
+
+
+def test_paranoid_scan_builds_the_blocks_it_reads_and_their_faces(monkeypatch):
+    space = parse_space(scan_blocks_doc())
+    levels = record_level_rows(monkeypatch, actions)
+    for cap in (4, 5):
+        levels.clear()
+        assert paranoid_closure(space, cap).to_report() == (
+            slow_paranoid_closure(space, cap).to_report()
+        )
+    # e below every level h and t are read at, f at 1 and 2 for k alone, and
+    # no other block of a class's later member
+    assert [sorted({s.base.name for s in level}) for level, _ in levels] == [
+        [], ["a", "e", "f"], ["a", "e", "f", "t"], ["a", "e", "h", "k", "t"],
+        ["a", "e", "h", "t"], ["a", "h", "t"],
+    ]
+    # each level holds whole blocks, in name order, as space.simplices does
+    for n, (level, _) in enumerate(levels):
+        bases = {s.base for s in level}
+        assert list(level) == [s for s in space.simplices(n) if s.base in bases]
+
+
+def test_paranoid_scan_builds_fewer_rows_than_a_cochain_setup(monkeypatch):
+    space = parse_space(SCAN_LIKE_DOC)
+    levels = record_level_rows(monkeypatch, actions, cochain)
+    paranoid_closure(space, 8)
+    # every block but e1's, e2's and e3's at 8, as
+    # test_paranoid_scan_computes_each_face_once counts
+    assert [len(level) for level, _ in levels] == [0, 4, 14, 31, 57, 96, 156, 252, 386]
+    levels.clear()
+    alg, partition = ground_field(), sweep_closure(space)
+    module = identity_module(alg.field, 1, partition.class_ids)
+    CochainSetup(space, alg, module, partition, 7)
+    assert [list(level) for level, _ in levels] == [
+        [s for s in space.simplices(n) if not space.is_basepoint(s)] for n in range(9)
+    ]
+    assert [len(level) for level, _ in levels] == [0, 4, 14, 31, 57, 96, 156, 252, 410]
 
 
 def named_space(name):

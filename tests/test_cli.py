@@ -11,8 +11,10 @@ import pytest
 from helpers import (
     DUAL_DOC,
     GROUND_DOC,
+    PINCHED_TORUS_REGULAR_HH,
     SCAN_LIKE_DOC,
     SLOTLESS_DOC,
+    SPHERE_CIRCLE_WEDGE_DOC,
     TWO_EDGE_CIRCLE,
     dual_numbers,
     multiplication_module,
@@ -174,6 +176,33 @@ def test_actions_emit_template_roundtrip(tmp_path, capsys):
     )
     assert status == 0
     assert json.loads(out)["identities"] == "pass"
+
+
+def test_sphere_circle_wedge_gives_the_pinched_torus_hh_on_more_classes(tmp_path, capsys):
+    space_path = write_json(tmp_path / "wedge.json", SPHERE_CIRCLE_WEDGE_DOC)
+    alg_path = write_json(tmp_path / "dual.json", DUAL_DOC)
+    template = str(tmp_path / "module.json")
+    status, out, _ = run_cli(
+        capsys, "actions", "--space", space_path, "--algebra", alg_path,
+        "--emit-template", template, "--paranoid", "5", "--format", "json",
+    )
+    assert status == 0
+    report = json.loads(out)
+    assert report["coefficient_kind"] == "3-multi-module"
+    assert report["paranoid"] == {"cap": 5, "class_count": 3, "agrees": True}
+    status, out, _ = run_cli(capsys, "actions", "--builtin", "pinched-torus",
+                             "--format", "json")
+    assert json.loads(out)["coefficient_kind"] == "bi-module"
+    # every class acts alike in the regular module, so the homotopy type
+    # fixes HH: the model of S^2 v S^1 gives the pinched torus's answer
+    status, out, _ = run_cli(
+        capsys, "cohomology", "--space", space_path, "--algebra", alg_path,
+        "--module", template, "-N", "3", "--format", "json",
+    )
+    assert status == 0
+    report = json.loads(out)
+    assert report["t"] == [0, 1, 3, 6, 10]
+    assert report["hh_dims"] == PINCHED_TORUS_REGULAR_HH
 
 
 def test_actions_emit_template_requires_algebra(tmp_path, capsys):
@@ -377,6 +406,39 @@ def test_long_module_action_keys_are_echoed_abridged(tmp_path, capsys):
         assert tail in err
         assert "... (100002 characters)" in err
         assert len(err.encode()) < 600
+
+
+def test_long_violation_and_class_lists_name_the_first_ten(tmp_path, capsys):
+    # x runs from pt to v, so d0 d2 t = v and d1 d0 t = pt on each t = (x, x, x)
+    simplices = [{"name": "pt", "dim": 0}, {"name": "v", "dim": 0},
+                 {"name": "x", "dim": 1, "faces": [["v", []], ["pt", []]]}]
+    simplices += [{"name": f"t{k}", "dim": 2, "faces": [["x", []]] * 3} for k in range(5000)]
+    path = write_json(tmp_path / "space.json",
+                      {"name": "broken", "basepoint": "pt", "simplices": simplices})
+    status, out, err = run_cli(capsys, "actions", "--space", path)
+    assert (status, out) == (1, "")
+    listing = ", ".join(f"(t{k}, d0, d2)" for k in range(10))
+    assert err.endswith(f"simplicial identities violated: {listing}, ... and 4990 more\n")
+    assert len(err.encode()) < 2048
+    # thirty loops at pt make sixty one-slot classes; the module has none of
+    # them and 5,000 classes besides
+    loop = [["pt", []], ["pt", []]]
+    wedge = {"name": "wedge", "basepoint": "pt", "simplices": [{"name": "pt", "dim": 0}]
+             + [{"name": f"e{k:02}", "dim": 1, "faces": loop} for k in range(30)]}
+    space_path = write_json(tmp_path / "wedge.json", wedge)
+    alg_path = write_json(tmp_path / "dual.json", DUAL_DOC)
+    regular = regular_module_doc(["e.0"])
+    extra = {f"k{k:04}": regular["actions"]["e.0"] for k in range(5000)}
+    mod_path = write_json(tmp_path / "module.json", {"dim": regular["dim"], "actions": extra})
+    status, out, err = run_cli(
+        capsys, "cohomology", "--space", space_path,
+        "--algebra", alg_path, "--module", mod_path, "-N", "2",
+    )
+    assert (status, out) == (1, "")
+    assert "missing action classes ['e00.0', 'e00.1', 'e01.0', " in err
+    assert "'e04.1', ... and 50 more]; unexpected action classes ['k0000', " in err
+    assert err.endswith("'k0009', ... and 4990 more]\n")
+    assert len(err.encode()) < 2048
 
 
 def test_cohomology_budget_exceeded(tmp_path, capsys):
@@ -619,8 +681,8 @@ def test_paranoid_scan_of_the_point_space_stops_at_once(tmp_path, capsys, monkey
     })
     level_rows = actions.level_rows
 
-    def two_levels_at_most(space, top):
-        for n, level in enumerate(level_rows(space, top)):
+    def two_levels_at_most(space, top, blocks=None):
+        for n, level in enumerate(level_rows(space, top, blocks)):
             assert n <= 1, f"level {n} of the point space built"
             yield level
 

@@ -14,6 +14,7 @@ from helpers import (
     BROKEN_AWAY_FROM_BASEPOINT_DOC,
     CUBIC_DOC,
     DUAL_DOC,
+    PINCHED_TORUS_REGULAR_HH,
     coefficient_module,
     cubic_truncation,
     degenerate_columns,
@@ -835,7 +836,7 @@ def test_pinched_torus_degree_3_frontier_answer():
     # column holds, so the elimination peels them off before it indexes the rest
     setup = make_setup("pinched-torus", dual_numbers(), "regular", 3, budget=3_000_000)
     assert setup.hom_dims[-1] == 2_097_152
-    assert setup.report()["hh_dims"] == [2, 1, 2, 3]
+    assert setup.report()["hh_dims"] == PINCHED_TORUS_REGULAR_HH
 
 
 # top degree per space in the δδ = 0 draws, kept small for the cubic algebra
