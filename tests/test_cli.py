@@ -203,6 +203,13 @@ def test_sphere_circle_wedge_gives_the_pinched_torus_hh_on_more_classes(tmp_path
     report = json.loads(out)
     assert report["t"] == [0, 1, 3, 6, 10]
     assert report["hh_dims"] == PINCHED_TORUS_REGULAR_HH
+    # the answer predicted for the pinched torus at -N 4, out of its reach
+    status, out, _ = run_cli(
+        capsys, "cohomology", "--space", space_path, "--algebra", alg_path,
+        "--module", template, "-N", "4", "--format", "json",
+    )
+    assert status == 0
+    assert json.loads(out)["hh_dims"] == [2, 1, 2, 3, 4]
 
 
 def test_actions_emit_template_requires_algebra(tmp_path, capsys):
@@ -219,13 +226,17 @@ def test_actions_template_argument_errors_come_before_the_scans(tmp_path, capsys
     space_path = write_json(tmp_path / "scan.json", SCAN_LIKE_DOC)
     alg_path = write_json(tmp_path / "alg.json", DUAL_DOC)
     scan = ("actions", "--space", space_path, "--paranoid", "15")
-    template = ("--emit-template", str(tmp_path / "m.json"))
-    for extra, message in (
-        ((), "--emit-template requires --algebra"),
-        (("--algebra", alg_path, "--field", "F4x"), "bad field 'F4x'"),
+    template = str(tmp_path / "m.json")
+    for target, extra, message in (
+        (template, (), "--emit-template requires --algebra"),
+        (template, ("--algebra", alg_path, "--field", "F4x"), "bad field 'F4x'"),
+        ("/nonexistent/dir/m.json", ("--algebra", alg_path),
+         "--emit-template: no directory /nonexistent/dir\n"),
+        (str(tmp_path / "scan.json" / "m.json"), ("--algebra", alg_path),
+         f"--emit-template: no directory {space_path}\n"),
     ):
         start = time.perf_counter()
-        status, out, err = run_cli(capsys, *scan, *template, *extra)
+        status, out, err = run_cli(capsys, *scan, "--emit-template", target, *extra)
         assert time.perf_counter() - start < 1.0
         assert status == 2
         assert out == ""

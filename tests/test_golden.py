@@ -10,7 +10,9 @@ degenerate triangle faces and cells up to dimension 6 for the paranoid scan
 status in status.json; the --help text of hhx and of each command is kept
 in help[-<command>].out, printed at COLUMNS=80. One case of each command
 path also runs as a fresh `python -m hhx` process, where a name the CLI
-binds only on first use is not already loaded by another test.
+binds only on first use is not already loaded by another test, and so does
+one case with exit status 1 (test_entry.py has the fresh runs that exit 2
+and 3).
 
 To re-record after an intended output change:
 
@@ -92,11 +94,13 @@ HELP_CASES = {
     "help-cohomology": ["cohomology", "--help"],
 }
 
-# one case per command path that imports a different set of modules
+# one case per command path that imports a different set of modules, and
+# one that exits with status 1 through the process entry point
 FRESH_CASES = (
     "validate-torus-text",
     "actions-scan-like-paranoid-json",
     "cohomology-pinched-torus-text",
+    "cohomology-sphere2-override-text",
 )
 
 
