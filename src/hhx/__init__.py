@@ -17,14 +17,15 @@ __version__ = "0.1.0"
 _PUBLIC = {
     "actions": ("ActionPartition", "ActionSlot", "enumerate_slots",
                 "paranoid_closure", "sweep_closure"),
-    "coeffalg": ("Algebra", "MultiModule", "endomorphism_module",
-                 "multiplication_module", "parse_algebra", "parse_module",
-                 "validate_algebra", "validate_module"),
-    "cochain": ("CochainSetup", "classical_hochschild_dims"),
+    "coeffalg": ("Algebra", "MultiModule", "multiplication_module",
+                 "parse_algebra", "parse_module", "validate_algebra",
+                 "validate_module"),
+    "cochain": ("CochainSetup",),
     "errors": ("BudgetError", "DEFAULT_BUDGET", "FormatError",
                "InternalError", "ValidationError"),
     "exactlinalg": ("Field", "Matrix", "PrimeField", "QQ", "field_from_json",
                     "field_from_text"),
+    "extras": ("classical_hochschild_dims", "endomorphism_module"),
     "simplicial": ("Generator", "Simplex", "SimplicialSpace", "builtin_space",
                    "parse_space", "validate_space"),
 }

@@ -5,8 +5,9 @@ Exit statuses: 0 success, 1 semantic validation failure, 2 parse/IO error,
 byte-identical reports.
 
 Each command imports only what it runs: `validate` the simplicial layer,
-`actions` also the action closures, and `cohomology` and `actions
---emit-template` also the algebra side (coeffalg, exactlinalg, cochain).
+`actions` also the action closures, `actions --emit-template` also the
+algebras and modules (coeffalg, exactlinalg), and `cohomology` also the
+cochain engine. No command imports hhx.extras.
 """
 
 from __future__ import annotations
@@ -26,40 +27,23 @@ EXIT_VALIDATION = 1
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
 
-# the names the commands use from the algebra side, bound into this
-# module's globals on first use
-_ALGEBRA_SIDE = (
-    "CochainSetup",
-    "field_from_text",
-    "load_algebra",
-    "load_module",
-    "multiplication_module",
-)
 
+def load_algebra(path: str, *, field=None):
+    """coeffalg.load_algebra, importing coeffalg on the first call.
 
-def _bind_algebra_side():
-    """Import coeffalg, exactlinalg and cochain, and bind each _ALGEBRA_SIDE
-    name that is not yet bound here.
-
-    A name already bound is kept, and the commands call whatever is bound:
-    perfbench's tracer replaces load_algebra and load_module in this module
-    by name before any command runs.
+    The commands call the loaders bound in this module, so perfbench's
+    tracer can replace them here by name.
     """
-    from .cochain import CochainSetup
-    from .coeffalg import load_algebra, load_module, multiplication_module
-    from .exactlinalg import field_from_text
+    from . import coeffalg
 
-    imported = locals()
-    namespace = globals()
-    for name in _ALGEBRA_SIDE:
-        namespace.setdefault(name, imported[name])
+    return coeffalg.load_algebra(path, field=field)
 
 
-def __getattr__(name):
-    if name not in _ALGEBRA_SIDE:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind_algebra_side()
-    return globals()[name]
+def load_module(path: str, algebra, partition):
+    """coeffalg.load_module, importing coeffalg on the first call."""
+    from . import coeffalg
+
+    return coeffalg.load_module(path, algebra, partition)
 
 
 def _int(text: str) -> int:
@@ -193,7 +177,11 @@ def cmd_actions(args) -> int:
         folder = os.path.dirname(args.emit_template) or "."
         if not os.path.isdir(folder):
             raise FormatError(f"--emit-template: no directory {folder}")
-        _bind_algebra_side()
+        if os.path.isdir(args.emit_template):
+            raise FormatError(f"--emit-template: {args.emit_template} is a directory")
+        from .coeffalg import multiplication_module
+        from .exactlinalg import field_from_text
+
         field = field_from_text(args.field) if args.field else None
         algebra = load_algebra(args.algebra, field=field)
     elif args.algebra is not None or args.field is not None:
@@ -246,8 +234,9 @@ def cmd_actions(args) -> int:
 
 def cmd_cohomology(args) -> int:
     from .actions import ActionPartition, enumerate_slots, sweep_closure
+    from .cochain import CochainSetup
+    from .exactlinalg import field_from_text
 
-    _bind_algebra_side()
     if args.max_degree < 1:
         raise FormatError("--max-degree must be at least 1")
     if args.budget < 1:
@@ -305,11 +294,9 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValueError as exc:
-        # bad argument values, e.g. a paranoid cap below the space dimension
+    except (ValueError, OSError) as exc:
+        # FormatError, and bad argument values such as a paranoid cap below
+        # the space dimension
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

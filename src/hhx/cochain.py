@@ -765,68 +765,6 @@ def _merged(blocks) -> dict:
     return columns
 
 
-def classical_hochschild_dims(
-    algebra: Algebra,
-    module: MultiModule,
-    left_key: str,
-    right_key: str,
-    max_degree: int,
-) -> list[int]:
-    """Classical two-sided bar-complex cohomology dimensions (test oracle).
-
-    Degree n is Hom(A^n, M); the differential acts by the left action on the
-    first factor, successive neighbor products with alternating signs, and
-    the right action on the last factor. Coded independently of the
-    cosimplicial assembly above so the two can check each other.
-    """
-    d = algebra.dim
-    m = module.dim
-    left = module.actions[left_key]
-    right = module.actions[right_key]
-
-    def put(acc, key, val):
-        acc[key] = acc.get(key, 0) + val
-
-    def diff(n):
-        rows = m * d ** (n + 1)
-        cols = m * d**n
-        acc = {}
-        for b in itertools.product(range(d), repeat=n + 1):
-            row_value = 0
-            for digit in b:
-                row_value = row_value * d + digit
-            row_base = row_value * m
-            # drop the first factor through the left action
-            col_value = 0
-            for digit in b[1:]:
-                col_value = col_value * d + digit
-            for (r, c), v in left[b[0]].entries.items():
-                put(acc, (row_base + r, col_value * m + c), v)
-            # contract neighbors k-1, k
-            for k in range(1, n + 1):
-                coords = algebra.mul[b[k - 1]][b[k]]
-                for t, cval in enumerate(coords):
-                    if cval == 0:
-                        continue
-                    col_value = 0
-                    for digit in b[: k - 1] + (t,) + b[k + 1:]:
-                        col_value = col_value * d + digit
-                    val = (-1) ** k * cval
-                    col_base = col_value * m
-                    for u in range(m):
-                        put(acc, (row_base + u, col_base + u), val)
-            # drop the last factor through the right action
-            col_value = 0
-            for digit in b[:-1]:
-                col_value = col_value * d + digit
-            for (r, c), v in right[b[n]].entries.items():
-                put(acc, (row_base + r, col_value * m + c), (-1) ** (n + 1) * v)
-        return Matrix(algebra.field, rows, cols, acc)
-
-    ranks = [diff(n).rank() for n in range(max_degree + 1)]
-    return _dims_from_ranks(ranks, [m * d**n for n in range(max_degree + 1)])
-
-
 def _dims_from_ranks(ranks, dims) -> list[int]:
     """[H^0 .. H^N] of a complex with rank δ_n = ranks[n] and dim C^n = dims[n]."""
     hh = [dims[n] - rank - (ranks[n - 1] if n else 0) for n, rank in enumerate(ranks)]

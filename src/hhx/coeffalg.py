@@ -281,49 +281,3 @@ def multiplication_module(algebra: Algebra, twists: dict) -> MultiModule:
             mats.append(algebra.multiplication_matrix(coords))
         actions[key] = tuple(mats)
     return MultiModule(d, actions)
-
-
-def endomorphism_module(
-    algebra: Algebra, action_mats, partition: ActionPartition
-) -> MultiModule:
-    """Endomorphisms of a module as coefficients.
-
-    action_mats gives a single valid algebra action on a space of dimension
-    m (one m x m matrix per basis element). On the endomorphism space of
-    dimension m^2, the partition's first class acts by post-composition and
-    its second by pre-composition; with a single class only post-composition
-    is used. The two commute by associativity.
-    """
-    mats = tuple(action_mats)
-    m = mats[0].rows if mats else 0
-    base = MultiModule(m, {"value": mats})
-    validate_module(base, algebra, ["value"])
-    if partition.class_count not in (1, 2):
-        raise ValidationError(
-            "endomorphism coefficients need 1 or 2 action classes, "
-            f"got {partition.class_count}"
-        )
-    F = algebra.field
-    d = algebra.dim
-    post = []
-    pre = []
-    for t in range(d):
-        rho = mats[t]
-        post_entries = {}
-        pre_entries = {}
-        for (a, b), v in rho.entries.items():
-            for q in range(m):
-                # (rho f)_{aq} = sum_b rho_{ab} f_{bq}
-                post_entries[(a * m + q, b * m + q)] = v
-                # (f rho)_{qb} = sum_a f_{qa} rho_{ab}
-                pre_entries[(q * m + b, q * m + a)] = v
-        post.append(Matrix(F, m * m, m * m, post_entries))
-        pre.append(Matrix(F, m * m, m * m, pre_entries))
-    ids = partition.class_ids
-    if partition.class_count == 1:
-        actions = {ids[0]: tuple(post)}
-    else:
-        actions = {ids[0]: tuple(post), ids[1]: tuple(pre)}
-    module = MultiModule(m * m, actions)
-    validate_module(module, algebra, list(actions))
-    return module

@@ -9,6 +9,7 @@ from hhx import (
     ActionSlot,
     MultiModule,
     PrimeField,
+    Simplex,
     builtin_space,
     endomorphism_module,
     multiplication_module,
@@ -298,6 +299,40 @@ def identity_module(field, m, keys):
 def space_and_partition(name):
     space = builtin_space(name)
     return space, sweep_closure(space)
+
+
+def product_space(X, Y):
+    """The document of X x Y (Eilenberg-Zilber), for parse_space or --space.
+
+    The generators at level n are the pairs (x, y) of n-simplices with
+    disjoint degeneracy words, named "(x,y)" by their labels. Face i of
+    (x, y) is (u, v) = (d_i x, d_i y) = s_K (u', v'), where K holds the
+    indices in both words: d_k for each k in K, largest first, strips s_K,
+    and the face entry is [(u', v'), K in descending order].
+    """
+
+    def name(x, y):
+        return f"({x.label()},{y.label()})"
+
+    simplices = []
+    for n in range(X.max_dim + Y.max_dim + 1):
+        for x in X.simplices(n):
+            for y in Y.simplices(n):
+                if set(x.word) & set(y.word):
+                    continue
+                entry = {"name": name(x, y), "dim": n}
+                if n:
+                    faces = []
+                    for i in range(n + 1):
+                        u, v = X.face(x, i), Y.face(y, i)
+                        common = sorted(set(u.word) & set(v.word), reverse=True)
+                        for k in common:
+                            u, v = X.face(u, k), Y.face(v, k)
+                        faces.append([name(u, v), common])
+                    entry["faces"] = faces
+                simplices.append(entry)
+    point = Simplex((), X.basepoint), Simplex((), Y.basepoint)
+    return {"name": f"{X.name}-x-{Y.name}", "basepoint": name(*point), "simplices": simplices}
 
 
 def random_f5_bimodules(count, seed=20240803):

@@ -18,13 +18,14 @@ from helpers import (
     TWO_EDGE_CIRCLE,
     dual_numbers,
     multiplication_module,
+    product_space,
 )
 from hhx import actions, classical_hochschild_dims
 from hhx.actions import sweep_closure
 from hhx.cli import main
 from hhx.coeffalg import load_module, parse_algebra
 from hhx.exactlinalg import Matrix, field_from_text
-from hhx.simplicial import builtin_space
+from hhx.simplicial import builtin_space, parse_space
 
 
 def run_cli(capsys, *argv):
@@ -210,6 +211,77 @@ def test_sphere_circle_wedge_gives_the_pinched_torus_hh_on_more_classes(tmp_path
     )
     assert status == 0
     assert json.loads(out)["hh_dims"] == [2, 1, 2, 3, 4]
+    # the same over F_2 and F_5, against the pinched torus at the same field
+    pinched_template = str(tmp_path / "pinched.json")
+    status, _, _ = run_cli(capsys, "actions", "--builtin", "pinched-torus",
+                           "--algebra", alg_path, "--emit-template", pinched_template)
+    assert status == 0
+    for field, hh in (("F2", [2, 2, 4, 6]), ("F5", [2, 1, 2, 3])):
+        answers = []
+        for space, module in ((("--space", space_path), template),
+                              (("--builtin", "pinched-torus"), pinched_template)):
+            status, out, _ = run_cli(
+                capsys, "cohomology", *space, "--algebra", alg_path, "--module", module,
+                "-N", "3", "--field", field, "--budget", "3000000", "--format", "json",
+            )
+            assert status == 0
+            answers.append(json.loads(out)["hh_dims"])
+        assert answers == [hh, hh], field
+
+
+# the builtin torus's names for the generators of circle x circle
+TORUS_NAMES = {
+    "(pt,pt)": "pt",
+    "(s0.pt,e)": "a",
+    "(e,e)": "b",
+    "(e,s0.pt)": "c",
+    "(s0.e,s1.e)": "sigma",
+    "(s1.e,s0.e)": "tau",
+}
+
+
+def face_table(space):
+    return {
+        g.name: (g.dim, [(f.base.name, f.word) for f in g.faces])
+        for g in space.generators
+    }
+
+
+def test_circle_times_circle_is_the_builtin_torus(tmp_path, capsys):
+    circle = builtin_space("circle")
+    doc = product_space(circle, circle)
+    simplices = []
+    for entry in doc["simplices"]:
+        entry = dict(entry, name=TORUS_NAMES[entry["name"]])
+        if "faces" in entry:
+            entry["faces"] = [[TORUS_NAMES[name], word] for name, word in entry["faces"]]
+        simplices.append(entry)
+    renamed = {"name": "torus", "basepoint": TORUS_NAMES[doc["basepoint"]],
+               "simplices": simplices}
+    assert face_table(parse_space(renamed)) == face_table(builtin_space("torus"))
+    space_path = write_json(tmp_path / "product.json", renamed)
+    alg_path = write_json(tmp_path / "dual.json", DUAL_DOC)
+    template = str(tmp_path / "module.json")
+    reports = []
+    for space in (("--space", space_path), ("--builtin", "torus")):
+        status, actions_out, _ = run_cli(
+            capsys, "actions", *space, "--algebra", alg_path,
+            "--emit-template", template, "--format", "json",
+        )
+        assert status == 0
+        status, cohomology_out, _ = run_cli(
+            capsys, "cohomology", *space, "--algebra", alg_path,
+            "--module", template, "-N", "2", "--format", "json",
+        )
+        assert status == 0
+        reports.append((json.loads(actions_out), json.loads(cohomology_out)))
+    (product_actions, product_hh), (torus_actions, torus_hh) = reports
+    # the same partition and kind, so the same class-keyed template
+    assert product_actions == torus_actions
+    assert product_actions["coefficient_kind"] == "uni-module"
+    assert product_hh["identities"] == "pass"
+    assert product_hh["hh_dims"] == [2, 2, 4]
+    assert product_hh == torus_hh
 
 
 def test_actions_emit_template_requires_algebra(tmp_path, capsys):
@@ -234,6 +306,8 @@ def test_actions_template_argument_errors_come_before_the_scans(tmp_path, capsys
          "--emit-template: no directory /nonexistent/dir\n"),
         (str(tmp_path / "scan.json" / "m.json"), ("--algebra", alg_path),
          f"--emit-template: no directory {space_path}\n"),
+        (str(tmp_path), ("--algebra", alg_path),
+         f"--emit-template: {tmp_path} is a directory\n"),
     ):
         start = time.perf_counter()
         status, out, err = run_cli(capsys, *scan, "--emit-template", target, *extra)
@@ -241,7 +315,8 @@ def test_actions_template_argument_errors_come_before_the_scans(tmp_path, capsys
         assert status == 2
         assert out == ""
         assert message in err
-    assert not (tmp_path / "m.json").exists()
+    # nothing written, in the directory target either
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["alg.json", "scan.json"]
 
 
 @pytest.mark.parametrize("flag, value", [("--algebra", "missing.json"), ("--field", "F4x")])
