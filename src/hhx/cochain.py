@@ -11,12 +11,17 @@ class actions of all (n+1)-simplices whose i-th face is the basepoint,
 applied to the source evaluated at the per-simplex products grouped by the
 i-th face (empty product = unit). A codegeneracy places each source factor
 at the i-th degeneracy of its simplex and fills every other slot with the
-unit. Both are a product of per-simplex factors (the grouped products; the
-identity at each degeneracy image) tensored with module blocks (the nonzero
-composite star actions; the identity), expanded by one routine (_expand)
-whose work is the nnz of the result; the star actions are extended one
-position at a time, forming each shared prefix once, and the products of
-each group size are formed once per setup (_group_products).
+unit. Both are read off a face table by one builder (_terms): a row per
+target simplex whose entry is a source position or a basepoint slot. The
+cofaces read entry i of the face rows; a codegeneracy s^i reads a one-entry
+table, the position of s_i q in the level above for each simplex q, whose
+groups of one place are identity factors and which, with no basepoint
+entry, has the identity module block. Either is a product of per-simplex
+factors (the grouped products) tensored with module blocks (the nonzero
+composite star actions), expanded by one routine (_expand) whose work is
+the nnz of the result; the star actions are extended one position at a
+time, forming each shared prefix once, and the products of each group size
+are formed once per setup (_group_products).
 
 Internal weight: the finest grading of algebra and module (_grading) gives
 a hom basis element (assignment, c) the weight w_M(c) - Σ w(digits), and
@@ -73,7 +78,7 @@ each: HH(X; A, M ⊕ N) = HH(X; A, M) ⊕ HH(X; A, N). Two components whose
 action matrices, relabelled in order, agree for every class are isomorphic
 summands with isomorphic complexes. So cohomology_dims forms δ_n only at
 the module indices of the first component of each group of identical ones
-(_coface_terms keeps only their module entries) and counts each pivot j
+(_terms keeps only their module entries) and counts each pivot j
 with copies[j mod m], the size of its group. This is exact: a column at
 module index c has its rows at indices of c's component, so the
 elimination never combines two components, and the pivots at a
@@ -87,7 +92,10 @@ non-basepoint simplices of every level 0..N + 1 (actions.level_rows), built
 once. A coface d^i reads entry i of each row of the level above: a position
 in the level below, or, where the face is the basepoint, the number of the
 slot carrying the star action in actions.enumerate_slots. The setup
-resolves each slot's action, that of its class, once when it is built.
+resolves each slot's action, that of its class, once when it is built. A
+codegeneracy reads its own one-entry table (_degeneracy_positions), and
+the builder takes the source count and the rows as arguments, so it reads
+no level of the setup itself.
 
 The cosimplicial identities are checked on simplices, not on matrices:
 d_i d_j = d_{j-1} d_i holds exactly when the module acts equally on the two
@@ -142,20 +150,24 @@ class CochainSetup:
     """Space + algebra + multi-module + degree cap.
 
     Coface, codegeneracy and differential matrices are built on every call
-    and not kept; cohomology_dims forms none of them. Construction fails
-    fast with BudgetError, before any simplex is listed, if the
-    differentials would expand more than FACE_LIMIT cofaces (checked first,
-    as it depends on N alone), a hom space within the cap exceeds the column
-    budget (which counts all columns of C^n, not those of its largest weight
-    block), or the identity check would make more than IDENTITY_LIMIT
+    and not kept; cohomology_dims forms none of them. All three come from
+    one builder (_terms) over a face table: the cofaces and δ read the face
+    rows of the level above, and a codegeneracy s^i reads the one-entry
+    table of the position of s_i q in the level above, for each simplex q.
+    Construction fails fast with BudgetError, before any simplex is listed,
+    if the differentials would expand more than FACE_LIMIT cofaces (checked
+    first, as it depends on N alone), a hom space within the cap exceeds the
+    column budget (which counts all columns of C^n, not those of its largest
+    weight block), or the identity check would make more than IDENTITY_LIMIT
     simplex-pair visits. Next it finds the module's direct summands and
     groups the identical ones (_summands), then looks up the action of each
     slot's class, by slot number, and raises InternalError if the module
     supplies none for a class. It then solves for the finest internal
     grading of the algebra and the module (_grading): the null space over Q
     of the linear equations every nonzero structure constant and action
-    entry imposes on the weights. Last it builds the face rows of levels 0..N + 1
-    (actions.level_rows), which the cofaces and the identity check read.
+    entry imposes on the weights. Last it builds the face rows of levels
+    0..N + 1 (actions.level_rows), which the cofaces and the identity check
+    read.
     """
 
     def __init__(
@@ -175,7 +187,6 @@ class CochainSetup:
         self.module = module
         self.partition = partition
         self.max_degree = max_degree
-        self.budget = budget
         # δ_n expands its n + 2 cofaces even where t is 0 throughout, so
         # this bound, which depends on N alone, comes before any loop over N
         faces = (max_degree + 1) * (max_degree + 4) // 2
@@ -233,37 +244,30 @@ class CochainSetup:
     def differential(self, n: int) -> Matrix:
         """Alternating sum of the cofaces out of degree n, as a Matrix."""
         self._check_degree(n)
-        return self._matrix(n + 1, n, _merged(self._delta_blocks(n)))
+        return self._matrix(n + 1, n, self._delta_blocks(n))
 
     def coface(self, n: int, i: int) -> Matrix:
         self._check_degree(n + 1)
         if not 0 <= i <= n + 1:
             raise ValueError(f"coface index {i} out of range 0..{n + 1}")
-        expansions = []
-        if self.module.dim:
-            terms = self._coface_terms(n, i, 0, [0] * self.t[n])
-            expansions.append(self._expansion(1, 0, *terms))
-        return self._matrix(n + 1, n, _merged(self._blocks(expansions)))
+        return self._operator(n + 1, n, self._levels[n + 1][1], i)
 
     def codegeneracy(self, n: int, i: int) -> Matrix:
         self._check_degree(n + 1)
         if not 0 <= i <= n:
             raise ValueError(f"codegeneracy index {i} out of range 0..{n}")
-        d = self.algebra.dim
-        m = self.module.dim
-        if m == 0:
-            return self._matrix(n, n + 1, {})
-        weight = self._weights[0]
-        factors = []
-        for q, p in enumerate(self._degeneracy_positions(n + 1, i)):
-            row_place = d ** (self.t[n] - 1 - q)
-            col_place = d ** (self.t[n + 1] - 1 - p)
-            factors.append(
-                [(t * row_place, t * col_place, 1, weight[t], 0) for t in range(d)]
-            )
-        identity = [(u, u, 1) for u in range(m)]
-        expansion = self._expansion(1, 0, [(0, identity)], factors)
-        return self._matrix(n, n + 1, _merged(self._blocks([expansion])))
+        table = [(p,) for p in self._degeneracy_positions(n + 1, i)]
+        return self._operator(n, n + 1, table, 0)
+
+    def _operator(self, row_degree, col_degree, rows, i) -> Matrix:
+        """The operator that reads entry i of each face row (_terms), from
+        C^col_degree to C^row_degree, as a Matrix."""
+        expansions = []
+        if self.module.dim:
+            sources = self.t[col_degree]
+            terms = self._terms(sources, rows, i, 0, [0] * sources)
+            expansions.append(self._expansion(1, 0, *terms))
+        return self._matrix(row_degree, col_degree, self._blocks(expansions))
 
     def _degeneracy_positions(self, n: int, i: int) -> list[int]:
         """The position in level n of s_i(s) for each simplex s of level n - 1."""
@@ -289,12 +293,14 @@ class CochainSetup:
         images = [sum(1 << j for j in s.word) for s in self._levels[n][0]]
         return (1 << n) - 1, images
 
-    def _matrix(self, row_degree, col_degree, columns) -> Matrix:
+    def _matrix(self, row_degree, col_degree, blocks) -> Matrix:
+        """The (weight, columns) blocks, which share no column, as one Matrix."""
         return Matrix(
             self.algebra.field,
             self.hom_dims[row_degree],
             self.hom_dims[col_degree],
-            {(r, c): v for c, column in columns.items() for r, v in column.items()},
+            {(r, c): v for _, columns in blocks
+             for c, column in columns.items() for r, v in column.items()},
         )
 
     def _delta_blocks(self, n: int, skip=frozenset(), masks=None, kept=None):
@@ -312,9 +318,9 @@ class CochainSetup:
         expansions = []
         if self.module.dim:
             expansions = [
-                self._expansion(
-                    (-1) ** i, every, *self._coface_terms(n, i, every, images, kept)
-                )
+                self._expansion((-1) ** i, every, *self._terms(
+                    self.t[n], self._levels[n + 1][1], i, every, images, kept
+                ))
                 for i in range(n + 2)
             ]
         return self._blocks(expansions, skip)
@@ -332,30 +338,34 @@ class CochainSetup:
                 self._expand(columns, expansion, weight, skip)
             yield weight, columns
 
-    def _coface_terms(self, n: int, i: int, every: int, images: list[int], kept=None):
-        """(blocks, factors) of d^i out of degree n for _expansion; needs m > 0.
+    def _terms(self, sources, rows, i, every, images, kept=None):
+        """(blocks, factors) for _expansion of the operator that reads entry
+        i of each target face row; needs m > 0.
 
-        A factor's term with column digit t at source position q carries the
-        mask images[q] if t is not the unit 0, else every (see _masks). The
-        blocks hold only the module entries whose column is in kept (all
-        when kept is None); as kept is closed under the actions, so are
-        their rows.
+        sources is the number of source simplices and rows holds one face
+        row per target simplex, in order: entry i is the source position of
+        the i-th face, or ~slot where that face is the basepoint. The
+        cofaces d^i out of degree n read the rows of level n + 1 with
+        sources = t_n; a codegeneracy s^i reads a one-entry table at index
+        0. A factor's term with column digit t at source position q carries
+        the mask images[q] if t is not the unit 0, else every (see _masks).
+        The blocks hold only the module entries whose column is in kept
+        (all when kept is None); as kept is closed under the actions, so
+        are their rows.
         """
         d = self.algebra.dim
         m = self.module.dim
         if kept is None:
             kept = range(m)
         weight = self._weights[0]
-        src = self._levels[n][0]
-        rows = self._levels[n + 1][1]
         # the composite action for each choice of basis elements on the star
         # positions, kept where it is nonzero (None: no star position), one
         # position at a time so that shared prefixes are formed once
         acts = [(0, None)]
-        groups = [[] for _ in src]
+        groups = [[] for _ in range(sources)]
         for p, row in enumerate(rows):
             place = d ** (len(rows) - 1 - p)
-            f = row[i]  # level_rows: d_i s is src[f], or the basepoint via slot ~f
+            f = row[i]  # the face is source f, or the basepoint via slot ~f
             if f < 0:
                 acts = [
                     (offset + t * place, product)
@@ -381,7 +391,7 @@ class CochainSetup:
         for q, places in enumerate(groups):
             if not places:
                 continue
-            col_place = d ** (len(src) - 1 - q)
+            col_place = d ** (sources - 1 - q)
             image = images[q]
             factors.append([
                 (sum(map(mul, digits, places)), t * col_place, c, weight[t],
@@ -755,14 +765,6 @@ def _column_mask(value, d, every, images) -> int:
         if digit:
             every &= image
     return every
-
-
-def _merged(blocks) -> dict:
-    """The columns of all (weight, columns) blocks in one dict."""
-    columns = {}
-    for _, block in blocks:
-        columns.update(block)
-    return columns
 
 
 def _dims_from_ranks(ranks, dims) -> list[int]:

@@ -246,9 +246,7 @@ def parse_module(doc, algebra: Algebra, partition: ActionPartition) -> MultiModu
                     f"actions[{_abridged(key)}][{t}] must be an {m}x{m} matrix"
                 )
             parsed.append(
-                Matrix.from_rows(
-                    F, [[F.parse(v) for v in row] for row in rows], rows=m, cols=m
-                )
+                Matrix.from_rows(F, [[F.parse(v) for v in row] for row in rows])
             )
         actions[key] = tuple(parsed)
     module = MultiModule(m, actions)

@@ -153,7 +153,7 @@ class Matrix:
     rank is computed afresh on every call.
     """
 
-    __slots__ = ("field", "rows", "cols", "entries", "_row_index")
+    __slots__ = ("field", "rows", "cols", "entries")
 
     def __init__(self, field: Field, rows: int, cols: int, entries=None):
         if rows < 0 or cols < 0:
@@ -172,15 +172,12 @@ class Matrix:
                 if v:
                     clean[(r, c)] = v
         self.entries = clean
-        self._row_index = None
 
     @classmethod
-    def from_rows(cls, field, rows_data, rows=None, cols=None):
+    def from_rows(cls, field, rows_data):
         """Build from a dense list of rows of scalars."""
-        if rows is None:
-            rows = len(rows_data)
-        if cols is None:
-            cols = len(rows_data[0]) if rows_data else 0
+        rows = len(rows_data)
+        cols = len(rows_data[0]) if rows_data else 0
         entries = {}
         for r, row in enumerate(rows_data):
             if len(row) != cols:
@@ -231,15 +228,6 @@ class Matrix:
             {k: scalar * v for k, v in self.entries.items()},
         )
 
-    def _by_row(self):
-        # cached row -> [(col, val)] grouping, used by __matmul__
-        if self._row_index is None:
-            idx = {}
-            for (r, c), v in self.entries.items():
-                idx.setdefault(r, []).append((c, v))
-            self._row_index = idx
-        return self._row_index
-
     def __matmul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -249,7 +237,9 @@ class Matrix:
             raise LinAlgError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        rows_of_b = other._by_row()
+        rows_of_b = {}
+        for (k, c), v in other.entries.items():
+            rows_of_b.setdefault(k, []).append((c, v))
         acc = {}
         for (r, k), av in self.entries.items():
             for c, bv in rows_of_b.get(k, ()):

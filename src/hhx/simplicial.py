@@ -140,7 +140,6 @@ class SimplicialSpace:
         self.name = name
         self.generators = tuple(generators)
         self.basepoint = basepoint
-        self._levels: dict[int, tuple[Simplex, ...]] = {}
 
     @property
     def max_dim(self) -> int:
@@ -176,23 +175,20 @@ class SimplicialSpace:
         return Simplex(_merge((i,), s.word), s.base)
 
     def simplices(self, n: int) -> tuple[Simplex, ...]:
-        """All n-simplices, ordered by (generator name, word); cached.
+        """All n-simplices, ordered by (generator name, word).
 
         Includes the degenerate ones and the basepoint simplex (recognizable
         via is_basepoint).
         """
-        cached = self._levels.get(n)
-        if cached is None:
-            # a reversed r-subset of 0..n-1 is a valid word over a generator
-            # of dimension n - r, and every word is one (r = 0: the empty
-            # word); tuple.__new__ skips the NamedTuple constructor's call
-            cached = self._levels[n] = tuple(
-                tuple.__new__(Simplex, (combo[::-1], g))
-                for g in sorted(self.generators, key=lambda g: g.name)
-                if g.dim <= n
-                for combo in itertools.combinations(range(n), n - g.dim)
-            )
-        return cached
+        # a reversed r-subset of 0..n-1 is a valid word over a generator of
+        # dimension n - r, and every word is one (r = 0: the empty word);
+        # tuple.__new__ skips the NamedTuple constructor's call
+        return tuple(
+            tuple.__new__(Simplex, (combo[::-1], g))
+            for g in sorted(self.generators, key=lambda g: g.name)
+            if g.dim <= n
+            for combo in itertools.combinations(range(n), n - g.dim)
+        )
 
 
 def validate_space(space: SimplicialSpace) -> list[tuple[str, int, int]]:

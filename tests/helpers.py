@@ -409,6 +409,11 @@ def degenerate_columns(setup, n):
     return out
 
 
+def merged_blocks(blocks):
+    """The columns of all (weight, columns) blocks of _delta_blocks in one dict."""
+    return {c: column for _, columns in blocks for c, column in columns.items()}
+
+
 def direct_sum(*modules):
     """The block-diagonal sum of modules acting through the same class ids."""
     dims = [module.dim for module in modules]

@@ -15,6 +15,8 @@ from helpers import (
     CUBIC_DOC,
     DUAL_DOC,
     PINCHED_TORUS_REGULAR_HH,
+    SPHERE_CIRCLE_WEDGE_DOC,
+    TWO_EDGE_CIRCLE,
     coefficient_module,
     cubic_truncation,
     degenerate_columns,
@@ -22,6 +24,7 @@ from helpers import (
     ground_field,
     identity_matrix,
     identity_module,
+    merged_blocks,
     random_f5_bimodules,
     space_and_partition,
     square_zero_bimodule,
@@ -35,11 +38,11 @@ from hhx import (
     parse_algebra,
     validate_module,
 )
-from hhx.actions import ActionPartition, enumerate_slots, paranoid_visits
+from hhx.actions import ActionPartition, enumerate_slots, paranoid_visits, sweep_closure
 from hhx.cochain import FACE_LIMIT, _grading
 from hhx.errors import BudgetError, InternalError, ValidationError
 from hhx.exactlinalg import Matrix, QQ, _eliminate
-from hhx.simplicial import parse_space
+from hhx.simplicial import builtin_space, parse_space
 
 
 def make_setup(space_name, algebra, kind, max_degree, **kw):
@@ -343,22 +346,22 @@ def test_report_assembles_each_delta_once_and_keeps_none(monkeypatch):
             yield weight, columns
 
     monkeypatch.setattr(CochainSetup, "_delta_blocks", recording_blocks)
-    terms = record_calls(monkeypatch, CochainSetup, "_coface_terms")
+    terms = record_calls(monkeypatch, CochainSetup, "_terms")
     expanded = record_calls(monkeypatch, CochainSetup, "_expand")
     matrices = [
         record_calls(monkeypatch, CochainSetup, name)
         for name in ("coface", "codegeneracy", "differential")
     ]
-    merged = record_calls(monkeypatch, cochain, "_merged")
+    whole = record_calls(monkeypatch, CochainSetup, "_matrix")
     assert setup.report()["hh_dims"] == [2, 2, 4]
     # no coface, codegeneracy or differential Matrix and no whole δ_n: only
     # module-sized products of star actions
-    assert matrices == [[], [], []] and merged == []
+    assert matrices == [[], [], []] and whole == []
     assert shapes and set(shapes) == {(m, m)}
-    # each coface is expanded once per degree, and each block of each δ_n
-    # is assembled once, from each expansion once
-    assert [call[1:3] for call in terms] == [
-        (n, i) for n in range(3) for i in range(n + 2)
+    # each coface is expanded once per degree, from t_n sources, and each
+    # block of each δ_n is assembled once, from each expansion once
+    assert [(call[1], call[3]) for call in terms] == [
+        (setup.t[n], i) for n in range(3) for i in range(n + 2)
     ]
     assert [n for n, _, _ in built] == sorted(n for n, _, _ in built)
     assert sorted({n for n, _, _ in built}) == [0, 1, 2]
@@ -386,7 +389,7 @@ def test_streamed_blocks_peak_below_half_of_the_whole_delta():
         streamed = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        whole_delta = cochain._merged(setup._delta_blocks(2))
+        whole_delta = merged_blocks(setup._delta_blocks(2))
         assert len(_eliminate(whole_delta, setup.algebra.field.p)) == 988
         whole = tracemalloc.get_traced_memory()[1] - before
     finally:
@@ -507,7 +510,7 @@ def check_blocks(setup, n):
         nonempty += any(columns.values())
         rank += len(_eliminate(columns, p))
     assert weights == sorted(set(weights))
-    assert rank == len(_eliminate(cochain._merged(setup._delta_blocks(n)), p)), n
+    assert rank == len(_eliminate(merged_blocks(setup._delta_blocks(n)), p)), n
     return nonempty
 
 
@@ -825,7 +828,7 @@ def test_torus_delta2_rank_pinned(field_doc, kind, shape, rank):
     assert (delta.rows, delta.cols) == shape
     assert delta.rank() == rank
     # the engine's path: the columns of δ_2 straight into the elimination
-    columns = cochain._merged(setup._delta_blocks(2))
+    columns = merged_blocks(setup._delta_blocks(2))
     assert len(columns) <= shape[1]
     assert len(_eliminate(columns, setup.algebra.field.p)) == rank
 
@@ -837,6 +840,54 @@ def test_pinched_torus_degree_3_frontier_answer():
     setup = make_setup("pinched-torus", dual_numbers(), "regular", 3, budget=3_000_000)
     assert setup.hom_dims[-1] == 2_097_152
     assert setup.report()["hh_dims"] == PINCHED_TORUS_REGULAR_HH
+
+
+# (one-vertex model, builtin of the same pointed homotopy type, top degree)
+HOMOTOPY_PAIRS = {
+    "wedge": (SPHERE_CIRCLE_WEDGE_DOC, "pinched-torus", 3),
+    "two-edge": (TWO_EDGE_CIRCLE, "circle", 4),
+}
+# (x's action on every class, m): A ⊕ k, where x sends e0 to e1 and kills
+# e1 and e2 (rank 1, square zero), and k², where x acts by 0
+SYMMETRIC_MODULES = {"A+k": ({(1, 0): 1}, 3), "k2": ({}, 2)}
+FIELDS = {"F2": {"Fp": 2}, "F5": {"Fp": 5}, "Q": "Q"}
+# the pinched torus with m = 3 takes most of the time, so A ⊕ k on the wedge
+# runs over F_5 only
+HOMOTOPY_CASES = [
+    ("wedge", "A+k", "F5", [3, 2, 4, 6]),
+    ("two-edge", "A+k", "F2", [3, 3, 3, 3, 3]),
+    ("two-edge", "A+k", "F5", [3, 2, 2, 2, 2]),
+    ("two-edge", "A+k", "Q", [3, 2, 2, 2, 2]),
+] + [
+    (pair, "k2", field, hh)
+    for pair, hh in (("wedge", [2, 2, 4, 6]), ("two-edge", [2, 2, 2, 2, 2]))
+    for field in FIELDS
+]
+
+
+@pytest.mark.parametrize(
+    "pair,kind,field,hh", HOMOTOPY_CASES,
+    ids=["-".join(case[:3]) for case in HOMOTOPY_CASES],
+)
+def test_homotopy_equivalent_models_agree_on_symmetric_modules(pair, kind, field, hh):
+    # with every class acting alike, HH depends only on the pointed
+    # homotopy type (Pirashvili), whatever the slot classes of the model
+    algebra = dual_numbers(FIELDS[field])
+    F = algebra.field
+    doc, name, top = HOMOTOPY_PAIRS[pair]
+    entries, m = SYMMETRIC_MODULES[kind]
+    answers = []
+    for space in (parse_space(doc), builtin_space(name)):
+        partition = sweep_closure(space)
+        x = Matrix(F, m, m, entries)
+        module = MultiModule(
+            m, {cid: (identity_matrix(F, m), x) for cid in partition.class_ids}
+        )
+        validate_module(module, algebra, partition.class_ids)
+        # the pinched torus with m = 3 has more than 3,000,000 columns at -N 3
+        setup = CochainSetup(space, algebra, module, partition, top, budget=5_000_000)
+        answers.append(setup.cohomology_dims())
+    assert answers == [hh, hh]
 
 
 # top degree per space in the δδ = 0 draws, kept small for the cubic algebra

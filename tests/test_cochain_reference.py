@@ -32,6 +32,8 @@ from helpers import (
     ground_field,
     identity_matrix,
     identity_module,
+    merged_blocks,
+    product_space,
     reduced,
     scaled_cubic,
     space_and_partition,
@@ -263,7 +265,7 @@ def slow_differential(setup, n):
 
 def engine_rank(setup, n):
     """rank δ_n as cohomology_dims takes it: from the assembled columns."""
-    columns = cochain._merged(setup._delta_blocks(n))
+    columns = merged_blocks(setup._delta_blocks(n))
     return len(_eliminate(columns, setup.algebra.field.p))
 
 
@@ -305,7 +307,7 @@ def test_delta_block_columns_are_reduced_and_sum_the_reference_cofaces(
         else:
             assert all(v != 0 for v in values), n
         entries = {
-            (r, c): v for c, column in cochain._merged(blocks).items()
+            (r, c): v for c, column in merged_blocks(blocks).items()
             for r, v in column.items()
         }
         assert entries == slow_differential(setup, n).entries, n
@@ -496,12 +498,12 @@ def check_clearing(setup):
     that hold nonzeros."""
     p = setup.algebra.field.p
     dropped = 0
-    pivots = _eliminate(cochain._merged(setup._delta_blocks(0)), p)
+    pivots = _eliminate(merged_blocks(setup._delta_blocks(0)), p)
     ranks = [len(pivots)]
     for n in range(1, setup.max_degree + 1):
-        full = cochain._merged(setup._delta_blocks(n))
+        full = merged_blocks(setup._delta_blocks(n))
         dropped += sum(1 for j in pivots if full.get(j))
-        cleared = cochain._merged(setup._delta_blocks(n, pivots))
+        cleared = merged_blocks(setup._delta_blocks(n, pivots))
         assert not pivots & cleared.keys(), n
         pivots = _eliminate(full, p)
         ranks.append(len(pivots))
@@ -561,7 +563,7 @@ def test_blockwise_ranks_match_the_whole_delta(make, args):
     setup = make(*args)
     p = setup.algebra.field.p
     for n in range(setup.max_degree + 1):
-        whole = cochain._merged(setup._delta_blocks(n))
+        whole = merged_blocks(setup._delta_blocks(n))
         blocks = list(setup._delta_blocks(n))
         # the blocks split the columns of δ_n and share no row
         rows = [{r for column in columns.values() for r in column} for _, columns in blocks]
@@ -628,7 +630,7 @@ def check_normalized_blocks(setup, kept=None):
                 if c not in left_out and c % m in indices
             }
             entries = {
-                (r, c): v for c, column in cochain._merged(blocks).items()
+                (r, c): v for c, column in merged_blocks(blocks).items()
                 for r, v in column.items()
             }
             assert entries == expected, n
@@ -798,3 +800,39 @@ def test_balloon_space_with_degenerate_face_target():
     for n in range(2):
         for i in range(n + 2):
             assert setup.coface(n, i) == slow_coface(setup, n, i)
+
+
+# face tables where a face of a non-basepoint simplex is a degenerate simplex
+# over a non-basepoint generator, which no builtin has: the balloon's Z
+# (face 0 is s0 q), and the 3-cells of circle x sphere2 (faces s0 or s1
+# over (e,s0.pt))
+CIRCLE_TIMES_SPHERE2 = product_space(builtin_space("circle"), builtin_space("sphere2"))
+DEGENERATE_FACE_SETUPS = [
+    (BALLOON_DOC, dual_numbers, 2),
+    (BALLOON_DOC, dual_numbers_f5, 2),
+    (CIRCLE_TIMES_SPHERE2, dual_numbers, 1),
+    (CIRCLE_TIMES_SPHERE2, ground_field, 3),
+]
+
+
+@pytest.mark.parametrize(
+    "doc,alg_fn,top", DEGENERATE_FACE_SETUPS,
+    ids=[f"{doc['name']}-{alg_fn.__name__}" for doc, alg_fn, _ in DEGENERATE_FACE_SETUPS],
+)
+def test_operators_on_degenerate_faces_match_reference(doc, alg_fn, top):
+    space = parse_space(doc)
+    assert any(
+        f.word and not space.is_basepoint(f) for g in space.generators for f in g.faces
+    )
+    partition = sweep_closure(space)
+    algebra = alg_fn()
+    module = coefficient_module(algebra, partition, "regular")
+    setup = CochainSetup(space, algebra, module, partition, top)
+    for n in range(top + 1):
+        for i in range(n + 2):
+            assert setup.coface(n, i) == slow_coface(setup, n, i), (n, i)
+        for i in range(n + 1):
+            assert setup.codegeneracy(n, i) == slow_codegeneracy(setup, n, i), (n, i)
+    check_differentials(setup, range(top + 1))
+    expected = slow_check_cosimplicial_identities(setup)
+    assert setup.check_cosimplicial_identities() == expected == []
