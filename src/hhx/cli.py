@@ -170,8 +170,12 @@ def cmd_actions(args) -> int:
     from .actions import paranoid_closure, sweep_closure
 
     space = _load_space(args)
+    # argument errors come before the closures, which may take seconds
+    if args.paranoid is not None and args.paranoid <= space.max_dim:
+        raise FormatError(
+            f"--paranoid must be at least {space.max_dim + 1}, got {_abridged(args.paranoid)}"
+        )
     if args.emit_template:
-        # argument errors come before the closures, which may take seconds
         if not args.algebra:
             raise FormatError("--emit-template requires --algebra")
         folder = os.path.dirname(args.emit_template) or "."
@@ -295,8 +299,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (ValueError, OSError) as exc:
-        # FormatError, and bad argument values such as a paranoid cap below
-        # the space dimension
+        # FormatError, and bad argument values such as a paranoid cap whose
+        # scan would pass the visit limit
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

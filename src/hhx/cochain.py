@@ -97,6 +97,23 @@ codegeneracy reads its own one-entry table (_degeneracy_positions), and
 the builder takes the source count and the rows as arguments, so it reads
 no level of the setup itself.
 
+Products: where every slot acts alike the module is symmetric, and degree
+n is F(X_n) for Pirashvili's functor F(S) = Hom(A^{⊗(S∖*)}, M) on finite
+pointed sets, the cofaces F(d_i). For a space that knows its factors,
+X × Y (SimplicialSpace.factors; the builtin torus is circle × circle), the
+complex is then the diagonal of the bicosimplicial module C^{p,q} =
+F(X_p × Y_q), which by Eilenberg-Zilber has the cohomology of the total
+complex Tot^n = ⊕_{p+q=n} C^{p,q} with D = δ_h + (-1)^p δ_v, normalized in
+both directions. cohomology_dims ranks that (_total), a far smaller complex:
+torus Tot^3 has 72 normalized columns where C^3 has 65,536. Each piece is
+read off face rows by the same builder, with the rows of the pairs (x, y)
+built from each factor's level_rows and (*, *) read as slot 0, and every
+piece sits at an offset that is a multiple of m, so weights, summands,
+clearing and the pivot guard are as on the diagonal: one elimination loop
+takes, per degree, a list of operators (sign, cofaces, face rows, source
+count, masks, offsets), of which the diagonal has one. The report's t,
+hom dims and identity verdict stay those of the diagonal.
+
 The cosimplicial identities are checked on simplices, not on matrices:
 d_i d_j = d_{j-1} d_i holds exactly when the module acts equally on the two
 slots through which each basepoint face d_i d_j s is reached (actions.row_pairs
@@ -167,7 +184,9 @@ class CochainSetup:
     of the linear equations every nonzero structure constant and action
     entry imposes on the weights. Last it builds the face rows of levels
     0..N + 1 (actions.level_rows), which the cofaces and the identity check
-    read.
+    read. A space's factors are not read here: cohomology_dims builds their
+    face rows when it ranks their total complex, and the column budget
+    counts the columns of the diagonal C^n whichever complex is ranked.
     """
 
     def __init__(
@@ -244,7 +263,7 @@ class CochainSetup:
     def differential(self, n: int) -> Matrix:
         """Alternating sum of the cofaces out of degree n, as a Matrix."""
         self._check_degree(n)
-        return self._matrix(n + 1, n, self._delta_blocks(n))
+        return self._matrix(n + 1, n, self._delta_blocks(self._diagonal(n)))
 
     def coface(self, n: int, i: int) -> Matrix:
         self._check_degree(n + 1)
@@ -266,7 +285,7 @@ class CochainSetup:
         if self.module.dim:
             sources = self.t[col_degree]
             terms = self._terms(sources, rows, i, 0, [0] * sources)
-            expansions.append(self._expansion(1, 0, *terms))
+            expansions.append(self._expansion(1, 0, (0, 0), *terms))
         return self._matrix(row_degree, col_degree, self._blocks(expansions))
 
     def _degeneracy_positions(self, n: int, i: int) -> list[int]:
@@ -303,25 +322,86 @@ class CochainSetup:
              for c, column in columns.items() for r, v in column.items()},
         )
 
-    def _delta_blocks(self, n: int, skip=frozenset(), masks=None, kept=None):
-        """(weight, columns) for each weight block of δ_n = Σ (-1)^i d^i.
+    def _diagonal(self, n: int, masks=None) -> list:
+        """δ_n = Σ (-1)^i d^i on C^n as the one operator of its degree, for
+        _delta_blocks: its n + 2 cofaces read the face rows of level n + 1
+        from the t_n positions of level n, with masks, _masks(n), or none."""
+        return [(1, n + 2, self._levels[n + 1][1], self.t[n], masks, (0, 0))]
 
-        The n + 2 cofaces are expanded and split by weight now, once; each
-        block's nonzero columns not in skip are assembled only when the
-        returned generator reaches it. With masks, _masks(n), only the
-        columns of N^n are formed; without, every = 0 and all of C^n is.
-        With kept, a set of module basis indices closed under every action,
-        only the columns and rows at those module indices are formed (the
-        direct summand they span); without, every index is kept.
+    def _total(self, X, Y) -> tuple[list, list]:
+        """(operators, dims): for each degree n = 0..N, the operators of D_n
+        on the normalized total complex of the factors X and Y, and its
+        dimension.
+
+        Piece (p, q) of Tot^n = ⊕_{p+q=n} C^{p,q} is C^{p,q} = F(X_p × Y_q)
+        on the pointed set of pairs, whose basepoint is (*, *). With X_p's
+        simplices numbered basepoint first (_factor_levels), pair (x, y) has
+        position x |Y_q| + y - 1, so (*, *) lands at -1, the slot ~0, which
+        stands for every slot as all act alike. D = δ_h + (-1)^p δ_v: the
+        horizontal cofaces read the rows of (x, y) in X_{p+1} × Y_q, whose
+        entry i is the position of (d_i x, y), and the vertical ones those
+        of (x, y) in X_p × Y_{q+1}. Pair (x, y) has the mask of x's word
+        and that of y's shifted by p, so a column lies in N^{p,q} exactly
+        when its mask is 0, and dim N^{p,q} is the binomial inversion of
+        dim C^{a,b} in both directions. Each piece sits at an offset
+        (operator field at) that is a multiple of m, pieces in order of p.
         """
-        every, images = masks or (0, [0] * self.t[n])
+        d, m, top = self.algebra.dim, self.module.dim, self.max_degree
+        X, Y = _factor_levels(X, top + 1), _factor_levels(Y, top + 1)
+
+        def size(p, q):  # the positions of piece (p, q)
+            return len(X[p][1]) * len(Y[q][1]) - 1
+
+        def offsets(n):
+            sizes = (m * d ** size(p, n - p) for p in range(n + 1))
+            return list(itertools.accumulate(sizes, initial=0))
+
+        plan, dims = [], []
+        for n in range(top + 1):
+            cols, rows, operators = offsets(n), offsets(n + 1), []
+            for p in range(n + 1):
+                q = n - p
+                (_, xs), (_, ys) = X[p], Y[q]
+                masks = (1 << n) - 1, [a | b << p for a in xs for b in ys][1:]
+                h = [[f * len(ys) + b - 1 for f in row]
+                     for row in X[p + 1][0] for b in range(len(ys))]
+                v = [[a * len(ys) + f - 1 for f in row]
+                     for a in range(len(xs)) for row in Y[q + 1][0]]
+                operators += [
+                    (1, p + 2, h[1:], size(p, q), masks, (cols[p], rows[p + 1])),
+                    ((-1) ** p, q + 2, v[1:], size(p, q), masks, (cols[p], rows[p])),
+                ]
+            plan.append(operators)
+            dims.append(sum(
+                (-1) ** (n - a - b) * comb(p, a) * comb(n - p, b) * m * d ** size(a, b)
+                for p in range(n + 1) for a in range(p + 1) for b in range(n - p + 1)
+            ))
+        return plan, dims
+
+    def _delta_blocks(self, operators, skip=frozenset(), kept=None):
+        """(weight, columns) for each weight block of the sum of operators.
+
+        An operator is (sign, faces, rows, sources, masks, at): sign times
+        Σ (-1)^i d^i over its cofaces i < faces, each reading entry i of
+        rows (_terms) from sources source positions, with its columns at
+        offset at[0] and its rows at offset at[1], both multiples of m.
+        All cofaces are expanded and split by weight now, once; each block's
+        nonzero columns not in skip are assembled only when the returned
+        generator reaches it. With masks, (every, images) as _masks gives
+        them, only the columns of the normalized piece are formed; without,
+        every = 0 and all columns are. With kept, a set of module basis
+        indices closed under every action, only the columns and rows at
+        those module indices are formed (the direct summand they span);
+        without, every index is kept.
+        """
         expansions = []
-        if self.module.dim:
-            expansions = [
-                self._expansion((-1) ** i, every, *self._terms(
-                    self.t[n], self._levels[n + 1][1], i, every, images, kept
+        for sign, faces, rows, sources, masks, at in operators if self.module.dim else ():
+            every, images = masks or (0, [0] * sources)
+            expansions += [
+                self._expansion(sign * (-1) ** i, every, at, *self._terms(
+                    sources, rows, i, every, images, kept
                 ))
-                for i in range(n + 2)
+                for i in range(faces)
             ]
         return self._blocks(expansions, skip)
 
@@ -421,8 +501,9 @@ class CochainSetup:
             ])
         return products[size]
 
-    def _expansion(self, sign, every, blocks, factors):
-        """sign times the Kronecker product of factors and blocks, split by weight.
+    def _expansion(self, sign, every, at, blocks, factors):
+        """sign times the Kronecker product of factors and blocks, split by
+        weight, with its columns shifted by at[0] and its rows by at[1].
 
         A factor is a list of nonzero terms (row offset, column offset,
         coefficient, weight of the column digit, mask) with offsets in assignment
@@ -434,18 +515,19 @@ class CochainSetup:
         root of the product's choices. Returns (fused, heads) for _expand:
         heads maps (head weight, mask) to its choices, and fused maps w_M(c)
         - u and then a tail mask to each tail of weight u and that mask fused
-        with each module column c, as (col * m + c, [((row + block row
-        offset) * m + r, coeff * v)]), formed once here rather than once
-        per head.
+        with each module column c, as (col * m + c + at[0], [((row + block
+        row offset) * m + r + at[1], coeff * v)]), formed once here rather
+        than once per head.
         """
         p = self.algebra.field.p
         m = self.module.dim
         module_weight = self._weights[1]
+        col_offset, row_offset = at
         groups = {}
         for block_row, items in blocks:
             for r, c, v in items:
                 groups.setdefault(module_weight[c], {}).setdefault(c, []).append(
-                    (block_row * m + r, v)
+                    (block_row * m + r + row_offset, v)
                 )
         half = len(factors) // 2
         heads, tails = factors[:half], factors[half:]
@@ -454,7 +536,7 @@ class CochainSetup:
         for group, by_col in groups.items():
             for (tail, mask), terms in tails.items():
                 fused.setdefault(group - tail, {}).setdefault(mask, []).extend(
-                    (col * m + c, [(row * m + r, coeff * v) for r, v in items])
+                    (col * m + c + col_offset, [(row * m + r, coeff * v) for r, v in items])
                     for row, col, coeff in terms
                     for c, items in by_col.items()
                 )
@@ -577,6 +659,15 @@ class CochainSetup:
         ValidationError. A pivot of δ_{n-1} whose decoded mask is not 0
         (_column_mask), a column outside N^n, which δ N^{n-1} ⊂ N^n rules
         out, raises InternalError.
+
+        When the space has factors X, Y and every slot acts alike, the
+        ranks and dimensions are instead those of the normalized total
+        complex of the bicosimplicial module F(X_p × Y_q) (_total), which
+        has the same cohomology (Eilenberg-Zilber; the module is symmetric,
+        so the complex is Pirashvili's functor on the levels of X × Y). The
+        same loop runs over it, each degree a list of operators, one per
+        direction and piece, with its pieces at offsets; otherwise each
+        degree is the one operator δ_n on C^n (_diagonal).
         """
         if self.check_cosimplicial_identities():
             raise ValidationError(
@@ -588,23 +679,30 @@ class CochainSetup:
         m = self.module.dim
         copies = self._copies
         kept = {c for c, k in enumerate(copies) if k}
+        acts = self._slot_actions
+        if self.space.factors and acts and acts.count(acts[0]) == len(acts):
+            plan, dims = self._total(*self.space.factors)
+        else:
+            plan = [self._diagonal(n, self._masks(n)) for n in range(self.max_degree + 1)]
+            # C^n = ⊕ N^k over the surjections [n] -> [k] (cosimplicial Dold-Kan)
+            dims = [
+                sum((-1) ** (n - k) * comb(n, k) * self.hom_dims[k] for k in range(n + 1))
+                for n in range(self.max_degree + 1)
+            ]
         ranks = []
         pivots = frozenset()
-        for n in range(self.max_degree + 1):
-            masks = self._masks(n)
-            if any(_column_mask(j // m, d, *masks) for j in pivots):
-                raise InternalError(f"δ_{n - 1} has a pivot outside N^{n}")
+        for n, operators in enumerate(plan):
+            for _, _, _, sources, masks, (cols, _) in operators:
+                piece = range(cols, cols + m * d**sources)
+                if any(_column_mask((j - cols) // m, d, *masks)
+                       for j in pivots if j in piece):
+                    raise InternalError(f"δ_{n - 1} has a pivot outside N^{n}")
             found = set()
-            for _, columns in self._delta_blocks(n, pivots, masks, kept):
+            for _, columns in self._delta_blocks(operators, pivots, kept):
                 found |= _eliminate(columns, p)
             pivots = found
             # a pivot lies at a row of the summand its column came from
             ranks.append(sum(copies[j % m] for j in pivots))
-        # C^n = ⊕ N^k over the surjections [n] -> [k] (cosimplicial Dold-Kan)
-        dims = [
-            sum((-1) ** (n - k) * comb(n, k) * self.hom_dims[k] for k in range(n + 1))
-            for n in range(self.max_degree + 1)
-        ]
         return _dims_from_ranks(ranks, dims)
 
     def report(self) -> dict:
@@ -765,6 +863,17 @@ def _column_mask(value, d, every, images) -> int:
         if digit:
             every &= image
     return every
+
+
+def _factor_levels(space: SimplicialSpace, top: int) -> list:
+    """(faces, masks) of each level 0..top of a factor, basepoint first:
+    for each simplex, the place of each of its faces in the level below
+    (0 for the basepoint) and the mask of its degeneracy word (_masks)."""
+    return [
+        ([[0] * (n + 1)] + [[max(f + 1, 0) for f in row] for row in rows],
+         [(1 << n) - 1] + [sum(1 << j for j in s.word) for s in level])
+        for n, (level, rows) in enumerate(level_rows(space, top))
+    ]
 
 
 def _dims_from_ranks(ranks, dims) -> list[int]:

@@ -134,12 +134,18 @@ def _merge(outer, word: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class SimplicialSpace:
-    """A finite pointed simplicial set given by generators and face tables."""
+    """A finite pointed simplicial set given by generators and face tables.
+
+    factors is None, or a pair (X, Y) of spaces with this space isomorphic
+    to X × Y; a cochain setup may then rank the total complex of the two
+    (cochain.CochainSetup.cohomology_dims). The builtin torus sets it.
+    """
 
     def __init__(self, name: str, generators, basepoint: Generator):
         self.name = name
         self.generators = tuple(generators)
         self.basepoint = basepoint
+        self.factors = None
 
     @property
     def max_dim(self) -> int:
@@ -385,7 +391,12 @@ def builtin_space(name: str) -> SimplicialSpace:
     circle: one vertex and one edge. sphere<n> (1 <= n <= SPHERE_LIMIT): one
     vertex and one n-cell with every face at the (degenerate) basepoint.
     torus: one vertex, edges a, b, c and triangles sigma = [c, b, a],
-    tau = [a, b, c].
+    tau = [a, b, c]; it is circle × circle under a = (s0 pt, e), b = (e, e),
+    c = (e, s0 pt), sigma = (s0 e, s1 e) and tau = (s1 e, s0 e), and has the
+    two circles as its factors.
     pinched-torus: the torus with b collapsed to the basepoint.
     """
-    return parse_space(_builtin_doc(name))
+    space = parse_space(_builtin_doc(name))
+    if name == "torus":
+        space.factors = (builtin_space("circle"),) * 2
+    return space

@@ -414,6 +414,13 @@ def merged_blocks(blocks):
     return {c: column for _, columns in blocks for c, column in columns.items()}
 
 
+def diagonal_sources(t, top):
+    """The source counts the diagonal hands CochainSetup._terms to degree
+    top: t_n for each of δ_n's n + 2 cofaces, which the total complex of a
+    product never matches."""
+    return [t[n] for n in range(top + 1) for _ in range(n + 2)]
+
+
 def direct_sum(*modules):
     """The block-diagonal sum of modules acting through the same class ids."""
     dims = [module.dim for module in modules]

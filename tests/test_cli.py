@@ -16,6 +16,7 @@ from helpers import (
     SLOTLESS_DOC,
     SPHERE_CIRCLE_WEDGE_DOC,
     TWO_EDGE_CIRCLE,
+    diagonal_sources,
     dual_numbers,
     multiplication_module,
     product_space,
@@ -39,20 +40,24 @@ def write_json(path, doc):
     return str(path)
 
 
-def regular_module_doc(keys):
-    alg = dual_numbers()
-    module = multiplication_module(alg, {k: None for k in keys})
+def module_doc(algebra, module):
+    """The module document of a MultiModule over algebra."""
     return {
         "dim": module.dim,
         "actions": {
-            k: [
-                [[alg.field.to_json(mat.get(r, c)) for c in range(module.dim)]
+            key: [
+                [[algebra.field.to_json(mat.get(r, c)) for c in range(module.dim)]
                  for r in range(module.dim)]
-                for mat in module.actions[k]
+                for mat in mats
             ]
-            for k in keys
+            for key, mats in module.actions.items()
         },
     }
+
+
+def regular_module_doc(keys):
+    alg = dual_numbers()
+    return module_doc(alg, multiplication_module(alg, {k: None for k in keys}))
 
 
 BROKEN_SPACE = {
@@ -282,6 +287,154 @@ def test_circle_times_circle_is_the_builtin_torus(tmp_path, capsys):
     assert product_hh["identities"] == "pass"
     assert product_hh["hh_dims"] == [2, 2, 4]
     assert product_hh == torus_hh
+
+
+def record_sources(monkeypatch):
+    """The source count of every later CochainSetup._terms call: which
+    complex a cohomology run ranks."""
+    from hhx.cochain import CochainSetup
+
+    sources = []
+    original = CochainSetup._terms
+
+    def recording(self, count, *args):
+        sources.append(count)
+        return original(self, count, *args)
+
+    monkeypatch.setattr(CochainSetup, "_terms", recording)
+    return sources
+
+
+# the source counts of the total complex of circle x circle to -N 2: for
+# each piece (p, q) of Tot^n, (p + 1)(q + 1) - 1 positions, read by p + 2
+# horizontal and then q + 2 vertical cofaces
+TORUS_TOTAL_SOURCES = [
+    (p + 1) * (n - p + 1) - 1
+    for n in range(3) for p in range(n + 1)
+    for faces in (p + 2, n - p + 2) for _ in range(faces)
+]
+
+
+@pytest.mark.parametrize("override", [False, True], ids=["classes", "slots"])
+def test_builtin_torus_ranks_the_total_complex(tmp_path, capsys, monkeypatch, override):
+    # every slot acts alike, with the class-keyed template and with one
+    # equal action per slot under --override-slots
+    space = builtin_space("torus")
+    keys = [slot.id for slot in actions.enumerate_slots(space)] if override else ["a.0"]
+    alg_path = write_json(tmp_path / "dual.json", DUAL_DOC)
+    mod_path = write_json(tmp_path / "module.json", regular_module_doc(keys))
+    sources = record_sources(monkeypatch)
+    status, out, _ = run_cli(
+        capsys, "cohomology", "--builtin", "torus", "--algebra", alg_path,
+        "--module", mod_path, "-N", "2", "--format", "json",
+        *(["--override-slots"] if override else []),
+    )
+    assert status == 0
+    report = json.loads(out)
+    assert (report["t"], report["identities"], report["hh_dims"]) == (
+        [0, 3, 8, 15], "pass", [2, 2, 4]
+    )
+    assert sources == TORUS_TOTAL_SOURCES
+
+
+def test_torus_with_unequal_slot_actions_fails_the_identities_first(
+    tmp_path, capsys, monkeypatch
+):
+    # the torus's slots form one class, so one slot acting differently
+    # breaks the cosimplicial identities: exit 1 before any rank, on either
+    # complex
+    alg = dual_numbers()
+    keys = [slot.id for slot in actions.enumerate_slots(builtin_space("torus"))]
+    twist = [[1, 0], [0, -1]]
+    module = multiplication_module(alg, {key: twist if key == "b.1" else None for key in keys})
+    alg_path = write_json(tmp_path / "dual.json", DUAL_DOC)
+    mod_path = write_json(tmp_path / "module.json", module_doc(alg, module))
+    sources = record_sources(monkeypatch)
+    status, out, _ = run_cli(
+        capsys, "cohomology", "--builtin", "torus", "--algebra", alg_path,
+        "--module", mod_path, "-N", "2", "--override-slots", "--format", "json",
+    )
+    assert status == 1
+    report = json.loads(out)
+    assert report["identities"] != "pass"
+    assert "hh_dims" not in report
+    assert sources == []
+
+
+@pytest.mark.parametrize("space", ["pinched-torus", "wedge", "circle-x-circle"])
+def test_spaces_without_factors_rank_the_diagonal(tmp_path, capsys, monkeypatch, space):
+    # the product document is the torus up to renaming, but a document
+    # carries no factors
+    docs = {"wedge": SPHERE_CIRCLE_WEDGE_DOC,
+            "circle-x-circle": product_space(*[builtin_space("circle")] * 2)}
+    if space in docs:
+        argv = ("--space", write_json(tmp_path / "space.json", docs[space]))
+    else:
+        argv = ("--builtin", space)
+    alg_path = write_json(tmp_path / "dual.json", DUAL_DOC)
+    template = str(tmp_path / "module.json")
+    status, _, _ = run_cli(
+        capsys, "actions", *argv, "--algebra", alg_path, "--emit-template", template
+    )
+    assert status == 0
+    sources = record_sources(monkeypatch)
+    status, out, _ = run_cli(
+        capsys, "cohomology", *argv, "--algebra", alg_path, "--module", template,
+        "-N", "2", "--format", "json",
+    )
+    assert status == 0
+    report = json.loads(out)
+    assert sources == diagonal_sources(report["t"], 2)
+    assert report["hh_dims"] == ([2, 2, 4] if space == "circle-x-circle" else [2, 1, 2])
+
+
+def test_torus_degree_3_in_a_fresh_process(tmp_path):
+    # the diagonal took 7 s and 306 MiB for this on a 2-vCPU host, with the
+    # budget raised to its C^4 = 2 x 2^24 columns; the total complex's D_3
+    # is at most 14 x 72
+    alg_path = write_json(tmp_path / "dual.json", DUAL_DOC)
+    mod_path = write_json(tmp_path / "regular.json", regular_module_doc(["a.0"]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hhx", "cohomology", "--builtin", "torus",
+         "--algebra", alg_path, "--module", mod_path, "-N", "3", "--budget", "40000000"],
+        capture_output=True, text=True, timeout=120, check=False,
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("HH: HH^0=2  HH^1=2  HH^2=4  HH^3=7\n")
+
+
+@pytest.mark.parametrize("name, cap, least", [
+    ("circle", "-1", 2), ("circle", "0", 2), ("circle", "1", 2), ("sphere2", "2", 3),
+    ("circle", "-" + "9" * 4300, 2),
+])
+def test_paranoid_below_range_names_the_option(capsys, monkeypatch, name, cap, least):
+    # refused with the other argument errors, before either closure runs.
+    # A 5,000-digit cap stops at the int conversion already, with the usage
+    # text (test_paranoid_of_5000_digits_is_refused_before_the_sweep); 4,300
+    # digits is the longest the option converts
+    monkeypatch.setattr(actions, "sweep_closure", None)
+    monkeypatch.setattr(actions, "paranoid_closure", None)
+    status, out, err = run_cli(capsys, "actions", "--builtin", name, "--paranoid", cap)
+    assert status == 2
+    assert out == ""
+    shown = cap if len(cap) <= 40 else cap[:40] + "... (4301 characters)"
+    assert err == f"error: --paranoid must be at least {least}, got {shown}\n"
+    assert len(err.encode()) < 200
+
+
+def test_paranoid_of_5000_digits_is_refused_before_the_sweep(capsys, monkeypatch):
+    # int() refuses it, so argparse exits 2 with the usage text and an
+    # abridged error line
+    monkeypatch.setattr(actions, "sweep_closure", None)
+    monkeypatch.setattr(actions, "paranoid_closure", None)
+    status, err = parse_error(
+        capsys, "actions", "--builtin", "circle", "--paranoid", "-" + "9" * 4999
+    )
+    assert status == 2
+    line = err.splitlines()[-1]
+    assert line.endswith("... (5002 characters)")
+    assert len(line.encode()) < 200
 
 
 def test_actions_emit_template_requires_algebra(tmp_path, capsys):
@@ -728,7 +881,7 @@ def test_paranoid_cap_too_small_is_parse_error(capsys):
         capsys, "actions", "--builtin", "sphere4", "--paranoid", "3"
     )
     assert status == 2
-    assert "dim_cap" in err
+    assert err == "error: --paranoid must be at least 5, got 3\n"
 
 
 def test_paranoid_cap_above_scan_limit_is_usage_error(capsys):

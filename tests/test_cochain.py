@@ -20,11 +20,13 @@ from helpers import (
     coefficient_module,
     cubic_truncation,
     degenerate_columns,
+    diagonal_sources,
     dual_numbers,
     ground_field,
     identity_matrix,
     identity_module,
     merged_blocks,
+    product_space,
     random_f5_bimodules,
     space_and_partition,
     square_zero_bimodule,
@@ -326,8 +328,26 @@ def test_identity_visits_closed_form_matches_check(monkeypatch, space_name, top)
     assert visits == paranoid_visits(setup.space, top + 1) > 0
 
 
-def test_report_assembles_each_delta_once_and_keeps_none(monkeypatch):
+# the (source count, coface index) of each coface δ_0..δ_2 expands on the
+# torus: on the diagonal, δ_n's n + 2 cofaces from the t_n positions of C^n;
+# on the total complex of circle x circle, for each piece (p, q) of Tot^n,
+# p + 2 horizontal and then q + 2 vertical cofaces from its (p + 1)(q + 1) - 1
+# positions
+TORUS_COFACES = {
+    False: [((n + 1) ** 2 - 1, i) for n in range(3) for i in range(n + 2)],
+    True: [
+        ((p + 1) * (n - p + 1) - 1, i)
+        for n in range(3) for p in range(n + 1)
+        for faces in (p + 2, n - p + 2) for i in range(faces)
+    ],
+}
+
+
+@pytest.mark.parametrize("route", [True, False], ids=["total", "diagonal"])
+def test_report_assembles_each_delta_once_and_keeps_none(monkeypatch, route):
     setup = make_setup("torus", dual_numbers(), "regular", 2)
+    if not route:
+        setup.space.factors = None
     m = setup.module.dim
     shapes = []
     original_init = Matrix.__init__
@@ -340,9 +360,11 @@ def test_report_assembles_each_delta_once_and_keeps_none(monkeypatch):
     built = []
     original_blocks = CochainSetup._delta_blocks
 
-    def recording_blocks(self, n, skip, masks, kept):
-        for weight, columns in original_blocks(self, n, skip, masks, kept):
-            built.append((n, weight, columns))
+    def recording_blocks(self, operators, skip, kept):
+        n = len({n for n, _, _, _ in built})
+        faces = sum(operator[1] for operator in operators)
+        for weight, columns in original_blocks(self, operators, skip, kept):
+            built.append((n, weight, columns, faces))
             yield weight, columns
 
     monkeypatch.setattr(CochainSetup, "_delta_blocks", recording_blocks)
@@ -355,28 +377,27 @@ def test_report_assembles_each_delta_once_and_keeps_none(monkeypatch):
     whole = record_calls(monkeypatch, CochainSetup, "_matrix")
     assert setup.report()["hh_dims"] == [2, 2, 4]
     # no coface, codegeneracy or differential Matrix and no whole δ_n: only
-    # module-sized products of star actions
+    # module-sized products of star actions, of which the total complex
+    # forms none here, as no coface of its reaches (*, *) twice
     assert matrices == [[], [], []] and whole == []
-    assert shapes and set(shapes) == {(m, m)}
-    # each coface is expanded once per degree, from t_n sources, and each
-    # block of each δ_n is assembled once, from each expansion once
-    assert [(call[1], call[3]) for call in terms] == [
-        (setup.t[n], i) for n in range(3) for i in range(n + 2)
-    ]
-    assert [n for n, _, _ in built] == sorted(n for n, _, _ in built)
-    assert sorted({n for n, _, _ in built}) == [0, 1, 2]
-    blocks = [(n, weight) for n, weight, _ in built]
+    assert set(shapes) == (set() if route else {(m, m)})
+    # each coface is expanded once per degree, and each block of each δ_n
+    # is assembled once, from each expansion once
+    assert [(call[1], call[3]) for call in terms] == TORUS_COFACES[route]
+    assert [n for n, _, _, _ in built] == sorted(n for n, _, _, _ in built)
+    assert sorted({n for n, _, _, _ in built}) == [0, 1, 2]
+    blocks = [(n, weight) for n, weight, _, _ in built]
     assert len(set(blocks)) == len(blocks) > 3
     pairs = [(id(call[2]), call[3]) for call in expanded]
     assert len(set(pairs)) == len(pairs) == sum(
-        n + 2 for n, _, _ in built
+        faces for _, _, _, faces in built
     )
     # every block went into the elimination, and the setup keeps none
-    assert all(columns == {} for _, _, columns in built)
+    assert all(columns == {} for _, _, columns, _ in built)
     held = list(vars(setup).values())
     held += [v for h in held if isinstance(h, dict) for v in h.values()]
     assert not any(isinstance(h, Matrix) for h in held)
-    assert not any(h is columns for h in held for _, _, columns in built)
+    assert not any(h is columns for h in held for _, _, columns, _ in built)
 
 
 def test_streamed_blocks_peak_below_half_of_the_whole_delta():
@@ -389,7 +410,7 @@ def test_streamed_blocks_peak_below_half_of_the_whole_delta():
         streamed = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        whole_delta = merged_blocks(setup._delta_blocks(2))
+        whole_delta = merged_blocks(setup._delta_blocks(setup._diagonal(2)))
         assert len(_eliminate(whole_delta, setup.algebra.field.p)) == 988
         whole = tracemalloc.get_traced_memory()[1] - before
     finally:
@@ -501,7 +522,7 @@ def check_blocks(setup, n):
     rank = 0
     nonempty = 0
     weights = []
-    for weight, columns in setup._delta_blocks(n):
+    for weight, columns in setup._delta_blocks(setup._diagonal(n)):
         weights.append(weight)
         for col, column in columns.items():
             assert hom_weight(setup, n, col) == weight, (n, col)
@@ -510,7 +531,7 @@ def check_blocks(setup, n):
         nonempty += any(columns.values())
         rank += len(_eliminate(columns, p))
     assert weights == sorted(set(weights))
-    assert rank == len(_eliminate(merged_blocks(setup._delta_blocks(n)), p)), n
+    assert rank == len(_eliminate(merged_blocks(setup._delta_blocks(setup._diagonal(n))), p)), n
     return nonempty
 
 
@@ -545,7 +566,7 @@ def test_grading_of_a_bimodule_with_no_zero_entry_is_one_block():
     assert weight == [0, 0] and module_weight[0] == module_weight[1]
     setup = CochainSetup(space, algebra, module, partition, 4)
     for n in range(5):
-        assert len(list(setup._delta_blocks(n))) == 1
+        assert len(list(setup._delta_blocks(setup._diagonal(n)))) == 1
         assert check_blocks(setup, n) <= 1
     assert setup.cohomology_dims() == classical_hochschild_dims(
         algebra, module, "e.0", "e.1", 4
@@ -687,12 +708,13 @@ def test_pivot_at_a_degenerate_column_is_internal_error(monkeypatch, degree, col
     setup = make_setup("circle", dual_numbers(), "regular", 2)
     assert column in degenerate_columns(setup, degree)
     assert cochain._column_mask(column // 2, 2, *setup._masks(degree)) != 0
+    # _delta_blocks is called once per degree, from 0 up
     degrees = record_calls(monkeypatch, CochainSetup, "_delta_blocks")
     real = cochain._eliminate
 
     def eliminate(rows, p):
         found = real(rows, p)
-        return found | {column} if degrees[-1][1] == degree - 1 else found
+        return found | {column} if len(degrees) == degree else found
 
     monkeypatch.setattr(cochain, "_eliminate", eliminate)
     with pytest.raises(
@@ -729,6 +751,7 @@ def test_deep_circle_forms_and_walks_few_choices(monkeypatch):
     # pairing heads with tails by mask walks 44 (column, items) pairs of the
     # fused lists, where forming every choice and skipping walked 34,816
     setup = deep_circle_setup(5, 7, 10)
+    # _delta_blocks is called once per degree, from 0 up
     degree = record_calls(monkeypatch, CochainSetup, "_delta_blocks")
     formed = {}
     walked = {}
@@ -737,7 +760,7 @@ def test_deep_circle_forms_and_walks_few_choices(monkeypatch):
         """A fused list that counts the entries each walk over it visits."""
 
         def __iter__(self):
-            n = degree[-1][1]
+            n = len(degree) - 1
             walked[n] = walked.get(n, 0) + len(self)
             return super().__iter__()
 
@@ -747,7 +770,7 @@ def test_deep_circle_forms_and_walks_few_choices(monkeypatch):
         fused, heads = original(self, *args)
         fused = {key: {bits: Walked(e) for bits, e in by_mask.items()}
                  for key, by_mask in fused.items()}
-        n = degree[-1][1]
+        n = len(degree) - 1
         formed[n] = formed.get(n, 0) + sum(map(len, heads.values())) + sum(
             len(e) for by_mask in fused.values() for e in by_mask.values()
         )
@@ -828,7 +851,7 @@ def test_torus_delta2_rank_pinned(field_doc, kind, shape, rank):
     assert (delta.rows, delta.cols) == shape
     assert delta.rank() == rank
     # the engine's path: the columns of δ_2 straight into the elimination
-    columns = merged_blocks(setup._delta_blocks(2))
+    columns = merged_blocks(setup._delta_blocks(setup._diagonal(2)))
     assert len(columns) <= shape[1]
     assert len(_eliminate(columns, setup.algebra.field.p)) == rank
 
@@ -931,3 +954,178 @@ def test_differential_squares_to_zero_on_random_commuting_fp_modules():
             assert not product.entries, (name, p, n)
 
     check()
+
+
+# -- the total complex of a product ----------------------------------------------
+
+
+POINT_DOC = {"name": "point", "basepoint": "pt", "simplices": [{"name": "pt", "dim": 0}]}
+
+
+def symmetric_modules(p, count, seed):
+    """(m, entries of X) for modules of the dual numbers over F_p on which x
+    acts on every class by one nonzero X = v w^T with w.v = 0 (square
+    zero), m = 2 or 3."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        m = rng.randint(2, 3)
+        v, w = ([rng.randrange(p) for _ in range(m)] for _ in range(2))
+        entries = {(r, c): v[r] * w[c] % p for r in range(m) for c in range(m)}
+        if sum(a * b for a, b in zip(v, w)) % p == 0 and any(entries.values()):
+            out.append((m, entries))
+    return out
+
+
+def same_action_module(algebra, partition, m, entries):
+    F = algebra.field
+    x = Matrix(F, m, m, entries)
+    module = MultiModule(m, {cid: (identity_matrix(F, m), x) for cid in partition.class_ids})
+    validate_module(module, algebra, partition.class_ids)
+    return module
+
+
+# (factor names, field, module): each module kind over each field, and
+# seeded symmetric F_p modules with entries x = v w^T
+PRODUCT_CASES = [
+    (pair, field, kind)
+    for pair in (("circle", "circle"), ("circle", "sphere2"), ("sphere2", "circle"))
+    for field in ("Q", 2, 5) for kind in ("regular", "end")
+] + [(("circle", "circle"), p, k) for p in (2, 3, 5) for k in range(3)]
+
+
+@pytest.mark.parametrize(
+    "pair,field,kind", PRODUCT_CASES,
+    ids=[f"{'-x-'.join(pair)}-{field}-{kind}" for pair, field, kind in PRODUCT_CASES],
+)
+def test_total_complex_matches_the_diagonal_on_products(monkeypatch, pair, field, kind):
+    # HH of X x Y ranked on the normalized total complex of the factors
+    # (Eilenberg-Zilber) against the diagonal engine on the product's
+    # document; circle x circle is ranked as the builtin torus
+    X, Y = map(builtin_space, pair)
+    algebra = dual_numbers(field if field == "Q" else {"Fp": field})
+    doc = product_space(X, Y)
+    terms = record_calls(monkeypatch, CochainSetup, "_terms")
+    answers = []
+    for route in (True, False):
+        if pair == ("circle", "circle") and route:
+            space = builtin_space("torus")
+        else:
+            space = parse_space(doc)
+            space.factors = (X, Y) if route else None
+        partition = sweep_closure(space)
+        if isinstance(kind, str):
+            module = coefficient_module(algebra, partition, kind)
+        else:
+            module = same_action_module(
+                algebra, partition, *symmetric_modules(field, 3, seed=field)[kind]
+            )
+        setup = CochainSetup(space, algebra, module, partition, 2)
+        terms.clear()
+        answers.append(setup.cohomology_dims())
+        diagonal = [call[1] for call in terms] == diagonal_sources(setup.t, 2)
+        assert diagonal != route
+    assert answers[0] == answers[1]
+    if kind == "regular" and field == "Q":
+        assert answers[0] == ([2, 2, 4] if pair == ("circle", "circle") else [2, 1, 2])
+
+
+def test_total_complex_reaches_past_the_diagonal():
+    """Regression pins from the total complex alone, at degrees where the
+    diagonal forms C^{N+1} = m d^t_{N+1} columns: circle x sphere2 and
+    sphere2 x circle at -N 3 (2^35 columns), the torus at -N 4 (2^36).
+
+    The torus answers fit HH^n = C(n + 1, 2) + 1 so far; that pattern is not
+    proven, so these pin the code, not a theorem.
+    """
+    algebra = dual_numbers()
+    for pair, top, hh in ((("circle", "sphere2"), 3, [2, 1, 2, 4]),
+                          (("sphere2", "circle"), 3, [2, 1, 2, 4]),
+                          (("circle", "circle"), 4, [2, 2, 4, 7, 11])):
+        X, Y = map(builtin_space, pair)
+        space = parse_space(product_space(X, Y))
+        space.factors = X, Y
+        partition = sweep_closure(space)
+        module = coefficient_module(algebra, partition, "regular")
+        setup = CochainSetup(space, algebra, module, partition, top, budget=10**12)
+        assert setup.cohomology_dims() == hh, pair
+    setup = make_setup("torus", algebra, "regular", 4, budget=10**12)
+    assert setup.cohomology_dims() == [2, 2, 4, 7, 11]
+
+
+@pytest.mark.parametrize("route", [True, False], ids=["symmetric", "twisted"])
+def test_factors_are_ranked_only_where_every_slot_acts_alike(monkeypatch, route):
+    # the circle is circle x point; with the twisted bimodule its two
+    # classes act differently, and it falls back to the diagonal
+    circle = builtin_space("circle")
+    space, partition = space_and_partition("circle")
+    space.factors = circle, parse_space(POINT_DOC)
+    algebra = dual_numbers()
+    module = coefficient_module(algebra, partition, "regular" if route else "twisted")
+    setup = CochainSetup(space, algebra, module, partition, 4)
+    terms = record_calls(monkeypatch, CochainSetup, "_terms")
+    assert setup.cohomology_dims() == classical_hochschild_dims(
+        algebra, module, "e.0", "e.1", 4
+    )
+    assert ([call[1] for call in terms] == diagonal_sources(setup.t, setup.max_degree)) != route
+
+
+@pytest.mark.parametrize("field", ["Q", {"Fp": 2}, {"Fp": 5}])
+def test_total_complex_dims_count_the_normalized_columns(field):
+    # dim N^{p,q}, the binomial inversion in both directions, against the
+    # columns of each piece whose decoded mask is 0; the pieces of Tot^n are
+    # the sources of its horizontal operators
+    setup = make_setup("torus", dual_numbers(field), "end", 3, budget=10**8)
+    d, m = setup.algebra.dim, setup.module.dim
+    plan, dims = setup._total(*setup.space.factors)
+    assert len(plan) == len(dims) == 4
+    for n, operators in enumerate(plan):
+        counted = 0
+        offset = 0
+        for p, (_, _, _, sources, masks, at) in enumerate(operators[::2]):
+            # piece (p, n - p) on (p + 1)(n - p + 1) - 1 positions, in order
+            assert sources == (p + 1) * (n - p + 1) - 1
+            assert at[0] == offset
+            offset += m * d**sources
+            counted += m * sum(
+                not cochain._column_mask(value, d, *masks) for value in range(d**sources)
+            )
+        assert counted == dims[n], n
+
+
+@pytest.mark.parametrize("normalized", [True, False])
+@pytest.mark.parametrize("field", ["Q", {"Fp": 5}])
+def test_total_complex_squares_to_zero(field, normalized):
+    # D = δ_h + (-1)^p δ_v: the ranks of one D_n do not see the sign, since
+    # signs on the pieces can absorb it, but clearing needs D D = 0
+    setup = make_setup("torus", dual_numbers(field), "regular", 3, budget=10**8)
+    p = setup.algebra.field.p
+    plan, _ = setup._total(*setup.space.factors)
+    if not normalized:
+        plan = [[(*op[:4], None, op[5]) for op in operators] for operators in plan]
+    deltas = [merged_blocks(setup._delta_blocks(operators)) for operators in plan]
+    for n in range(len(plan) - 1):
+        assert any(deltas[n + 1].values()), n
+        for column in deltas[n].values():
+            image = {}
+            for row, v in column.items():
+                for r, u in deltas[n + 1].get(row, {}).items():
+                    image[r] = image.get(r, 0) + v * u
+            assert not any(v % p if p else v for v in image.values()), n
+
+
+def test_pivot_outside_a_normalized_piece_is_internal_error(monkeypatch):
+    # column 4 of Tot^1 on the torus is the unit on (e, *), at the offset
+    # 4 = m d of piece (1, 0): s^0_h keeps it, so a pivot of D_0 there
+    # shows a bug, and the guard must decode it in its own piece
+    setup = make_setup("torus", dual_numbers(), "regular", 2)
+    calls = record_calls(monkeypatch, CochainSetup, "_delta_blocks")
+    real = cochain._eliminate
+
+    def eliminate(rows, p):
+        found = real(rows, p)
+        return found | {4} if len(calls) == 1 else found
+
+    monkeypatch.setattr(cochain, "_eliminate", eliminate)
+    with pytest.raises(InternalError, match="δ_0 has a pivot outside N\\^1"):
+        setup.cohomology_dims()

@@ -265,7 +265,7 @@ def slow_differential(setup, n):
 
 def engine_rank(setup, n):
     """rank δ_n as cohomology_dims takes it: from the assembled columns."""
-    columns = merged_blocks(setup._delta_blocks(n))
+    columns = merged_blocks(setup._delta_blocks(setup._diagonal(n)))
     return len(_eliminate(columns, setup.algebra.field.p))
 
 
@@ -298,7 +298,7 @@ def test_delta_block_columns_are_reduced_and_sum_the_reference_cofaces(
     p = algebra.field.p
     stored = 0
     for n in range(top + 1):
-        blocks = list(setup._delta_blocks(n))
+        blocks = list(setup._delta_blocks(setup._diagonal(n)))
         values = [v for _, columns in blocks for column in columns.values()
                   for v in column.values()]
         stored += len(values)
@@ -463,10 +463,15 @@ def test_identity_verdict_is_scanned_once_and_guards_cohomology(
     levels = record_level_rows(monkeypatch, cochain)
     scanned = record_calls(monkeypatch, cochain, "row_pairs")
     setup = CochainSetup(*inputs)
+    built = list(levels)
     report = setup.report()
     # construction builds the face rows of each level 1..N + 1 once, in
-    # order, and report() builds none: the check reads the cofaces' rows
-    tables = level_tables(levels)
+    # order, and report() builds none of this space's: the check reads the
+    # cofaces' rows. Ranked on the total complex, the torus's report builds
+    # the rows of levels 0..N + 1 of each of its two factors
+    route = setup.space.factors is not None and not override
+    assert len(levels) == len(built) + route * 2 * (setup.max_degree + 2)
+    tables = level_tables(built)
     assert check_face_rows(setup.space, tables) == sum(
         (n + 1) * t for n, t in enumerate(setup.t) if n
     )
@@ -483,7 +488,7 @@ def test_identity_verdict_is_scanned_once_and_guards_cohomology(
     else:
         assert setup.cohomology_dims() == report["hh_dims"]
     assert len(tables) == len(scans) == setup.max_degree + 1
-    assert setup._levels == levels
+    assert setup._levels == built
     # the identity verdict is scanned once: one row_pairs call per level
     # 2..N + 1, through report(), cohomology_dims() and the repeated check
     assert [len(rows) for _, rows, _ in scanned] == setup.t[2:]
@@ -498,12 +503,12 @@ def check_clearing(setup):
     that hold nonzeros."""
     p = setup.algebra.field.p
     dropped = 0
-    pivots = _eliminate(merged_blocks(setup._delta_blocks(0)), p)
+    pivots = _eliminate(merged_blocks(setup._delta_blocks(setup._diagonal(0))), p)
     ranks = [len(pivots)]
     for n in range(1, setup.max_degree + 1):
-        full = merged_blocks(setup._delta_blocks(n))
+        full = merged_blocks(setup._delta_blocks(setup._diagonal(n)))
         dropped += sum(1 for j in pivots if full.get(j))
-        cleared = merged_blocks(setup._delta_blocks(n, pivots))
+        cleared = merged_blocks(setup._delta_blocks(setup._diagonal(n), pivots))
         assert not pivots & cleared.keys(), n
         pivots = _eliminate(full, p)
         ranks.append(len(pivots))
@@ -563,8 +568,8 @@ def test_blockwise_ranks_match_the_whole_delta(make, args):
     setup = make(*args)
     p = setup.algebra.field.p
     for n in range(setup.max_degree + 1):
-        whole = merged_blocks(setup._delta_blocks(n))
-        blocks = list(setup._delta_blocks(n))
+        whole = merged_blocks(setup._delta_blocks(setup._diagonal(n)))
+        blocks = list(setup._delta_blocks(setup._diagonal(n)))
         # the blocks split the columns of δ_n and share no row
         rows = [{r for column in columns.values() for r in column} for _, columns in blocks]
         assert sum(len(columns) for _, columns in blocks) == len(whole), n
@@ -590,8 +595,10 @@ def test_counted_normalized_dims_leave_out_the_degenerate_columns(
     # dim N^n is the binomial inversion of the hom dims (cosimplicial
     # Dold-Kan), and a column's mask is decoded from its index for the pivot
     # guard; both against the D^n oracle, which forms each degenerate column
-    # whole
+    # whole. On the diagonal: the torus's total complex has dimensions of
+    # its own (test_total_complex_dims_count_the_normalized_columns)
     setup = make(*args)
+    setup.space.factors = None
     d, m = setup.algebra.dim, setup.module.dim
     calls = record_calls(monkeypatch, cochain, "_dims_from_ranks")
     setup.cohomology_dims()
@@ -621,7 +628,7 @@ def check_normalized_blocks(setup, kept=None):
     pivots = set()
     checked = []
     for n in range(setup.max_degree + 1):
-        blocks = list(setup._delta_blocks(n, pivots, setup._masks(n), kept))
+        blocks = list(setup._delta_blocks(setup._diagonal(n, setup._masks(n)), pivots, kept))
         # the reference visits every (target, source) basis pair
         if setup.hom_dims[n + 1] * setup.hom_dims[n] <= 2**15:
             left_out = degenerate_columns(setup, n) | pivots
