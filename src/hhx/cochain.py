@@ -21,7 +21,10 @@ factors (the grouped products) tensored with module blocks (the nonzero
 composite star actions), expanded by one routine (_expand) whose work is
 the nnz of the result; the star actions are extended one position at a
 time, forming each shared prefix once, and the products of each group size
-are formed once per setup (_group_products).
+are formed once per setup (_group_products). Every map is a list of
+operators, each a signed sum over the face indices it reads, and one
+routine (_delta_blocks) sums any such list: a coface reads one index, a
+codegeneracy index 0 of its table, and δ_n all n + 2.
 
 Internal weight: the finest grading of algebra and module (_grading) gives
 a hom basis element (assignment, c) the weight w_M(c) - Σ w(digits), and
@@ -32,10 +35,11 @@ w_M(c) minus the tail's weight, and then the tail's mask (see
 Normalization), and then each block is formed on its own (_expand), one
 lookup per head, with every entry formed exactly once; an
 ungraded input has one block. The differential δ_n = Σ (-1)^i d^i is
-streamed one block at a time (_delta_blocks): each block's dict of sparse
-columns goes straight into the exact elimination for its rank and is
-dropped before the next is built. Cohomology dimensions need only the
-ranks, so no coface or differential matrix is formed or kept for them.
+streamed one block at a time (_delta_blocks): for its rank each block's
+dict of sparse columns goes straight into the exact elimination and is
+dropped before the next is built; a matrix merges them all. Cohomology
+dimensions need only the ranks, so no coface or differential matrix is
+formed or kept for them.
 Clearing: δ_n leaves out its columns at δ_{n-1}'s pivots P. The vectors
 the elimination pops lie in im δ_{n-1}, and each is zero at the pivots
 popped before it: the peeled ones, which come first, are the only vectors
@@ -110,9 +114,9 @@ read off face rows by the same builder, with the rows of the pairs (x, y)
 built from each factor's level_rows and (*, *) read as slot 0, and every
 piece sits at an offset that is a multiple of m, so weights, summands,
 clearing and the pivot guard are as on the diagonal: one elimination loop
-takes, per degree, a list of operators (sign, cofaces, face rows, source
-count, masks, offsets), of which the diagonal has one. The report's t,
-hom dims and identity verdict stay those of the diagonal.
+takes, per degree, a list of operators (sign, face indices, face rows,
+source count, masks, offsets), of which the diagonal has one. The report's
+t, hom dims and identity verdict stay those of the diagonal.
 
 The cosimplicial identities are checked on simplices, not on matrices:
 d_i d_j = d_{j-1} d_i holds exactly when the module acts equally on the two
@@ -167,10 +171,12 @@ class CochainSetup:
     """Space + algebra + multi-module + degree cap.
 
     Coface, codegeneracy and differential matrices are built on every call
-    and not kept; cohomology_dims forms none of them. All three come from
-    one builder (_terms) over a face table: the cofaces and δ read the face
+    and not kept; cohomology_dims forms none of them. Each is one operator
+    list summed by _delta_blocks, the path cohomology_dims takes, over one
+    builder (_terms) and a face table: the cofaces and δ read the face
     rows of the level above, and a codegeneracy s^i reads the one-entry
     table of the position of s_i q in the level above, for each simplex q.
+    Each map first checks that both degrees it touches lie in 0..N + 1.
     Construction fails fast with BudgetError, before any simplex is listed,
     if the differentials would expand more than FACE_LIMIT cofaces (checked
     first, as it depends on N alone), a hom space within the cap exceeds the
@@ -252,41 +258,35 @@ class CochainSetup:
         # _group_products by size, each extending the one below
         self._products = [[((), algebra.unit)]]
 
-    def _check_degree(self, n: int):
-        if not 0 <= n <= self.max_degree + 1:
-            raise ValueError(
-                f"degree {n} outside 0..{self.max_degree + 1} for this setup"
-            )
+    def _check_degree(self, *degrees: int):
+        for n in degrees:
+            if not 0 <= n <= self.max_degree + 1:
+                raise ValueError(
+                    f"degree {n} outside 0..{self.max_degree + 1} for this setup"
+                )
 
     # -- matrices ---------------------------------------------------------
 
     def differential(self, n: int) -> Matrix:
         """Alternating sum of the cofaces out of degree n, as a Matrix."""
-        self._check_degree(n)
+        self._check_degree(n, n + 1)
         return self._matrix(n + 1, n, self._delta_blocks(self._diagonal(n)))
 
     def coface(self, n: int, i: int) -> Matrix:
-        self._check_degree(n + 1)
+        self._check_degree(n, n + 1)
         if not 0 <= i <= n + 1:
             raise ValueError(f"coface index {i} out of range 0..{n + 1}")
-        return self._operator(n + 1, n, self._levels[n + 1][1], i)
+        # the sign (-1)^i cancels the one _delta_blocks gives face i
+        operator = ((-1) ** i, range(i, i + 1), self._levels[n + 1][1], self.t[n], None, (0, 0))
+        return self._matrix(n + 1, n, self._delta_blocks([operator]))
 
     def codegeneracy(self, n: int, i: int) -> Matrix:
-        self._check_degree(n + 1)
+        self._check_degree(n, n + 1)
         if not 0 <= i <= n:
             raise ValueError(f"codegeneracy index {i} out of range 0..{n}")
         table = [(p,) for p in self._degeneracy_positions(n + 1, i)]
-        return self._operator(n, n + 1, table, 0)
-
-    def _operator(self, row_degree, col_degree, rows, i) -> Matrix:
-        """The operator that reads entry i of each face row (_terms), from
-        C^col_degree to C^row_degree, as a Matrix."""
-        expansions = []
-        if self.module.dim:
-            sources = self.t[col_degree]
-            terms = self._terms(sources, rows, i, 0, [0] * sources)
-            expansions.append(self._expansion(1, 0, (0, 0), *terms))
-        return self._matrix(row_degree, col_degree, self._blocks(expansions))
+        operator = (1, range(1), table, self.t[n + 1], None, (0, 0))
+        return self._matrix(n, n + 1, self._delta_blocks([operator]))
 
     def _degeneracy_positions(self, n: int, i: int) -> list[int]:
         """The position in level n of s_i(s) for each simplex s of level n - 1."""
@@ -326,7 +326,7 @@ class CochainSetup:
         """δ_n = Σ (-1)^i d^i on C^n as the one operator of its degree, for
         _delta_blocks: its n + 2 cofaces read the face rows of level n + 1
         from the t_n positions of level n, with masks, _masks(n), or none."""
-        return [(1, n + 2, self._levels[n + 1][1], self.t[n], masks, (0, 0))]
+        return [(1, range(n + 2), self._levels[n + 1][1], self.t[n], masks, (0, 0))]
 
     def _total(self, X, Y) -> tuple[list, list]:
         """(operators, dims): for each degree n = 0..N, the operators of D_n
@@ -368,8 +368,8 @@ class CochainSetup:
                 v = [[a * len(ys) + f - 1 for f in row]
                      for a in range(len(xs)) for row in Y[q + 1][0]]
                 operators += [
-                    (1, p + 2, h[1:], size(p, q), masks, (cols[p], rows[p + 1])),
-                    ((-1) ** p, q + 2, v[1:], size(p, q), masks, (cols[p], rows[p])),
+                    (1, range(p + 2), h[1:], size(p, q), masks, (cols[p], rows[p + 1])),
+                    ((-1) ** p, range(q + 2), v[1:], size(p, q), masks, (cols[p], rows[p])),
                 ]
             plan.append(operators)
             dims.append(sum(
@@ -382,12 +382,16 @@ class CochainSetup:
         """(weight, columns) for each weight block of the sum of operators.
 
         An operator is (sign, faces, rows, sources, masks, at): sign times
-        Σ (-1)^i d^i over its cofaces i < faces, each reading entry i of
-        rows (_terms) from sources source positions, with its columns at
-        offset at[0] and its rows at offset at[1], both multiples of m.
-        All cofaces are expanded and split by weight now, once; each block's
-        nonzero columns not in skip are assembled only when the returned
-        generator reaches it. With masks, (every, images) as _masks gives
+        Σ (-1)^i d^i over the face indices i in faces, a range, each
+        reading entry i of rows (_terms) from sources source positions,
+        with its columns at offset at[0] and its rows at offset at[1], both
+        multiples of m. δ_n is range(n + 2); a single coface d^i is
+        range(i, i + 1) with sign (-1)^i, and a codegeneracy range(1) of its
+        one-entry table. Every operator is expanded and split by weight
+        once, when the generator starts; then the blocks follow in order of
+        weight, each the sum of the expansions' entries in it (_expand),
+        its nonzero columns not in skip assembled only when the generator
+        reaches it. With masks, (every, images) as _masks gives
         them, only the columns of the normalized piece are formed; without,
         every = 0 and all columns are. With kept, a set of module basis
         indices closed under every action, only the columns and rows at
@@ -401,13 +405,8 @@ class CochainSetup:
                 self._expansion(sign * (-1) ** i, every, at, *self._terms(
                     sources, rows, i, every, images, kept
                 ))
-                for i in range(faces)
+                for i in faces
             ]
-        return self._blocks(expansions, skip)
-
-    def _blocks(self, expansions, skip=frozenset()):
-        """(weight, columns) for each weight some choice of terms reaches, in
-        order: the sum of the expansions' entries in that block (_expand)."""
         weights = sorted({
             key - head
             for fused, heads in expansions for key in fused for head, _ in heads

@@ -101,6 +101,13 @@ def test_degree_out_of_range():
         setup.coface(3, 0)
     with pytest.raises(ValueError):
         setup.coface(0, 3)
+    # each map checks both of its degrees before it reads a row
+    with pytest.raises(ValueError):
+        setup.coface(-1, 0)
+    with pytest.raises(ValueError):
+        setup.differential(3)
+    with pytest.raises(ValueError):
+        setup.codegeneracy(-1, 0)
 
 
 def test_budget_error_reports_degree_and_dimension():
@@ -362,7 +369,7 @@ def test_report_assembles_each_delta_once_and_keeps_none(monkeypatch, route):
 
     def recording_blocks(self, operators, skip, kept):
         n = len({n for n, _, _, _ in built})
-        faces = sum(operator[1] for operator in operators)
+        faces = sum(len(operator[1]) for operator in operators)
         for weight, columns in original_blocks(self, operators, skip, kept):
             built.append((n, weight, columns, faces))
             yield weight, columns
